@@ -4,26 +4,34 @@ Each replication resamples the estimated structural residuals equation by
 equation (independently by default, jointly by row behind a flag), holds the
 first observations fixed, simulates the stacked system forward over the
 original sample span, re-estimates the model on the simulated panel, and
-recomputes the impulse responses.  Bands are pointwise empirical quantiles
-across replications.
+recomputes the impulse responses.  Replications run in chunks: one chunk's
+panels are simulated in one time loop, re-estimated together
+(:func:`~newsvar.svar.estimate_svar_stack`) and their responses computed in
+one batched recursion.  Bands are pointwise empirical quantiles across
+replications.
 """
 
 from __future__ import annotations
 
 import json
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
 
 import numpy as np
 
-from .dynamics import build_stacked, irf_all
-from .errors import ModelSpecError, NewsvarError, SampleError
-from .svar import aligned_matrix, ControlsVar1, estimate_svar_arrays, SvarEstimate, SvarSpec
+from .dynamics import build_stacked, irf_all, stacked_responses
+from .errors import BootstrapError, ModelSpecError, SampleError
+from .svar import aligned_matrix, ControlsVar1, estimate_svar_stack, SvarEstimate, SvarSpec
 from .timeseries import CalendarSeries
 
 __all__ = ["BootstrapBands", "bootstrap_irf", "write_bands_metadata"]
+
+# Bytes one chunk's widest equation design may take.  The chunk's panels,
+# QR factors and response arrays grow with it, so this bounds the memory a
+# chunk adds; chunks of more than a few replications amortize the per-step
+# cost of the simulation loop.
+CHUNK_DESIGN_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -99,12 +107,14 @@ def bootstrap_irf(
         shocked_control: which control carries the global shock.
 
     Raises:
-        RuntimeError: more than 5 per cent of replications failed to
-            re-estimate.
+        BootstrapError: more than 5 per cent of replications failed to
+            re-estimate (also a RuntimeError).
     """
     spec = spec or est.spec
     if not 0 <= quantiles[0] < quantiles[1] <= 1:
         raise ValueError("quantiles must satisfy 0 <= lo < hi <= 1")
+    if replications < 1:
+        raise ValueError("replications must be positive")
     Z, _, _ = aligned_matrix(spec, data)
     return _bootstrap_from_matrix(
         est,
@@ -132,56 +142,62 @@ def _bootstrap_from_matrix(
 ) -> BootstrapBands:
     system = build_stacked(est)
     n_state = system.Psi0.shape[0]
+    N = Z.shape[0]
     M = spec.max_lag
-    n_obs = Z.shape[0] - M
+    n_obs = N - M
     U = _structural_residuals(est, n_obs)
     controls_var1 = isinstance(est.controls_process, ControlsVar1)
     P0inv = np.linalg.inv(system.Psi0)
     # one-step form: z_t = c + B1 z_{t-1} + B2 z_{t-2} + P0inv u_t
-    B1 = P0inv @ system.Psi1
-    B2 = P0inv @ system.Psi2
+    B1T = (P0inv @ system.Psi1).T
+    B2T = (P0inv @ system.Psi2).T
     c = P0inv @ system.intercept
     point = irf_all(est, horizon, shocked_control, method="stacked")
     shocks = point.shocks
     m = est.m
+    shock_cols = [system.labels.index(name) for name in shocks]
+    widest = max(1 + len(spec.equation_regressors(eq)) for eq in spec.ordering)
+    chunk = max(1, CHUNK_DESIGN_BYTES // (8 * n_obs * widest))
 
     draws = np.empty((replications, len(shocks), horizon + 1, m))
     dropped = 0
     kept = 0
-    sim = np.empty_like(Z)
-    sim[:M] = Z[:M]
-    for r in range(replications):
-        rng = np.random.default_rng(seed + r)
-        if joint_resampling:
-            rows = rng.integers(0, n_obs, n_obs)
-            u = U[rows]
-        else:
-            u = np.empty_like(U)
-            for e in range(n_state):
-                u[:, e] = U[rng.integers(0, n_obs, n_obs), e]
-        shifted = u @ P0inv.T + c
-        if M >= 2:
-            for t in range(M, Z.shape[0]):
-                sim[t] = shifted[t - M] + B1 @ sim[t - 1] + B2 @ sim[t - 2]
-        else:
-            for t in range(M, Z.shape[0]):
-                sim[t] = shifted[t - M] + B1 @ sim[t - 1]
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", RuntimeWarning)
-                re_est = estimate_svar_arrays(spec, sim, controls_var1=controls_var1)
-                rep = irf_all(re_est, horizon, shocked_control, method="stacked")
-        except (NewsvarError, np.linalg.LinAlgError):
+    for first in range(0, replications, chunk):
+        C = min(chunk, replications - first)
+        # resample indices (period, replication, equation), each replication
+        # drawing from its own generator in the order of the one-at-a-time loop
+        rows = np.empty((n_obs, C, n_state), dtype=np.intp)
+        for i in range(C):
+            rng = np.random.default_rng(seed + first + i)
+            if joint_resampling:
+                rows[:, i, :] = rng.integers(0, n_obs, n_obs)[:, None]
+            else:
+                for e in range(n_state):
+                    rows[:, i, e] = rng.integers(0, n_obs, n_obs)
+        u = U[rows, np.arange(n_state)]
+        shifted = (u.reshape(-1, n_state) @ P0inv.T + c).reshape(u.shape)
+        # time-major panels, so each step updates one contiguous (C, n_state) block
+        sim = np.empty((N, C, n_state))
+        sim[:M] = Z[:M, None, :]
+        for t in range(M, N):
+            np.matmul(sim[t - 1], B1T, out=sim[t])
+            sim[t] += shifted[t - M]
+            if M >= 2:
+                sim[t] += sim[t - 2] @ B2T
+        del rows, u, shifted  # free before the estimator's workspace is allocated
+        stack = estimate_svar_stack(spec, sim.transpose(1, 0, 2), controls_var1=controls_var1)
+        for _ in range(int(np.count_nonzero(~stack.ok))):
             dropped += 1
             if dropped > 0.05 * replications:
-                raise RuntimeError(
+                raise BootstrapError(
                     f"bootstrap aborted: {dropped} of {replications} replications "
                     "failed to re-estimate"
-                ) from None
-            continue
-        for s_idx, shock in enumerate(shocks):
-            draws[kept, s_idx] = rep.responses[shock]
-        kept += 1
+                )
+        good = stack.select(stack.ok)
+        draws[kept : kept + good.ok.size] = stacked_responses(
+            build_stacked(good), horizon, shock_cols, m
+        )
+        kept += good.ok.size
 
     draws = draws[:kept]
     lo, hi = quantiles

@@ -201,11 +201,28 @@ def _windowed_off_index(
     )
 
 
+def _netting_settings(section: Mapping[str, object]) -> tuple[float | None, float | None]:
+    """Checked fixed ``weight``, or else the grid search's ``grid_step``."""
+    weight = section.get("weight")
+    if weight is not None:
+        weight = _coerce(float, weight, "weight")
+        if not 0.0 <= weight <= 1.0:
+            raise UsageError(f"config key 'weight' must lie in [0, 1], got {weight}")
+        return weight, None
+    grid_step = _coerce(float, section.get("grid_step", 0.1), "grid_step")
+    if not 0.0 < grid_step < 0.5:
+        raise UsageError(f"config key 'grid_step' must lie in (0, 0.5), got {grid_step}")
+    return None, grid_step
+
+
 def cmd_build_index(config: PipelineConfig) -> int:
     section = config.section("index")
     variant = str(section.get("variant", "simple"))
     target = _coerce(ts.Frequency, str(section.get("target_frequency", "quarterly")), "target_frequency")
     window = _parse_window(section.get("normalization_window"), "normalization_window")
+    # checked before any output is written; net_index and grid_search_weight
+    # would refuse these values only after the on and off indices are out
+    weight, grid_step = _netting_settings(section)
     config.out_dir.mkdir(parents=True, exist_ok=True)
 
     on_index = _counts_to_index(
@@ -236,18 +253,15 @@ def cmd_build_index(config: PipelineConfig) -> int:
     ix.write_index_csv(off_index, config.out_dir / "index_off.csv")
     diagnostics["off_normalization_max"] = off_index.normalization_max
 
-    weight = section.get("weight")
     if weight is not None:
-        w_hat = _coerce(float, weight, "weight")
+        w_hat = weight
         diagnostics["weight"] = {"value": w_hat, "source": "fixed"}
     else:
         dy_path = config.path(section, "output_growth", required=False)
         if dy_path is None:
             raise UsageError("config key 'output_growth' is required for grid search")
         dy = ts.read_series_csv(dy_path)
-        result = ix.grid_search_weight(
-            on_index, off_index, dy, grid_step=_coerce(float, section.get("grid_step", 0.1), "grid_step")
-        )
+        result = ix.grid_search_weight(on_index, off_index, dy, grid_step=grid_step)
         w_hat = result.w_hat
         diagnostics["weight"] = {
             "value": w_hat,
@@ -331,6 +345,20 @@ def cmd_estimate(config: PipelineConfig) -> int:
     return EXIT_OK
 
 
+def _bootstrap_settings(boot_cfg: Mapping[str, object]) -> tuple[int, tuple[float, float]]:
+    """Checked ``replications`` and ``quantiles`` of the bootstrap section."""
+    replications = _coerce(int, boot_cfg.get("replications", 1000), "replications")
+    if replications < 1:
+        raise UsageError(f"config key 'replications' must be positive, got {replications}")
+    quantiles = boot_cfg.get("quantiles", (0.05, 0.95))
+    if not isinstance(quantiles, (list, tuple)) or len(quantiles) != 2:
+        raise UsageError("config key 'quantiles' must be a [lower, upper] pair")
+    lo, hi = (_coerce(float, q, "quantiles") for q in quantiles)
+    if not 0.0 <= lo < hi <= 1.0:
+        raise UsageError(f"config key 'quantiles' must satisfy 0 <= lower < upper <= 1, got {[lo, hi]}")
+    return replications, (lo, hi)
+
+
 def cmd_dynamics(config: PipelineConfig) -> int:
     est, data, section, spec = _estimate(config)
     horizon = _coerce(int, section.get("horizon", 24), "horizon")
@@ -356,17 +384,14 @@ def cmd_dynamics(config: PipelineConfig) -> int:
     bands = None
     boot_cfg = section.get("bootstrap")
     if isinstance(boot_cfg, dict):
-        quantiles = boot_cfg.get("quantiles", (0.05, 0.95))
+        replications, quantiles = _bootstrap_settings(boot_cfg)
         bands = boot.bootstrap_irf(
             est,
             data,
             spec,
             horizon=horizon,
-            replications=_coerce(int, boot_cfg.get("replications", 1000), "replications"),
-            quantiles=(
-                _coerce(float, quantiles[0], "quantiles"),
-                _coerce(float, quantiles[1], "quantiles"),
-            ),
+            replications=replications,
+            quantiles=quantiles,
             seed=_coerce(int, boot_cfg.get("seed", config.seed), "bootstrap.seed"),
             joint_resampling=bool(boot_cfg.get("joint", False)),
             shocked_control=shocked,
@@ -453,10 +478,13 @@ def cmd_validate(config: PipelineConfig) -> int:
         config.path(section, "on_counts")
         config.path(section, "off_counts", required=False)
         config.path(section, "output_growth", required=False)
+        _netting_settings(section)
     if "calendar" in config.raw:
         config.path(config.section("calendar"), "input")
     if "model" in config.raw:
-        _load_model(config)
+        _, _, section = _load_model(config)
+        if isinstance(section.get("bootstrap"), dict):
+            _bootstrap_settings(section["bootstrap"])
     if "reduced_form" in config.raw:
         section = config.section("reduced_form")
         config.path(section, "intervention")

@@ -19,7 +19,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import ModelSpecError, NonstationaryError
-from .svar import SvarEstimate
+from .svar import SvarEstimate, SvarStack
 
 __all__ = [
     "IrfResult",
@@ -27,6 +27,7 @@ __all__ = [
     "StackedSystem",
     "g_recursion",
     "build_stacked",
+    "stacked_responses",
     "irf_domestic",
     "irf_sanction",
     "irf_global",
@@ -77,7 +78,11 @@ class FevdResult:
 
 @dataclass(frozen=True)
 class StackedSystem:
-    """The full system over (endogenous, intervention, controls)."""
+    """The full system over (endogenous, intervention, controls).
+
+    Built from a :class:`SvarStack`, every array gains the stack's leading
+    axis.
+    """
 
     labels: tuple[str, ...]
     Psi0: np.ndarray
@@ -90,58 +95,84 @@ class StackedSystem:
 def g_recursion(Phi1: np.ndarray, Phi2: np.ndarray, horizon: int) -> np.ndarray:
     """Moving-average coefficient matrices of the two-lag recursion.
 
-    Returns an array of shape (horizon+1, n, n) with G_0 = I.
+    Returns an array of shape (horizon+1, n, n) with G_0 = I.  Leading axes
+    of ``Phi1`` and ``Phi2`` (..., n, n) are batch axes and come first in
+    the result: (..., horizon+1, n, n).
     """
     Phi1 = np.asarray(Phi1, dtype=float)
     Phi2 = np.asarray(Phi2, dtype=float)
-    n = Phi1.shape[0]
-    if Phi1.shape != (n, n) or Phi2.shape != (n, n):
+    n = Phi1.shape[-1]
+    if Phi1.ndim < 2 or Phi1.shape[-2] != n or Phi2.shape != Phi1.shape:
         raise ValueError("lag matrices must be square and same size")
     if horizon < 0:
         raise ValueError("horizon must be non-negative")
-    G = np.empty((horizon + 1, n, n))
-    G[0] = np.eye(n)
+    G = np.empty(Phi1.shape[:-2] + (horizon + 1, n, n))
+    G[..., 0, :, :] = np.eye(n)
     if horizon >= 1:
-        G[1] = Phi1
+        G[..., 1, :, :] = Phi1
     for h in range(2, horizon + 1):
-        G[h] = Phi1 @ G[h - 1] + Phi2 @ G[h - 2]
+        G[..., h, :, :] = Phi1 @ G[..., h - 1, :, :] + Phi2 @ G[..., h - 2, :, :]
     return G
 
 
-def build_stacked(est: SvarEstimate) -> StackedSystem:
-    """Assemble the stacked one-step form from a structural estimate."""
-    if est.s_process.order != 1:
-        raise ModelSpecError("stacked dynamics require a first-order intervention process")
-    m, k = est.m, est.k
+def build_stacked(est: SvarEstimate | SvarStack) -> StackedSystem:
+    """Assemble the stacked one-step form from one estimate or a stack of them."""
+    if isinstance(est, SvarEstimate):
+        if est.s_process.order != 1:
+            raise ModelSpecError("stacked dynamics require a first-order intervention process")
+        system = build_stacked(SvarStack.of(est))
+        return StackedSystem(
+            labels=est.variables + (est.spec.intervention_name,) + est.controls,
+            Psi0=system.Psi0[0],
+            Psi1=system.Psi1[0],
+            Psi2=system.Psi2[0],
+            intercept=system.intercept[0],
+            scales=system.scales[0],
+        )
+    spec = est.spec
+    m, k = spec.m, len(spec.controls)
     n = m + 1 + k
-    R, c_intercepts, c_omegas = est.controls_transition()
-    rho_s = float(est.s_process.coefficients[0])
+    batch = est.A0.shape[:-2]
 
-    Psi0 = np.eye(n)
-    Psi0[:m, :m] = est.A0
-    Psi0[:m, m] = -est.gamma0s
-    if k:
-        Psi0[:m, m + 1 :] = -est.Dw
-    Psi1 = np.zeros((n, n))
-    Psi1[:m, :m] = est.A1
-    Psi1[:m, m] = est.gamma1s
-    Psi1[m, m] = rho_s
-    if k:
-        Psi1[m + 1 :, m + 1 :] = R
-    Psi2 = np.zeros((n, n))
-    Psi2[:m, :m] = est.A2
+    Psi0 = np.broadcast_to(np.eye(n), batch + (n, n)).copy()
+    Psi0[..., :m, :m] = est.A0
+    Psi0[..., :m, m] = -est.gamma0s
+    Psi0[..., :m, m + 1 :] = -est.Dw
+    Psi1 = np.zeros(batch + (n, n))
+    Psi1[..., :m, :m] = est.A1
+    Psi1[..., :m, m] = est.gamma1s
+    Psi1[..., m, m] = est.s_rho
+    Psi1[..., m + 1 :, m + 1 :] = est.c_transition
+    Psi2 = np.zeros(batch + (n, n))
+    Psi2[..., :m, :m] = est.A2
 
-    intercept = np.concatenate([est.a_q, [est.s_process.intercept], c_intercepts])
-    scales = np.concatenate([np.sqrt(est.sigma), [est.s_process.omega], c_omegas])
-    labels = est.variables + (est.spec.intervention_name,) + est.controls
+    intercept = np.concatenate([est.a_q, est.s_intercept[..., None], est.c_intercept], axis=-1)
+    scales = np.concatenate([np.sqrt(est.sigma), est.s_omega[..., None], est.c_sd], axis=-1)
     return StackedSystem(
-        labels=labels,
+        labels=spec.ordering + (spec.intervention_name,) + spec.controls,
         Psi0=Psi0,
         Psi1=Psi1,
         Psi2=Psi2,
         intercept=intercept,
         scales=scales,
     )
+
+
+def stacked_responses(
+    system: StackedSystem, horizon: int, shock_cols: list[int], m: int
+) -> np.ndarray:
+    """Scaled responses of the first ``m`` variables to the ``shock_cols`` shocks.
+
+    Returns (..., shocks, horizon+1, m), with the system's leading axes
+    first; one-standard-error shocks, from the stacked recursion.
+    """
+    Phi1 = np.linalg.solve(system.Psi0, system.Psi1)
+    Phi2 = np.linalg.solve(system.Psi0, system.Psi2)
+    F = g_recursion(Phi1, Phi2, horizon)
+    MA = F @ np.linalg.inv(system.Psi0)[..., None, :, :]  # (..., H+1, n, n)
+    cols = np.asarray(shock_cols)
+    out = MA[..., :m, cols] * system.scales[..., None, None, cols]  # (..., H+1, m, shocks)
+    return np.moveaxis(out, -1, -3)
 
 
 def _stacked_moduli(system: StackedSystem) -> np.ndarray:
@@ -364,40 +395,29 @@ def stacked_dynamics(
     """IRFs and FEVDs from the stacked recursion over all equations at once."""
     system = build_stacked(est)
     control = _resolve_control(est, shocked_control)
-    m, k = est.m, est.k
-    Phi1 = np.linalg.solve(system.Psi0, system.Psi1)
-    Phi2 = np.linalg.solve(system.Psi0, system.Psi2)
-    F = g_recursion(Phi1, Phi2, horizon)
-    M = F @ np.linalg.inv(system.Psi0)  # (H+1, n, n)
+    m = est.m
     shock_cols = list(range(m)) + [m]
     if control is not None:
         shock_cols.append(m + 1 + est.controls.index(control))
     shocks = _shock_names(est, control)
+    blocks = stacked_responses(system, horizon, shock_cols, m)  # (shocks, H+1, m)
 
     irf_result = None
     if want_irf:
         _warn_if_nonstationary(est)
-        responses = {}
-        scales = {}
-        for name, col in zip(shocks, shock_cols):
-            scale = float(system.scales[col])
-            scales[name] = scale
-            responses[name] = scale * M[:, :m, col]
         irf_result = IrfResult(
             horizon=horizon,
             variables=est.variables,
             shocks=shocks,
-            responses=responses,
-            scales=scales,
+            responses={name: blocks[i] for i, name in enumerate(shocks)},
+            scales={name: float(system.scales[col]) for name, col in zip(shocks, shock_cols)},
             method="stacked",
         )
 
     fevd_result = None
     if want_fevd:
         _require_stationary(est)
-        cols = np.array(shock_cols)
-        weights = system.scales[cols] ** 2
-        contrib = np.cumsum(M[:, :m, cols] ** 2, axis=0) * weights  # (H+1, m, n_shocks)
+        contrib = np.moveaxis(np.cumsum(blocks**2, axis=1), 0, -1)  # (H+1, m, n_shocks)
         denom = contrib.sum(axis=-1, keepdims=True)
         shares = contrib / denom
         fevd_result = FevdResult(

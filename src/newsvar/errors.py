@@ -57,5 +57,9 @@ class ModelSpecError(NewsvarError):
     """Model specification references unknown variables or invalid settings."""
 
 
+class BootstrapError(NewsvarError, RuntimeError):
+    """Too many bootstrap replications failed to re-estimate."""
+
+
 class CoverageWarning(UserWarning):
     """Non-fatal data coverage issue (e.g. a month with no publishing days)."""

@@ -21,6 +21,7 @@ from .errors import (
     AlignmentError,
     CollinearityError,
     DegenerateDataError,
+    DomainError,
     NonstationaryError,
     SampleError,
 )
@@ -28,6 +29,8 @@ from .timeseries import align, CalendarSeries, log_diff
 
 __all__ = [
     "RegressionFit",
+    "StackedLstsq",
+    "lstsq_stack",
     "ols",
     "BreuschGodfreyResult",
     "breusch_godfrey",
@@ -78,6 +81,67 @@ class RegressionFit:
         return 2.0 * stats.t.sf(np.abs(t), dof)
 
 
+class StackedLstsq(NamedTuple):
+    """Least-squares fits of a stack of problems; axis 0 indexes the stack.
+
+    ``coefficients`` is (C, k, q), ``residuals`` (C, n, q), ``ssr`` (C, q),
+    ``rank`` (C,) and ``R`` (C, k, k), the triangular QR factor of each
+    design.  Where a design is not of full rank (or holds non-finite
+    values) its coefficients, residuals and SSR are NaN.
+    """
+
+    coefficients: np.ndarray
+    residuals: np.ndarray
+    ssr: np.ndarray
+    rank: np.ndarray
+    R: np.ndarray
+
+    @property
+    def full_rank(self) -> np.ndarray:
+        return self.rank == self.R.shape[-1]
+
+
+def lstsq_stack(X: np.ndarray, Y: np.ndarray) -> StackedLstsq:
+    """Householder-QR least squares of ``Y[c]`` on ``X[c]`` for every c.
+
+    ``X`` is (C, n, k) with n >= k and ``Y`` is (C, n, q).  The rank is
+    :func:`numpy.linalg.matrix_rank`'s default rule applied to the singular
+    values S of R: the count of S above ``S.max() * max(n, k) * eps``.  X and
+    R have the same singular values, so the verdict is the one
+    ``matrix_rank(X[c])`` gives.  A slice with a non-finite value counts as
+    rank 0.
+    """
+    X = np.asarray(X, dtype=float)
+    Y = np.asarray(Y, dtype=float)
+    C, n, k = X.shape
+    if Y.ndim != 3 or Y.shape[:2] != (C, n):
+        raise ValueError(f"Y must be ({C}, {n}, q), got {Y.shape}")
+    if not 0 < k <= n:
+        raise ValueError(f"need 1 to {n} regressors, got {k}")
+    XY = np.concatenate([X, Y], axis=2)
+    finite = np.isfinite(XY).all(axis=(1, 2))
+    if not finite.all():
+        XY[~finite] = 0.0  # rank 0 below
+    # Householder reflections of [X, Y] give R in the first k columns and Q'Y
+    # beside it, without ever forming Q
+    R_aug = np.linalg.qr(XY, mode="r")
+    R = R_aug[:, :k, :k]
+    S = np.linalg.svd(R, compute_uv=False)
+    tol = S.max(axis=-1, keepdims=True) * max(n, k) * np.finfo(float).eps
+    rank = np.count_nonzero(S > tol, axis=-1)
+    full = rank == k
+    all_full = full.all()
+    # R is upper triangular, so the LU solve below is plain back substitution
+    solvable = R if all_full else np.where(full[:, None, None], R, np.eye(k))
+    coefficients = np.linalg.solve(solvable, R_aug[:, :k, k:])
+    residuals = XY[:, :, k:] - XY[:, :, :k] @ coefficients
+    ssr = np.einsum("cnq,cnq->cq", residuals, residuals)
+    if not all_full:
+        for arr in (coefficients, residuals, ssr):
+            arr[~full] = np.nan
+    return StackedLstsq(coefficients, residuals, ssr, rank, R)
+
+
 def _dependent_columns(design: np.ndarray, names: Sequence[str], rank: int) -> list[str]:
     # QR with column pivoting: columns pivoted past the numerical rank are the
     # ones expressible from the others.
@@ -94,6 +158,10 @@ def ols(
 ) -> RegressionFit:
     """Ordinary least squares with classical standard errors.
 
+    The fit is :func:`lstsq_stack` on a stack of one; the coefficient
+    covariance comes from the inverse of its R factor, since
+    ``(X'X)^{-1} = R^{-1} R^{-T}``.
+
     Args:
         y: dependent variable, length n.
         X: regressor matrix (n, k) without the intercept column; may be None
@@ -107,6 +175,7 @@ def ols(
         CollinearityError: rank-deficient design, message names the dependent
             columns.
         SampleError: fewer observations than regressors.
+        DomainError: a non-finite value in y or X.
     """
     y = np.asarray(y, dtype=float).ravel()
     if X is None:
@@ -132,23 +201,28 @@ def ols(
         raise ValueError("regression needs at least one regressor or an intercept")
     if n <= k:
         raise SampleError(f"need more than {k} observations, got {n}")
-    rank = np.linalg.matrix_rank(design)
+    fit = lstsq_stack(design[None], y[None, :, None])
+    rank = int(fit.rank[0])
     if rank < k:
+        if not (np.isfinite(design).all() and np.isfinite(y).all()):
+            raise DomainError("regression inputs must be finite")
         dependent = _dependent_columns(design, names, rank)
         raise CollinearityError(
             "design matrix is rank deficient; dependent columns: "
             + ", ".join(dependent)
         )
-    coef, _, _, _ = np.linalg.lstsq(design, y, rcond=None)
-    residuals = y - design @ coef
-    ssr = float(residuals @ residuals)
+    coef = fit.coefficients[0, :, 0]
+    residuals = fit.residuals[0, :, 0]
+    ssr = float(fit.ssr[0, 0])
     sigma2 = ssr / (n - k)
-    xtx_inv = np.linalg.inv(design.T @ design)
+    R_inv = np.linalg.inv(fit.R[0])  # triangular, so LU inverts it exactly as back substitution
     if robust:
-        meat = design.T @ (design * residuals[:, None] ** 2)
-        covariance = xtx_inv @ meat @ xtx_inv * (n / (n - k))
+        # (X'X)^{-1} X' diag(e^2) X (X'X)^{-1} = R^{-1} (Q' diag(e^2) Q) R^{-T}
+        # with Q = X R^{-1}
+        scaled = (design @ R_inv) * residuals[:, None]
+        covariance = R_inv @ (scaled.T @ scaled) @ R_inv.T * (n / (n - k))
     else:
-        covariance = sigma2 * xtx_inv
+        covariance = sigma2 * (R_inv @ R_inv.T)
     if intercept:
         tss = float(np.sum((y - y.mean()) ** 2))
     else:

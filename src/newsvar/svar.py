@@ -10,21 +10,23 @@ as dependent variables in the endogenous block.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Mapping, NamedTuple
 
 import numpy as np
 
 from .errors import ModelSpecError, SampleError
-from .regression import ArFit, ar_fit, ols, RegressionFit
+from .regression import ArFit, ar_fit, lstsq_stack, ols, RegressionFit
 from .timeseries import align, CalendarSeries, PeriodLabel
 
 __all__ = [
     "SvarSpec",
     "SvarEstimate",
     "ControlsVar1",
+    "SvarStack",
     "estimate_svar",
     "estimate_svar_arrays",
+    "estimate_svar_stack",
     "aligned_matrix",
     "ReducedForm",
     "reduced_form",
@@ -276,6 +278,69 @@ class SvarEstimate:
         )
 
 
+@dataclass(frozen=True)
+class SvarStack:
+    """The matrices of C structural estimates at once; axis 0 indexes them.
+
+    The fields mirror :class:`SvarEstimate` with the exogenous processes
+    spelled out: ``s_rho``, ``s_intercept`` and ``s_omega`` for the
+    intervention AR(1), and ``c_transition``, ``c_intercept`` and ``c_sd``
+    for the control block (see :meth:`SvarEstimate.controls_transition`).
+    ``ok`` is False where the estimate failed: a rank-deficient design, a
+    constant series under an autoregression or a non-finite panel, the
+    cases in which :func:`estimate_svar_arrays` raises.  The other fields
+    hold no meaningful numbers there.
+    """
+
+    spec: SvarSpec
+    A0: np.ndarray
+    A1: np.ndarray
+    A2: np.ndarray
+    gamma0s: np.ndarray
+    gamma1s: np.ndarray
+    Dw: np.ndarray
+    a_q: np.ndarray
+    sigma: np.ndarray
+    s_rho: np.ndarray
+    s_intercept: np.ndarray
+    s_omega: np.ndarray
+    c_transition: np.ndarray
+    c_intercept: np.ndarray
+    c_sd: np.ndarray
+    ok: np.ndarray
+
+    @staticmethod
+    def of(est: SvarEstimate) -> "SvarStack":
+        """A stack of one holding ``est``; its intervention process must be an AR(1)."""
+        transition, intercept, sd = est.controls_transition()
+        proc = est.s_process
+        return SvarStack(
+            spec=est.spec,
+            A0=est.A0[None],
+            A1=est.A1[None],
+            A2=est.A2[None],
+            gamma0s=est.gamma0s[None],
+            gamma1s=est.gamma1s[None],
+            Dw=est.Dw[None],
+            a_q=est.a_q[None],
+            sigma=est.sigma[None],
+            s_rho=np.array([proc.coefficients[0]], dtype=float),
+            s_intercept=np.array([proc.intercept], dtype=float),
+            s_omega=np.array([proc.omega], dtype=float),
+            c_transition=transition[None],
+            c_intercept=intercept[None],
+            c_sd=sd[None],
+            ok=np.ones(1, dtype=bool),
+        )
+
+    def select(self, index: np.ndarray) -> "SvarStack":
+        """The estimates at ``index`` (integer or boolean), in that order."""
+        return replace(
+            self,
+            **{f.name: getattr(self, f.name)[index] for f in fields(self) if f.name != "spec"},
+        )
+
+
 def aligned_matrix(
     spec: SvarSpec, data: Mapping[str, CalendarSeries]
 ) -> tuple[np.ndarray, tuple[str, ...], PeriodLabel]:
@@ -310,11 +375,14 @@ def estimate_svar(
 
 
 def _design_pool(spec: SvarSpec, Z: np.ndarray) -> tuple[dict[tuple[str, int], np.ndarray], int]:
-    """Columns for every (name, lag) the spec can reference, over t = M..N-1."""
+    """Columns for every (name, lag) the spec can reference, over t = M..N-1.
+
+    ``Z`` is (..., N, columns); leading axes carry through to the columns.
+    """
     names = spec.ordering + (spec.intervention_name,) + spec.controls
     col = {name: i for i, name in enumerate(names)}
     M = spec.max_lag
-    N = Z.shape[0]
+    N = Z.shape[-2]
     if N <= M:
         raise SampleError("aligned sample shorter than the lag order")
     pool: dict[tuple[str, int], np.ndarray] = {}
@@ -323,14 +391,47 @@ def _design_pool(spec: SvarSpec, Z: np.ndarray) -> tuple[dict[tuple[str, int], n
         wanted.update(spec.equation_regressors(eq))
         wanted.add((eq, 0))
     for name, lag_ in wanted:
-        pool[(name, lag_)] = Z[M - lag_ : N - lag_, col[name]]
+        pool[(name, lag_)] = Z[..., M - lag_ : N - lag_, col[name]]
     return pool, M
+
+
+def _structural_blocks(
+    spec: SvarSpec, coefficients: list[np.ndarray]
+) -> tuple[np.ndarray, ...]:
+    """Place each equation's least-squares coefficients in the structural matrices.
+
+    ``coefficients[i]`` is (..., 1 + regressors) for equation i: the
+    intercept, then the terms of :meth:`SvarSpec.equation_regressors` in
+    order.  Returns (A0, A1, A2, gamma0s, gamma1s, Dw, a_q), each with the
+    coefficients' leading axes.
+    """
+    m, k = spec.m, len(spec.controls)
+    batch = coefficients[0].shape[:-1]
+    A0 = np.broadcast_to(np.eye(m), batch + (m, m)).copy()
+    A1 = np.zeros(batch + (m, m))
+    A2 = np.zeros(batch + (m, m))
+    gamma0s = np.zeros(batch + (m,))
+    gamma1s = np.zeros(batch + (m,))
+    Dw = np.zeros(batch + (m, k))
+    a_q = np.zeros(batch + (m,))
+    for i, (eq, coef) in enumerate(zip(spec.ordering, coefficients)):
+        a_q[..., i] = coef[..., 0]
+        for j, (name, lag_) in enumerate(spec.equation_regressors(eq), start=1):
+            if name == spec.intervention_name:
+                (gamma0s if lag_ == 0 else gamma1s)[..., i] = coef[..., j]
+            elif name in spec.controls:
+                Dw[..., i, spec.controls.index(name)] = coef[..., j]
+            elif lag_ == 0:
+                A0[..., i, spec.ordering.index(name)] = -coef[..., j]
+            else:
+                (A1 if lag_ == 1 else A2)[..., i, spec.ordering.index(name)] = coef[..., j]
+    return A0, A1, A2, gamma0s, gamma1s, Dw, a_q
 
 
 def estimate_svar_arrays(
     spec: SvarSpec, Z: np.ndarray, controls_var1: bool = False
 ) -> SvarEstimate:
-    """Array fast path used by the bootstrap; see :func:`estimate_svar`."""
+    """Estimate from an aligned (N, m+1+k) matrix; see :func:`estimate_svar`."""
     m = spec.m
     k = len(spec.controls)
     names = spec.ordering + (spec.intervention_name,) + spec.controls
@@ -339,13 +440,6 @@ def estimate_svar_arrays(
     pool, M = _design_pool(spec, Z)
     nobs = Z.shape[0] - M
 
-    A0 = np.eye(m)
-    A1 = np.zeros((m, m))
-    A2 = np.zeros((m, m))
-    gamma0s = np.zeros(m)
-    gamma1s = np.zeros(m)
-    Dw = np.zeros((m, k))
-    a_q = np.zeros(m)
     sigma = np.zeros(m)
     fits = []
     for i, eq in enumerate(spec.ordering):
@@ -358,21 +452,9 @@ def estimate_svar_arrays(
         fit = ols(pool[(eq, 0)], X, names=tuple(_lag_name(*t) for t in terms))
         fits.append(fit)
         sigma[i] = fit.sigma_hat**2
-        a_q[i] = fit.coefficient("const")
-        for (name, lag_), coef in zip(terms, fit.coefficients[1:]):
-            if name == spec.intervention_name:
-                if lag_ == 0:
-                    gamma0s[i] = coef
-                else:
-                    gamma1s[i] = coef
-            elif name in spec.controls:
-                Dw[i, spec.controls.index(name)] = coef
-            elif lag_ == 0:
-                A0[i, spec.ordering.index(name)] = -coef
-            elif lag_ == 1:
-                A1[i, spec.ordering.index(name)] = coef
-            else:
-                A2[i, spec.ordering.index(name)] = coef
+    A0, A1, A2, gamma0s, gamma1s, Dw, a_q = _structural_blocks(
+        spec, [fit.coefficients for fit in fits]
+    )
 
     s_col = Z[:, m]
     s_process = ar_fit(s_col, p=1)
@@ -415,6 +497,94 @@ def estimate_svar_arrays(
         controls_process=controls_process,
         fits=tuple(fits),
         nobs=nobs,
+    )
+
+
+def _ar1_stack(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """AR(1) fits of the rows of ``x`` (B, N) as :func:`ar_fit` makes them.
+
+    Returns (rho, intercept, omega, ok); ``ok`` is False where the series
+    is constant or the fit is rank deficient.
+    """
+    X = np.stack([np.ones_like(x[:, 1:]), x[:, :-1]], axis=-1)
+    fit = lstsq_stack(X, x[:, 1:, None])
+    omega = np.sqrt(fit.ssr[:, 0] / (x.shape[1] - 3))
+    ok = fit.full_rank & (np.ptp(x, axis=1) != 0.0)
+    return fit.coefficients[:, 1, 0], fit.coefficients[:, 0, 0], omega, ok
+
+
+def estimate_svar_stack(
+    spec: SvarSpec, Z: np.ndarray, controls_var1: bool = False
+) -> SvarStack:
+    """:func:`estimate_svar_arrays` for a stack of panels ``Z`` (C, N, m+1+k).
+
+    Each equation, the intervention AR(1) and the control AR(1)s or VAR(1)
+    are fit for the whole stack by one :func:`lstsq_stack` call each.  A
+    panel whose fit fails does not raise: its ``ok`` flag is cleared.
+    """
+    m, k = spec.m, len(spec.controls)
+    names = spec.ordering + (spec.intervention_name,) + spec.controls
+    if Z.ndim != 3 or Z.shape[2] != len(names):
+        raise ModelSpecError(f"data stack must be (panels, periods, {len(names)})")
+    C, N = Z.shape[:2]
+    pool, M = _design_pool(spec, Z)
+    nobs = N - M
+    width = max(2, k + 1) if controls_var1 else 2
+    if N - 1 <= width:
+        raise SampleError(f"exogenous processes need more than {width + 1} observations, got {N}")
+
+    ok = np.ones(C, dtype=bool)
+    sigma = np.empty((C, m))
+    coefficients = []
+    for i, eq in enumerate(spec.ordering):
+        terms = spec.equation_regressors(eq)
+        if nobs <= len(terms) + 1:
+            raise SampleError(
+                f"equation {eq!r} has {len(terms) + 1} regressors but only {nobs} observations"
+            )
+        X = np.stack([np.ones((C, nobs))] + [pool[t] for t in terms], axis=-1)
+        fit = lstsq_stack(X, pool[(eq, 0)][..., None])
+        ok &= fit.full_rank
+        coefficients.append(fit.coefficients[..., 0])
+        sigma[:, i] = fit.ssr[:, 0] / (nobs - X.shape[2])
+    A0, A1, A2, gamma0s, gamma1s, Dw, a_q = _structural_blocks(spec, coefficients)
+
+    if controls_var1 and k:
+        s_rho, s_intercept, s_omega, s_ok = _ar1_stack(Z[:, :, m])
+        zc = Z[:, :, m + 1 :]
+        X = np.concatenate([np.ones((C, N - 1, 1)), zc[:, :-1]], axis=2)
+        fit = lstsq_stack(X, zc[:, 1:])
+        ok &= s_ok & fit.full_rank
+        c_intercept = fit.coefficients[:, 0, :]
+        c_transition = np.swapaxes(fit.coefficients[:, 1:, :], 1, 2)
+        c_sd = np.sqrt(fit.ssr / (N - 1 - (k + 1)))
+    else:
+        # the intervention and each control follow their own AR(1): fit all at once
+        series = np.swapaxes(Z[:, :, m:], 1, 2).reshape(C * (1 + k), N)
+        rho, intercept, omega, ar_ok = (a.reshape(C, 1 + k) for a in _ar1_stack(series))
+        ok &= ar_ok.all(axis=1)
+        s_rho, s_intercept, s_omega = rho[:, 0], intercept[:, 0], omega[:, 0]
+        c_transition = rho[:, 1:, None] * np.eye(k)
+        c_intercept = intercept[:, 1:]
+        c_sd = omega[:, 1:]
+
+    return SvarStack(
+        spec=spec,
+        A0=A0,
+        A1=A1,
+        A2=A2,
+        gamma0s=gamma0s,
+        gamma1s=gamma1s,
+        Dw=Dw,
+        a_q=a_q,
+        sigma=sigma,
+        s_rho=s_rho,
+        s_intercept=s_intercept,
+        s_omega=s_omega,
+        c_transition=c_transition,
+        c_intercept=c_intercept,
+        c_sd=c_sd,
+        ok=ok,
     )
 
 

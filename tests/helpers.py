@@ -2,15 +2,22 @@
 
 Everything here works directly from the structural equations, independently
 of the production moving-average and stacked-recursion code paths, so tests
-can cross-check those paths against plain simulation.
+can cross-check those paths against plain simulation.  The exception is
+:func:`bootstrap_reference`, the one-replication-at-a-time bootstrap loop
+kept as the reference for the chunked production bootstrap.
 """
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 
+from newsvar.bootstrap import _structural_residuals, BootstrapBands
+from newsvar.dynamics import build_stacked, irf_all
+from newsvar.errors import NewsvarError
 from newsvar.regression import ArFit
-from newsvar.svar import SvarEstimate, SvarSpec
+from newsvar.svar import ControlsVar1, estimate_svar_arrays, SvarEstimate, SvarSpec
 
 
 def random_stable_system(
@@ -197,3 +204,94 @@ def simulate_panel(
     for t in range(total):
         Z[t + 2] = shifted[t] + B1 @ Z[t + 1] + B2 @ Z[t]
     return Z[2 + burn :]
+
+
+def bootstrap_reference(
+    est: SvarEstimate,
+    Z: np.ndarray,
+    spec: SvarSpec,
+    horizon: int,
+    replications: int,
+    quantiles: tuple[float, float],
+    seed: int,
+    joint_resampling: bool,
+    shocked_control: str | None,
+) -> BootstrapBands:
+    """The bootstrap one replication at a time, as a reference for the chunked one.
+
+    Same arguments and draws as ``newsvar.bootstrap._bootstrap_from_matrix``:
+    each replication simulates its panel step by step, re-estimates it with
+    ``estimate_svar_arrays`` and recomputes the stacked responses with
+    ``irf_all``; a replication whose re-estimate raises is dropped.
+    """
+    system = build_stacked(est)
+    n_state = system.Psi0.shape[0]
+    M = spec.max_lag
+    n_obs = Z.shape[0] - M
+    U = _structural_residuals(est, n_obs)
+    controls_var1 = isinstance(est.controls_process, ControlsVar1)
+    P0inv = np.linalg.inv(system.Psi0)
+    B1 = P0inv @ system.Psi1
+    B2 = P0inv @ system.Psi2
+    c = P0inv @ system.intercept
+    point = irf_all(est, horizon, shocked_control, method="stacked")
+    shocks = point.shocks
+    m = est.m
+
+    draws = np.empty((replications, len(shocks), horizon + 1, m))
+    dropped = 0
+    kept = 0
+    sim = np.empty_like(Z)
+    sim[:M] = Z[:M]
+    for r in range(replications):
+        rng = np.random.default_rng(seed + r)
+        if joint_resampling:
+            rows = rng.integers(0, n_obs, n_obs)
+            u = U[rows]
+        else:
+            u = np.empty_like(U)
+            for e in range(n_state):
+                u[:, e] = U[rng.integers(0, n_obs, n_obs), e]
+        shifted = u @ P0inv.T + c
+        if M >= 2:
+            for t in range(M, Z.shape[0]):
+                sim[t] = shifted[t - M] + B1 @ sim[t - 1] + B2 @ sim[t - 2]
+        else:
+            for t in range(M, Z.shape[0]):
+                sim[t] = shifted[t - M] + B1 @ sim[t - 1]
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                re_est = estimate_svar_arrays(spec, sim, controls_var1=controls_var1)
+                rep = irf_all(re_est, horizon, shocked_control, method="stacked")
+        except (NewsvarError, np.linalg.LinAlgError):
+            dropped += 1
+            if dropped > 0.05 * replications:
+                raise RuntimeError(
+                    f"bootstrap aborted: {dropped} of {replications} replications "
+                    "failed to re-estimate"
+                ) from None
+            continue
+        for s_idx, shock in enumerate(shocks):
+            draws[kept, s_idx] = rep.responses[shock]
+        kept += 1
+
+    draws = draws[:kept]
+    lo, hi = quantiles
+    lower = np.quantile(draws, lo, axis=0)
+    upper = np.quantile(draws, hi, axis=0)
+    median = np.quantile(draws, 0.5, axis=0)
+    return BootstrapBands(
+        replications=kept,
+        requested=replications,
+        dropped=dropped,
+        quantiles=quantiles,
+        seed=seed,
+        horizon=horizon,
+        variables=est.variables,
+        shocks=shocks,
+        lower={s: lower[i] for i, s in enumerate(shocks)},
+        upper={s: upper[i] for i, s in enumerate(shocks)},
+        median={s: median[i] for i, s in enumerate(shocks)},
+        joint_resampling=joint_resampling,
+    )

@@ -1,12 +1,19 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from helpers import random_stable_system, simulate_panel, stacked_true_matrices
+from helpers import (
+    bootstrap_reference,
+    random_stable_system,
+    simulate_panel,
+    stacked_true_matrices,
+)
 from newsvar import bootstrap as bs
 from newsvar import dynamics as dyn
 from newsvar import svar as sv
 from newsvar import timeseries as ts
-from newsvar.errors import ModelSpecError
+from newsvar.errors import BootstrapError, ModelSpecError, NewsvarError
 
 
 def fitted_system(seed=0, m=2, k=1, T=300):
@@ -85,13 +92,13 @@ def test_vanishing_residual_variance_collapses_bands_to_point():
 def test_replications_reuse_sample_span_and_anchors(monkeypatch):
     truth, est, Z, panel = fitted_system(seed=6, T=120)
     captured = []
-    original = bs.estimate_svar_arrays
+    original = bs.estimate_svar_stack
 
-    def spy(spec, sim, controls_var1=False):
-        captured.append(sim.copy())
-        return original(spec, sim, controls_var1=controls_var1)
+    def spy(spec, sims, controls_var1=False):
+        captured.extend(sim.copy() for sim in sims)
+        return original(spec, sims, controls_var1=controls_var1)
 
-    monkeypatch.setattr(bs, "estimate_svar_arrays", spy)
+    monkeypatch.setattr(bs, "estimate_svar_stack", spy)
     bs.bootstrap_irf(est, panel, horizon=4, replications=3, seed=7)
     assert len(captured) == 3
     for sim in captured:
@@ -145,34 +152,37 @@ def test_bootstrap_requires_residuals():
         )
 
 
+def failing_estimator(fails):
+    """The stacked estimator with replication n (counted from 1) failed where ``fails(n)``."""
+    calls = {"n": 0}
+    original = sv.estimate_svar_stack
+
+    def flaky(spec, sims, controls_var1=False):
+        stack = original(spec, sims, controls_var1=controls_var1)
+        ok = stack.ok.copy()
+        for i in range(ok.size):
+            calls["n"] += 1
+            if fails(calls["n"]):
+                ok[i] = False
+        return replace(stack, ok=ok)
+
+    return flaky
+
+
 def test_bootstrap_aborts_when_too_many_replications_fail(monkeypatch):
     truth, est, Z, panel = fitted_system(seed=12, T=120)
-    calls = {"n": 0}
-    original = bs.estimate_svar_arrays
-
-    def flaky(spec, sim, controls_var1=False):
-        calls["n"] += 1
-        if calls["n"] % 2 == 0:
-            raise np.linalg.LinAlgError("synthetic failure")
-        return original(spec, sim, controls_var1=controls_var1)
-
-    monkeypatch.setattr(bs, "estimate_svar_arrays", flaky)
-    with pytest.raises(RuntimeError, match="failed to re-estimate"):
+    monkeypatch.setattr(bs, "estimate_svar_stack", failing_estimator(lambda n: n % 2 == 0))
+    with pytest.raises(RuntimeError, match="failed to re-estimate") as info:
         bs.bootstrap_irf(est, panel, horizon=4, replications=40, seed=1)
+    # a data/model error too, so the command line exits 2; the count is the
+    # one at which the 5% rule tripped
+    assert isinstance(info.value, BootstrapError)
+    assert "aborted: 3 of 40" in str(info.value)
 
 
 def test_bootstrap_counts_isolated_drops(monkeypatch):
     truth, est, Z, panel = fitted_system(seed=13, T=120)
-    calls = {"n": 0}
-    original = bs.estimate_svar_arrays
-
-    def once_flaky(spec, sim, controls_var1=False):
-        calls["n"] += 1
-        if calls["n"] == 1:
-            raise np.linalg.LinAlgError("synthetic failure")
-        return original(spec, sim, controls_var1=controls_var1)
-
-    monkeypatch.setattr(bs, "estimate_svar_arrays", once_flaky)
+    monkeypatch.setattr(bs, "estimate_svar_stack", failing_estimator(lambda n: n == 1))
     bands = bs.bootstrap_irf(est, panel, horizon=4, replications=40, seed=1)
     assert bands.dropped == 1
     assert bands.replications == 39
@@ -192,3 +202,88 @@ def test_bootstrap_metadata_export(tmp_path):
     dyn.write_irf_csv(point, out, bands=bands)
     header = out.read_text(encoding="utf-8").splitlines()[0]
     assert header == "variable,shock,horizon,value,lower,upper"
+
+
+EQUIVALENCE_CASES = {
+    # name: (spec overrides, controls, controls_var1, joint, shocked_control)
+    "per_equation_lags2_ar1": (dict(), 1, False, False, None),
+    "joint_lags2_ar1": (dict(), 1, False, True, None),
+    "lags1_extras_ar1": (dict(lags=1, extra_lags={"v1": (("v1", 2),)}), 1, False, False, None),
+    "lags1_extras_var1_joint": (
+        dict(lags=1, extra_lags={"v0": (("v1", 2),)}),
+        2,
+        True,
+        True,
+        None,
+    ),
+    "lags2_var1_second_control": (dict(), 2, True, False, "g1"),
+    "lags2_ar1_second_control": (dict(), 2, False, True, "g1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EQUIVALENCE_CASES))
+def test_chunked_bootstrap_matches_one_at_a_time_reference(case):
+    overrides, k, controls_var1, joint, shocked = EQUIVALENCE_CASES[case]
+    rng = np.random.default_rng(20 + k)
+    truth = random_stable_system(rng, m=2, k=k, radius=0.5)
+    Z = simulate_panel(truth, 140, rng)
+    spec = replace(truth.spec, **overrides)
+    est = sv.estimate_svar_arrays(spec, Z, controls_var1=controls_var1)
+    kwargs = dict(
+        horizon=6,
+        replications=45,
+        quantiles=(0.1, 0.9),
+        seed=3,
+        joint_resampling=joint,
+        shocked_control=shocked,
+    )
+    batched = bs._bootstrap_from_matrix(est, Z, spec, **kwargs)
+    reference = bootstrap_reference(est, Z, spec, **kwargs)
+    assert batched.shocks == reference.shocks
+    assert (batched.replications, batched.dropped) == (reference.replications, reference.dropped)
+    for shock in batched.shocks:
+        for name in ("lower", "upper", "median"):
+            got = getattr(batched, name)[shock]
+            want = getattr(reference, name)[shock]
+            assert np.max(np.abs(got - want)) <= 1e-12, (shock, name)
+
+
+def test_chunked_bootstrap_matches_reference_across_chunks(monkeypatch):
+    # several chunks, the last one partial, give the same bands as one chunk
+    _, est, Z, _ = fitted_system(seed=14, T=100)
+    kwargs = dict(
+        horizon=5,
+        replications=23,
+        quantiles=(0.05, 0.95),
+        seed=9,
+        joint_resampling=False,
+        shocked_control=None,
+    )
+    reference = bootstrap_reference(est, Z, est.spec, **kwargs)
+    monkeypatch.setattr(bs, "CHUNK_DESIGN_BYTES", 1)  # one replication per chunk
+    single = bs._bootstrap_from_matrix(est, Z, est.spec, **kwargs)
+    widest = 8 * (Z.shape[0] - 2) * 9
+    monkeypatch.setattr(bs, "CHUNK_DESIGN_BYTES", 5 * widest)  # chunks of 5, then 3
+    chunked = bs._bootstrap_from_matrix(est, Z, est.spec, **kwargs)
+    for bands in (single, chunked):
+        assert bands.replications == reference.replications == 23
+        for shock in bands.shocks:
+            assert np.max(np.abs(bands.lower[shock] - reference.lower[shock])) <= 1e-12
+            assert np.max(np.abs(bands.upper[shock] - reference.upper[shock])) <= 1e-12
+
+
+def test_stacked_estimator_flags_the_failures_the_loop_drops():
+    # a panel whose intervention is constant cannot be re-estimated: the
+    # one-at-a-time estimator raises, the stacked one clears that panel's flag
+    _, est, Z, _ = fitted_system(seed=15, T=80)
+    flat = Z.copy()
+    flat[:, est.m] = 0.25
+    with pytest.raises(NewsvarError):
+        sv.estimate_svar_arrays(est.spec, flat)
+    broken = Z.copy()
+    broken[5, 0] = np.nan
+    stack = sv.estimate_svar_stack(est.spec, np.stack([Z, flat, broken, Z]))
+    assert stack.ok.tolist() == [True, False, False, True]
+    single = sv.estimate_svar_arrays(est.spec, Z)
+    assert np.allclose(stack.A1[0], single.A1, rtol=0, atol=1e-13)
+    assert np.allclose(stack.sigma[3], single.sigma, rtol=1e-13, atol=0)

@@ -1,12 +1,15 @@
 import csv
 import json
+from dataclasses import replace
 from datetime import date
 
 import numpy as np
 import pytest
 
 from helpers import random_stable_system, simulate_panel
+from newsvar import bootstrap as boot
 from newsvar import cli
+from newsvar import svar as sv
 from newsvar import timeseries as ts
 
 
@@ -189,6 +192,30 @@ def test_build_index_bad_frequency_is_usage_error(index_workspace, capsys):
     assert "target_frequency" in capsys.readouterr().err
 
 
+def assert_one_line_error(capsys, *fragments):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    for fragment in fragments:
+        assert fragment in err
+
+
+@pytest.mark.parametrize(
+    "settings, key",
+    [
+        ({"weight": 1.5}, "weight"),
+        ({"weight": -0.1}, "weight"),
+        ({"grid_step": 0.6}, "grid_step"),
+        ({"grid_step": 0.0}, "grid_step"),
+    ],
+)
+def test_build_index_out_of_range_setting_is_usage_error(index_workspace, capsys, settings, key):
+    section = {"on_counts": "on.csv", "off_counts": "off.csv", "output_growth": "dy.csv"}
+    config = write_config(index_workspace, {"index": {**section, **settings}}, name="range.json")
+    assert cli.main(["build-index", "--config", str(config)]) == 1
+    assert_one_line_error(capsys, key)
+    assert not (index_workspace / "out").exists()
+
+
 def test_build_index_malformed_row_is_data_error(index_workspace, capsys):
     bad = index_workspace / "bad.csv"
     bad.write_text("date,outlet,count\n2000-01-01,a,3\n2000-01-02,a,-1\n", encoding="utf-8")
@@ -344,6 +371,46 @@ def test_dynamics_nonstationary_fevd_is_data_error(tmp_path, capsys):
     assert "eigenvalue" in err
 
 
+def bootstrap_config(tmp_path, **bootstrap):
+    _, data_map = model_workspace(tmp_path, T=120)
+    payload = {
+        "out_dir": "out",
+        "model": {
+            "spec": "spec.json",
+            "data": data_map,
+            "horizon": 4,
+            "bootstrap": {"replications": 20, "seed": 1, **bootstrap},
+        },
+    }
+    return write_config(tmp_path, payload)
+
+
+@pytest.mark.parametrize(
+    "settings, key",
+    [
+        ({"quantiles": [0.9, 0.1]}, "quantiles"),
+        ({"quantiles": [0.05]}, "quantiles"),
+        ({"quantiles": [-0.1, 0.5]}, "quantiles"),
+        ({"replications": 0}, "replications"),
+    ],
+)
+def test_dynamics_bad_bootstrap_setting_is_usage_error(tmp_path, capsys, settings, key):
+    config = bootstrap_config(tmp_path, **settings)
+    assert cli.main(["dynamics", "--config", str(config)]) == 1
+    assert_one_line_error(capsys, key)
+
+
+def test_dynamics_bootstrap_abort_is_data_error(tmp_path, capsys, monkeypatch):
+    def failing(spec, sims, controls_var1=False):
+        stack = sv.estimate_svar_stack(spec, sims, controls_var1=controls_var1)
+        return replace(stack, ok=np.zeros_like(stack.ok))
+
+    monkeypatch.setattr(boot, "estimate_svar_stack", failing)
+    config = bootstrap_config(tmp_path)
+    assert cli.main(["dynamics", "--config", str(config)]) == 2
+    assert_one_line_error(capsys, "bootstrap aborted: 2 of 20")
+
+
 # ---------------------------------------------------------------------------
 # reduced-form
 # ---------------------------------------------------------------------------
@@ -429,6 +496,27 @@ def test_validate_ok_and_unknown_section(tmp_path, capsys):
     assert "config ok" in capsys.readouterr().out
     bad = write_config(tmp_path, {"calendars": {}}, name="bad.json")
     assert cli.main(["validate", "--config", str(bad)]) == 1
+
+
+@pytest.mark.parametrize(
+    "section, settings, key",
+    [
+        ("model", {"bootstrap": {"quantiles": [0.9, 0.1]}}, "quantiles"),
+        ("model", {"bootstrap": {"replications": 0}}, "replications"),
+        ("index", {"weight": 1.5}, "weight"),
+    ],
+)
+def test_validate_checks_setting_ranges(tmp_path, capsys, section, settings, key):
+    _, data_map = model_workspace(tmp_path, T=60)
+    write_counts(tmp_path / "on.csv", {"alpha": [1, 2]}, months=3)
+    sections = {
+        "model": {"spec": "spec.json", "data": data_map},
+        "index": {"on_counts": "on.csv"},
+    }
+    sections[section].update(settings)
+    config = write_config(tmp_path, sections)
+    assert cli.main(["validate", "--config", str(config)]) == 1
+    assert_one_line_error(capsys, key)
 
 
 def test_missing_config_flag_is_usage_error(capsys):

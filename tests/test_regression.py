@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from newsvar import regression as reg
 from newsvar import timeseries as ts
 from newsvar.errors import (
     CollinearityError,
     DegenerateDataError,
+    DomainError,
     NonstationaryError,
     SampleError,
 )
@@ -98,6 +101,90 @@ def test_ols_robust_flag_changes_only_inference():
     robust = reg.ols(y, X, robust=True)
     assert np.allclose(classical.coefficients, robust.coefficients)
     assert not np.allclose(classical.standard_errors, robust.standard_errors)
+
+
+# ---------------------------------------------------------------------------
+# stacked least-squares kernel
+# ---------------------------------------------------------------------------
+
+KERNEL_PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def stacked_problems(draw, min_k=1):
+    """(X, Y) stacks of Gaussian designs: (C, n, k) and (C, n, q)."""
+    k = draw(st.integers(min_k, 6))
+    n = draw(st.integers(k + 1, 40))
+    C = draw(st.integers(1, 4))
+    q = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return rng.normal(size=(C, n, k)), rng.normal(size=(C, n, q))
+
+
+@KERNEL_PROPERTY
+@given(stacked_problems())
+def test_lstsq_stack_matches_numpy_lstsq_slice_by_slice(problem):
+    X, Y = problem
+    fit = reg.lstsq_stack(X, Y)
+    assert fit.full_rank.all()
+    for c in range(X.shape[0]):
+        want, _, _, _ = np.linalg.lstsq(X[c], Y[c], rcond=None)
+        # both solvers are backward stable; their answers differ by O(cond^2 eps)
+        tol = 1e-13 * np.linalg.cond(X[c]) ** 2 * max(1.0, float(np.abs(want).max()))
+        assert np.max(np.abs(fit.coefficients[c] - want)) <= tol
+        resid = Y[c] - X[c] @ want
+        assert np.allclose(fit.ssr[c], np.sum(resid**2, axis=0), rtol=1e-9, atol=1e-12)
+        assert np.allclose(fit.residuals[c], resid, rtol=0, atol=1e-9)
+
+
+@KERNEL_PROPERTY
+@given(stacked_problems(), st.data())
+def test_lstsq_stack_rank_mask_matches_matrix_rank(problem, data):
+    X, Y = problem
+    C, n, k = X.shape
+    for c in range(C):
+        if not data.draw(st.booleans(), label=f"plant in slice {c}"):
+            continue
+        target = data.draw(st.integers(0, k - 1), label="dependent column")
+        if k == 1:
+            X[c, :, target] = 0.0
+        else:
+            source = data.draw(
+                st.integers(0, k - 1).filter(lambda j: j != target), label="source column"
+            )
+            factor = data.draw(st.sampled_from([2.0, -0.5, 8.0]), label="factor")
+            X[c, :, target] = factor * X[c, :, source]
+    fit = reg.lstsq_stack(X, Y)
+    ranks = [int(np.linalg.matrix_rank(X[c])) for c in range(C)]
+    assert fit.rank.tolist() == ranks
+    assert fit.full_rank.tolist() == [r == k for r in ranks]
+    assert np.isnan(fit.coefficients[~fit.full_rank]).all()
+    assert np.isfinite(fit.coefficients[fit.full_rank]).all()
+
+
+@KERNEL_PROPERTY
+@given(stacked_problems(min_k=2), st.data())
+def test_ols_names_a_planted_dependent_column(problem, data):
+    X, Y = problem
+    X, y = X[0], Y[0, :, 0]
+    n, k = X.shape
+    if n <= k + 1:  # the intercept takes one more observation
+        X, y = np.vstack([X, X]), np.concatenate([y, y])
+    target = data.draw(st.integers(0, k - 1), label="dependent column")
+    source = data.draw(st.integers(0, k - 1).filter(lambda j: j != target), label="source column")
+    X[:, target] = 2.0 * X[:, source]
+    names = tuple(f"r{j}" for j in range(k))
+    with pytest.raises(CollinearityError) as info:
+        reg.ols(y, X, names=names)
+    reported = str(info.value).split("dependent columns: ")[1].split(", ")
+    assert reported and set(reported) <= {names[target], names[source]}
+
+
+def test_ols_rejects_non_finite_inputs():
+    X = np.column_stack([np.arange(10.0), np.ones(10)])
+    X[3, 0] = np.nan
+    with pytest.raises(DomainError):
+        reg.ols(np.arange(10.0), X, intercept=False)
 
 
 # ---------------------------------------------------------------------------
