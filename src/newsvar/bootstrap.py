@@ -29,9 +29,10 @@ __all__ = ["BootstrapBands", "bootstrap_irf", "write_bands_metadata"]
 
 # Bytes one chunk's widest equation design may take.  The chunk's panels,
 # QR factors and response arrays grow with it, so this bounds the memory a
-# chunk adds; chunks of more than a few replications amortize the per-step
-# cost of the simulation loop.
-CHUNK_DESIGN_BYTES = 1 << 20
+# chunk adds (about 1 MB at 4 equations and 125 periods, where it allows 47
+# replications); chunks of more than a few replications amortize the
+# per-step cost of the simulation loop.
+CHUNK_DESIGN_BYTES = 1 << 19
 
 
 @dataclass(frozen=True)

@@ -362,6 +362,8 @@ def _bootstrap_settings(boot_cfg: Mapping[str, object]) -> tuple[int, tuple[floa
 def cmd_dynamics(config: PipelineConfig) -> int:
     est, data, section, spec = _estimate(config)
     horizon = _coerce(int, section.get("horizon", 24), "horizon")
+    if horizon < 0:
+        raise UsageError(f"config key 'horizon' must be non-negative, got {horizon}")
     shocked = section.get("shocked_control")
     shocked = str(shocked) if shocked is not None else None
     method = str(section.get("method", "direct"))

@@ -400,6 +400,15 @@ def test_dynamics_bad_bootstrap_setting_is_usage_error(tmp_path, capsys, setting
     assert_one_line_error(capsys, key)
 
 
+def test_dynamics_negative_horizon_is_usage_error(tmp_path, capsys):
+    config = bootstrap_config(tmp_path)
+    payload = json.loads(config.read_text(encoding="utf-8"))
+    payload["model"]["horizon"] = -1
+    config.write_text(json.dumps(payload), encoding="utf-8")
+    assert cli.main(["dynamics", "--config", str(config)]) == 1
+    assert_one_line_error(capsys, "horizon")
+
+
 def test_dynamics_bootstrap_abort_is_data_error(tmp_path, capsys, monkeypatch):
     def failing(spec, sims, controls_var1=False):
         stack = sv.estimate_svar_stack(spec, sims, controls_var1=controls_var1)
