@@ -200,11 +200,8 @@ def _bootstrap_from_matrix(
         )
         kept += good.ok.size
 
-    draws = draws[:kept]
-    lo, hi = quantiles
-    lower = np.quantile(draws, lo, axis=0)
-    upper = np.quantile(draws, hi, axis=0)
-    median = np.quantile(draws, 0.5, axis=0)
+    # one partition of the draws serves all three quantiles
+    lower, upper, median = np.quantile(draws[:kept], [*quantiles, 0.5], axis=0)
     return BootstrapBands(
         replications=kept,
         requested=replications,
