@@ -215,7 +215,7 @@ def ols(
     residuals = fit.residuals[0, :, 0]
     ssr = float(fit.ssr[0, 0])
     sigma2 = ssr / (n - k)
-    R_inv = np.linalg.inv(fit.R[0])  # triangular, so LU inverts it exactly as back substitution
+    R_inv = np.linalg.inv(fit.R[0])  # R is triangular: LU needs no pivoting here
     if robust:
         # (X'X)^{-1} X' diag(e^2) X (X'X)^{-1} = R^{-1} (Q' diag(e^2) Q) R^{-T}
         # with Q = X R^{-1}
