@@ -15,7 +15,7 @@ import json
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -60,7 +60,7 @@ class PipelineConfig:
             raise UsageError("--config: top level must be a JSON object")
         base = path.parent
         out_dir = Path(out_override) if out_override else base / str(raw.get("out_dir", "out"))
-        seed = seed_override if seed_override is not None else _coerce(int, raw.get("seed", 0), "seed")
+        seed = seed_override if seed_override is not None else _integer(raw.get("seed", 0), "seed")
         return PipelineConfig(raw=raw, base_dir=base, out_dir=out_dir, seed=seed)
 
     def section(self, name: str) -> Mapping[str, object]:
@@ -86,6 +86,20 @@ def _coerce(fn, value: object, what: str):
         return fn(value)
     except (TypeError, ValueError) as exc:
         raise UsageError(f"config key {what!r}: {exc}") from exc
+
+
+def _integer(value: object, what: str) -> int:
+    """A JSON integer: a float, a string or a boolean is refused, not truncated."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise UsageError(f"config key {what!r} must be an integer, got {value!r}")
+    return value
+
+
+def _flag(value: object, what: str) -> bool:
+    """A JSON boolean: ``"no"`` or ``0`` is refused, not read as truthy."""
+    if not isinstance(value, bool):
+        raise UsageError(f"config key {what!r} must be true or false, got {value!r}")
+    return value
 
 
 def _parse_window(values: object, what: str) -> tuple[ts.PeriodLabel | None, ts.PeriodLabel | None]:
@@ -303,8 +317,10 @@ def cmd_convert_calendar(config: PipelineConfig) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _load_model(config: PipelineConfig) -> tuple[sv.SvarSpec, dict[str, ts.CalendarSeries], Mapping[str, object]]:
+def _load_model(config: PipelineConfig) -> tuple[sv.SvarSpec, dict[str, ts.CalendarSeries], bool]:
+    """The spec, the data panel and the checked ``controls_var1`` flag."""
     section = config.section("model")
+    controls_var1 = _flag(section.get("controls_var1", False), "controls_var1")
     spec_path = config.path(section, "spec")
     try:
         spec = sv.SvarSpec.from_json(json.loads(spec_path.read_text(encoding="utf-8")))
@@ -319,17 +335,16 @@ def _load_model(config: PipelineConfig) -> tuple[sv.SvarSpec, dict[str, ts.Calen
         if not csv_path.is_file():
             raise UsageError(f"config key 'data.{name}': no such file: {csv_path}")
         data[str(name)] = ts.read_series_csv(csv_path)
-    return spec, data, section
+    return spec, data, controls_var1
 
 
-def _estimate(config: PipelineConfig) -> tuple[sv.SvarEstimate, dict[str, ts.CalendarSeries], Mapping[str, object], sv.SvarSpec]:
-    spec, data, section = _load_model(config)
-    est = sv.estimate_svar(spec, data, controls_var1=bool(section.get("controls_var1", False)))
-    return est, data, section, spec
+def _estimate(config: PipelineConfig) -> tuple[sv.SvarEstimate, dict[str, ts.CalendarSeries], sv.SvarSpec]:
+    spec, data, controls_var1 = _load_model(config)
+    return sv.estimate_svar(spec, data, controls_var1=controls_var1), data, spec
 
 
 def cmd_estimate(config: PipelineConfig) -> int:
-    est, _, _, _ = _estimate(config)
+    est, _, _ = _estimate(config)
     config.out_dir.mkdir(parents=True, exist_ok=True)
     _json_dump(sv.estimate_to_json(est), config.out_dir / "estimate.json")
     for name, fit in zip(est.variables, est.fits):
@@ -345,9 +360,23 @@ def cmd_estimate(config: PipelineConfig) -> int:
     return EXIT_OK
 
 
-def _bootstrap_settings(boot_cfg: Mapping[str, object]) -> tuple[int, tuple[float, float]]:
-    """Checked ``replications`` and ``quantiles`` of the bootstrap section."""
-    replications = _coerce(int, boot_cfg.get("replications", 1000), "replications")
+class BootstrapSettings(NamedTuple):
+    replications: int
+    quantiles: tuple[float, float]
+    seed: int
+    joint: bool
+
+
+class DynamicsSettings(NamedTuple):
+    horizon: int
+    method: str
+    shocked_control: str | None
+    bootstrap: BootstrapSettings | None
+
+
+def _bootstrap_settings(boot_cfg: Mapping[str, object], default_seed: int) -> BootstrapSettings:
+    """Checked settings of the bootstrap section; its seed defaults to the config's."""
+    replications = _integer(boot_cfg.get("replications", 1000), "replications")
     if replications < 1:
         raise UsageError(f"config key 'replications' must be positive, got {replications}")
     quantiles = boot_cfg.get("quantiles", (0.05, 0.95))
@@ -356,17 +385,40 @@ def _bootstrap_settings(boot_cfg: Mapping[str, object]) -> tuple[int, tuple[floa
     lo, hi = (_coerce(float, q, "quantiles") for q in quantiles)
     if not 0.0 <= lo < hi <= 1.0:
         raise UsageError(f"config key 'quantiles' must satisfy 0 <= lower < upper <= 1, got {[lo, hi]}")
-    return replications, (lo, hi)
+    seed_key = "bootstrap.seed" if "seed" in boot_cfg else "seed"
+    seed = _integer(boot_cfg.get("seed", default_seed), seed_key)
+    if seed < 0:
+        # numpy's generators take only non-negative seeds
+        raise UsageError(f"config key {seed_key!r} must be non-negative, got {seed}")
+    joint = _flag(boot_cfg.get("joint", False), "joint")
+    return BootstrapSettings(replications, (lo, hi), seed, joint)
+
+
+def _dynamics_settings(section: Mapping[str, object], default_seed: int) -> DynamicsSettings:
+    """Checked ``horizon``, ``method``, ``shocked_control`` and ``bootstrap``
+    of the model section; ``dynamics`` and ``validate`` both read them here."""
+    horizon = _integer(section.get("horizon", 24), "horizon")
+    if horizon < 0:
+        raise UsageError(f"config key 'horizon' must be non-negative, got {horizon}")
+    method = section.get("method", "direct")
+    if method not in ("direct", "stacked", "both"):
+        raise UsageError(f"method must be direct, stacked, or both; got {method!r}")
+    shocked = section.get("shocked_control")
+    boot_cfg = section.get("bootstrap")
+    if boot_cfg is not None and not isinstance(boot_cfg, dict):
+        raise UsageError(f"config key 'bootstrap' must be an object, got {boot_cfg!r}")
+    return DynamicsSettings(
+        horizon,
+        method,
+        str(shocked) if shocked is not None else None,
+        _bootstrap_settings(boot_cfg, default_seed) if boot_cfg is not None else None,
+    )
 
 
 def cmd_dynamics(config: PipelineConfig) -> int:
-    est, data, section, spec = _estimate(config)
-    horizon = _coerce(int, section.get("horizon", 24), "horizon")
-    if horizon < 0:
-        raise UsageError(f"config key 'horizon' must be non-negative, got {horizon}")
-    shocked = section.get("shocked_control")
-    shocked = str(shocked) if shocked is not None else None
-    method = str(section.get("method", "direct"))
+    # every setting is checked before the estimate and before any output
+    horizon, method, shocked, boot_cfg = _dynamics_settings(config.section("model"), config.seed)
+    est, data, spec = _estimate(config)
     config.out_dir.mkdir(parents=True, exist_ok=True)
 
     if method == "both":
@@ -376,26 +428,22 @@ def cmd_dynamics(config: PipelineConfig) -> int:
             config.out_dir / "method_check.json",
         )
         method = "direct"
-    elif method not in ("direct", "stacked"):
-        raise UsageError(f"method must be direct, stacked, or both; got {method!r}")
     # variance shares first: their stationarity refusal carries the
     # eigenvalue report users need
     fv = dyn.fevd(est, horizon, shocked, method=method)
     irf = dyn.irf_all(est, horizon, shocked, method=method)
 
     bands = None
-    boot_cfg = section.get("bootstrap")
-    if isinstance(boot_cfg, dict):
-        replications, quantiles = _bootstrap_settings(boot_cfg)
+    if boot_cfg is not None:
         bands = boot.bootstrap_irf(
             est,
             data,
             spec,
             horizon=horizon,
-            replications=replications,
-            quantiles=quantiles,
-            seed=_coerce(int, boot_cfg.get("seed", config.seed), "bootstrap.seed"),
-            joint_resampling=bool(boot_cfg.get("joint", False)),
+            replications=boot_cfg.replications,
+            quantiles=boot_cfg.quantiles,
+            seed=boot_cfg.seed,
+            joint_resampling=boot_cfg.joint,
             shocked_control=shocked,
         )
         boot.write_bands_metadata(bands, config.out_dir / "bootstrap_meta.json")
@@ -429,7 +477,7 @@ def cmd_reduced_form(config: PipelineConfig) -> int:
         raise UsageError("intervention_lags must be a non-empty list")
     effect_names = []
     for lag_ in s_lags:
-        lag_ = _coerce(int, lag_, "intervention_lags")
+        lag_ = _integer(lag_, "intervention_lags")
         name = "s" if lag_ == 0 else f"s.L{lag_}"
         base[name] = ts.lag(intervention, lag_)
         effect_names.append(name)
@@ -484,9 +532,8 @@ def cmd_validate(config: PipelineConfig) -> int:
     if "calendar" in config.raw:
         config.path(config.section("calendar"), "input")
     if "model" in config.raw:
-        _, _, section = _load_model(config)
-        if isinstance(section.get("bootstrap"), dict):
-            _bootstrap_settings(section["bootstrap"])
+        _dynamics_settings(config.section("model"), config.seed)
+        _load_model(config)
     if "reduced_form" in config.raw:
         section = config.section("reduced_form")
         config.path(section, "intervention")

@@ -2,6 +2,9 @@
 
 Classical (homoskedastic) standard errors are the default to match hand
 calculations; heteroskedasticity-robust errors sit behind a flag.
+
+scipy is imported inside the few functions that need it (p-values and the
+collinearity report), so loading the package costs numpy alone.
 """
 
 from __future__ import annotations
@@ -14,8 +17,6 @@ from pathlib import Path
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy import linalg as sla
-from scipy import stats
 
 from .errors import (
     AlignmentError,
@@ -76,9 +77,11 @@ class RegressionFit:
         return float(self.standard_errors[self.index_of(name)])
 
     def pvalues(self) -> np.ndarray:
+        from scipy import special  # scipy.stats.t.sf(|t|, dof) is this call
+
         dof = self.nobs - self.nregressors
         t = self.coefficients / self.standard_errors
-        return 2.0 * stats.t.sf(np.abs(t), dof)
+        return 2.0 * special.stdtr(dof, -np.abs(t))
 
 
 class StackedLstsq(NamedTuple):
@@ -145,6 +148,8 @@ def lstsq_stack(X: np.ndarray, Y: np.ndarray) -> StackedLstsq:
 def _dependent_columns(design: np.ndarray, names: Sequence[str], rank: int) -> list[str]:
     # QR with column pivoting: columns pivoted past the numerical rank are the
     # ones expressible from the others.
+    from scipy import linalg as sla
+
     _, _, pivots = sla.qr(design, mode="economic", pivoting=True)
     return [names[i] for i in sorted(pivots[rank:])]
 
@@ -287,7 +292,9 @@ def breusch_godfrey(fit: RegressionFit, lags: int = 4) -> BreuschGodfreyResult:
         return BreuschGodfreyResult(0.0, 1.0, lags, n)
     r2 = 1.0 - float(aux_resid @ aux_resid) / tss
     lm = n * max(r2, 0.0)
-    return BreuschGodfreyResult(lm, float(stats.chi2.sf(lm, lags)), lags, n)
+    from scipy import special  # scipy.stats.chi2.sf(lm, lags) is this call
+
+    return BreuschGodfreyResult(lm, float(special.chdtrc(lags, lm)), lags, n)
 
 
 @dataclass(frozen=True)

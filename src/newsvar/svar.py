@@ -161,6 +161,8 @@ class SvarSpec:
 
     @staticmethod
     def from_json(payload: Mapping[str, object]) -> "SvarSpec":
+        if not isinstance(payload, Mapping):
+            raise ModelSpecError("spec file must hold a JSON object")
         known = {
             "ordering",
             "lags",
@@ -175,23 +177,65 @@ class SvarSpec:
         if "ordering" not in payload:
             raise ModelSpecError("spec file must name the variable ordering")
         lags = payload.get("lags", 2)
-        if isinstance(lags, dict):
-            lags = {str(k): int(v) for k, v in lags.items()}
+        if isinstance(lags, Mapping):
+            lags = {str(k): _spec_int(v, f"lags.{k}") for k, v in lags.items()}
+        else:
+            lags = _spec_int(lags, "lags")
         intervention = payload.get("intervention", (True, True))
-        if isinstance(intervention, dict):
-            intervention = {str(k): (bool(v[0]), bool(v[1])) for k, v in intervention.items()}
-        elif isinstance(intervention, (list, tuple)):
-            intervention = (bool(intervention[0]), bool(intervention[1]))
+        if isinstance(intervention, Mapping):
+            intervention = {
+                str(k): _spec_flags(v, f"intervention.{k}") for k, v in intervention.items()
+            }
+        else:
+            intervention = _spec_flags(intervention, "intervention")
         extra = payload.get("per_equation_extras", {})
-        extra = {str(k): tuple((str(n), int(l)) for n, l in v) for k, v in dict(extra).items()}
+        if not isinstance(extra, Mapping):
+            raise ModelSpecError("spec field 'per_equation_extras' must map equations to terms")
+        extra = {str(k): _spec_terms(v, f"per_equation_extras.{k}") for k, v in extra.items()}
         return SvarSpec(
-            ordering=tuple(str(v) for v in payload["ordering"]),
+            ordering=_spec_names(payload["ordering"], "ordering"),
             lags=lags,
             extra_lags=extra,
             intervention=intervention,
             intervention_name=str(payload.get("intervention_name", "s")),
-            controls=tuple(str(c) for c in payload.get("controls", ())),
+            controls=_spec_names(payload.get("controls", ()), "controls"),
         )
+
+
+# Checked readers for the JSON spec fields: a field of the wrong shape is a
+# ModelSpecError, never a stray TypeError, or a string split into characters.
+
+
+def _spec_int(value: object, what: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ModelSpecError(f"spec field {what!r} must be an integer, got {value!r}")
+    return value
+
+
+def _spec_names(value: object, what: str) -> tuple[str, ...]:
+    if not isinstance(value, (list, tuple)) or not all(isinstance(v, str) for v in value):
+        raise ModelSpecError(f"spec field {what!r} must be a list of names, got {value!r}")
+    return tuple(value)
+
+
+def _spec_flags(value: object, what: str) -> tuple[bool, bool]:
+    if (
+        not isinstance(value, (list, tuple))
+        or len(value) != 2
+        or not all(isinstance(v, bool) for v in value)
+    ):
+        raise ModelSpecError(
+            f"spec field {what!r} must be a [current, lagged] pair of booleans, got {value!r}"
+        )
+    return value[0], value[1]
+
+
+def _spec_terms(value: object, what: str) -> tuple[tuple[str, int], ...]:
+    if not isinstance(value, (list, tuple)) or not all(
+        isinstance(t, (list, tuple)) and len(t) == 2 and isinstance(t[0], str) for t in value
+    ):
+        raise ModelSpecError(f"spec field {what!r} must be a list of [name, lag] pairs, got {value!r}")
+    return tuple((name, _spec_int(lag_, what)) for name, lag_ in value)
 
 
 @dataclass(frozen=True)

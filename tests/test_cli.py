@@ -1,6 +1,10 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 from datetime import date
 
 import numpy as np
@@ -420,6 +424,96 @@ def test_dynamics_bootstrap_abort_is_data_error(tmp_path, capsys, monkeypatch):
     assert_one_line_error(capsys, "bootstrap aborted: 2 of 20")
 
 
+@pytest.mark.parametrize(
+    "top, model, key",
+    [
+        ({}, {"bootstrap": {"seed": -1}}, "'bootstrap.seed'"),
+        # the bootstrap section's seed falls back to the top-level one
+        ({"seed": -2}, {"bootstrap": {"replications": 20}}, "'seed'"),
+        ({"seed": 2.5}, {}, "'seed'"),
+        ({}, {"bootstrap": {"replications": 20, "joint": "no"}}, "joint"),
+        ({}, {"bootstrap": {"replications": 2.5}}, "replications"),
+        ({}, {"controls_var1": "false"}, "controls_var1"),
+        ({}, {"bootstrap": [1]}, "bootstrap"),
+        ({}, {"horizon": 2.7}, "horizon"),
+        ({}, {"horizon": "abc"}, "horizon"),
+        ({}, {"method": "bogus"}, "method"),
+    ],
+)
+def test_bad_dynamics_setting_exits_1_before_any_output(tmp_path, capsys, top, model, key):
+    _, data_map = model_workspace(tmp_path, T=120)
+    section = {"spec": "spec.json", "data": data_map, "horizon": 4, **model}
+    config = write_config(tmp_path, {"out_dir": "out", **top, "model": section})
+    for command in ("dynamics", "validate"):
+        assert cli.main([command, "--config", str(config)]) == 1, command
+        assert_one_line_error(capsys, key)
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("lags", "x"),
+        ("intervention", [True]),
+        ("per_equation_extras", {"v0": [["v0", "x"]]}),
+        # a string is not a list of names; it must not become controls g, 0
+        ("controls", "g0"),
+    ],
+)
+def test_malformed_spec_field_is_model_error(tmp_path, capsys, field, value):
+    _, data_map = model_workspace(tmp_path, T=60)
+    spec = json.loads((tmp_path / "spec.json").read_text(encoding="utf-8"))
+    spec[field] = value
+    (tmp_path / "spec.json").write_text(json.dumps(spec), encoding="utf-8")
+    config = write_config(tmp_path, {"out_dir": "out", "model": {"spec": "spec.json", "data": data_map}})
+    for command in ("estimate", "validate"):
+        assert cli.main([command, "--config", str(config)]) == 2, command
+        assert_one_line_error(capsys, f"spec field '{field}")
+    assert not (tmp_path / "out").exists()
+
+
+_SCIPY_PROBE = """
+import json, sys
+loaded = lambda: sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+from newsvar import cli
+report = {"import": loaded()}
+for command, config in zip(("build-index", "dynamics"), sys.argv[1:]):
+    report[command] = [cli.main([command, "--config", config]), loaded()]
+print(json.dumps(report))
+"""
+
+
+def test_dynamics_and_build_index_never_load_scipy(index_workspace, tmp_path_factory):
+    # structural guard on start-up cost: scipy belongs to estimate,
+    # reduced-form and the collinearity report only
+    index_config = write_config(
+        index_workspace,
+        {"index": {"on_counts": "on.csv", "off_counts": "off.csv", "output_growth": "dy.csv"}},
+    )
+    model_dir = tmp_path_factory.mktemp("model")
+    _, data_map = model_workspace(model_dir, T=120)
+    model_config = write_config(
+        model_dir,
+        {
+            "model": {
+                "spec": "spec.json",
+                "data": data_map,
+                "horizon": 4,
+                "method": "both",
+                "bootstrap": {"replications": 10, "seed": 1},
+            }
+        },
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run(
+        [sys.executable, "-c", _SCIPY_PROBE, str(index_config), str(model_config)],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    report = json.loads(run.stdout)
+    assert report == {"import": [], "build-index": [0, []], "dynamics": [0, []]}, run.stderr
+
+
 # ---------------------------------------------------------------------------
 # reduced-form
 # ---------------------------------------------------------------------------
@@ -456,6 +550,15 @@ def test_reduced_form_reports_long_run_effect(tmp_path):
     table = (tmp_path / "out" / "reduced_form.csv").read_text(encoding="utf-8")
     assert "long_run_effect," in table
     assert f"{result['long_run_effect']['theta']:.3f}".startswith("-0.031")
+
+
+def test_reduced_form_fractional_lag_is_usage_error(tmp_path, capsys):
+    payload = reduced_form_workspace(tmp_path, T=60)
+    payload["reduced_form"]["intervention_lags"] = [1.5]
+    config = write_config(tmp_path, payload)
+    assert cli.main(["reduced-form", "--config", str(config)]) == 1
+    assert_one_line_error(capsys, "intervention_lags")
+    assert not (tmp_path / "out").exists()
 
 
 def test_reduced_form_nonstationary_exit(tmp_path, capsys):

@@ -1,7 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from newsvar import regression as reg
 from newsvar import timeseries as ts
@@ -255,6 +258,49 @@ def test_bg_sample_guard():
     fit = reg.ols(np.arange(8.0), np.arange(8.0) ** 2)
     with pytest.raises(SampleError):
         reg.breusch_godfrey(fit, lags=6)
+
+
+# The p-values call scipy.special directly, so that loading the package does
+# not import scipy.stats; they must stay bit-identical to the distributions'.
+
+
+@KERNEL_PROPERTY
+@given(
+    t=st.lists(st.floats(-60.0, 60.0), min_size=1, max_size=8),
+    dof=st.integers(1, 5000),
+    scale=st.floats(1e-3, 1e3),
+)
+def test_pvalues_equal_scipy_t_sf_exactly(t, dof, scale):
+    x = np.arange(1.0, 12.0)
+    fit = reg.ols(2.0 * x + np.sin(x), x)
+    t = np.asarray(t)
+    k = t.size
+    fit = replace(
+        fit,
+        coefficients=t * scale,
+        standard_errors=np.full(k, scale),
+        nobs=dof + k,
+        nregressors=k,
+    )
+    want = 2.0 * stats.t.sf(np.abs(fit.coefficients / fit.standard_errors), dof)
+    assert np.array_equal(fit.pvalues(), want)
+
+
+@KERNEL_PROPERTY
+@given(
+    n=st.integers(30, 200),
+    lags=st.integers(1, 8),
+    rho=st.floats(-0.9, 0.9),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_bg_p_value_equals_scipy_chi2_sf_exactly(n, lags, rho, seed):
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, 2))
+    e = rng.normal(size=n)
+    for i in range(1, n):
+        e[i] += rho * e[i - 1]
+    result = reg.breusch_godfrey(reg.ols(X @ np.ones(2) + e, X), lags=lags)
+    assert result.p_value == float(stats.chi2.sf(result.lm_stat, lags))
 
 
 # ---------------------------------------------------------------------------
