@@ -131,9 +131,7 @@ def _json_dump(payload: object, path: Path) -> None:
 def _monthly_index(panel: ix.ArticleCountPanel, variant: str) -> ts.CalendarSeries:
     if variant == "standardized":
         return ix.standardized_monthly_count(panel)
-    if variant == "simple":
-        return ix.monthly_mean_count(panel)
-    raise UsageError(f"index variant must be 'simple' or 'standardized', got {variant!r}")
+    return ix.monthly_mean_count(panel)
 
 
 def _counts_to_index(
@@ -157,23 +155,17 @@ def _mask_panel_months(
 ) -> ix.ArticleCountPanel | None:
     lo_idx, hi_idx = lo.to_index(freq), hi.to_index(freq)
     step = 12 // freq.periods_per_year
-    keep_lo, keep_hi = lo_idx * step, hi_idx * step + step - 1
-    counts = {}
-    for outlet, per_outlet in panel.counts.items():
-        kept = {
-            day: c
-            for day, c in per_outlet.items()
-            if keep_lo <= day.year * 12 + day.month - 1 <= keep_hi
-        }
-        counts[outlet] = kept
-    if not any(counts.values()):
+    keep = (panel.month >= lo_idx * step) & (panel.month <= hi_idx * step + step - 1)
+    if not keep.any():
         return None
-    return ix.ArticleCountPanel(outlets=panel.outlets, counts=counts)
+    return ix.ArticleCountPanel(
+        outlets=panel.outlets, day=panel.day[keep], outlet=panel.outlet[keep], count=panel.count[keep]
+    )
 
 
 def _windowed_off_index(
     counts_path: Path,
-    windows: list[object],
+    windows: tuple[tuple[object, ts.PeriodLabel, ts.PeriodLabel], ...],
     variant: str,
     target: ts.Frequency,
     norm_window: tuple[ts.PeriodLabel | None, ts.PeriodLabel | None],
@@ -194,10 +186,7 @@ def _windowed_off_index(
     )
     values = combined.values.copy()
     covered = np.zeros(len(values), dtype=bool)
-    for entry in windows:
-        w_lo, w_hi = _parse_window(entry, "off window")
-        if w_lo is None or w_hi is None:
-            raise UsageError("off windows must be [start, end] pairs")
+    for entry, w_lo, w_hi in windows:
         masked = _mask_panel_months(panel, w_lo, w_hi, target)
         if masked is None:
             raise UsageError(f"off window {entry} contains no count data")
@@ -229,19 +218,54 @@ def _netting_settings(section: Mapping[str, object]) -> tuple[float | None, floa
     return None, grid_step
 
 
-def cmd_build_index(config: PipelineConfig) -> int:
-    section = config.section("index")
+class IndexSettings(NamedTuple):
+    variant: str
+    target: ts.Frequency
+    window: tuple[ts.PeriodLabel | None, ts.PeriodLabel | None]
+    # (entry as written, start, end) per window, or None for the full span
+    off_windows: tuple[tuple[object, ts.PeriodLabel, ts.PeriodLabel], ...] | None
+    weight: float | None
+    grid_step: float | None
+
+
+def _index_settings(section: Mapping[str, object]) -> IndexSettings:
+    """Checked ``variant``, ``target_frequency``, ``normalization_window``,
+    ``off_windows`` and netting settings of the index section;
+    ``build-index`` and ``validate`` both read them here."""
     variant = str(section.get("variant", "simple"))
+    if variant not in ("simple", "standardized"):
+        raise UsageError(f"index variant must be 'simple' or 'standardized', got {variant!r}")
     target = _coerce(ts.Frequency, str(section.get("target_frequency", "quarterly")), "target_frequency")
     window = _parse_window(section.get("normalization_window"), "normalization_window")
+    off_windows = section.get("off_windows")
+    if off_windows is not None:
+        if not isinstance(off_windows, list) or not off_windows:
+            raise UsageError("off_windows must be a non-empty list of [start, end] pairs")
+        windows = []
+        for entry in off_windows:
+            w_lo, w_hi = _parse_window(entry, "off window")
+            if w_lo is None or w_hi is None:
+                raise UsageError("off windows must be [start, end] pairs")
+            windows.append((entry, w_lo, w_hi))
+        off_windows = tuple(windows)
+    return IndexSettings(variant, target, window, off_windows, *_netting_settings(section))
+
+
+def cmd_build_index(config: PipelineConfig) -> int:
+    section = config.section("index")
     # checked before any output is written; net_index and grid_search_weight
-    # would refuse these values only after the on and off indices are out
-    weight, grid_step = _netting_settings(section)
+    # would refuse a bad weight only after the on and off indices are out
+    variant, target, window, off_windows, weight, grid_step = _index_settings(section)
+    on_path = config.path(section, "on_counts")
+    off_path = config.path(section, "off_counts", required=False)
+    dy_path = None
+    if off_path is not None and weight is None:
+        dy_path = config.path(section, "output_growth", required=False)
+        if dy_path is None:
+            raise UsageError("config key 'output_growth' is required for grid search")
     config.out_dir.mkdir(parents=True, exist_ok=True)
 
-    on_index = _counts_to_index(
-        config.path(section, "on_counts"), variant, target, window, ix.IndexKind.ON
-    )
+    on_index = _counts_to_index(on_path, variant, target, window, ix.IndexKind.ON)
     ix.write_index_csv(on_index, config.out_dir / "index_on.csv")
     diagnostics: dict[str, object] = {
         "variant": variant,
@@ -249,16 +273,12 @@ def cmd_build_index(config: PipelineConfig) -> int:
         "on_normalization_max": on_index.normalization_max,
     }
 
-    off_path = config.path(section, "off_counts", required=False)
     if off_path is None:
         _json_dump(diagnostics, config.out_dir / "index_diagnostics.json")
         return EXIT_OK
 
     span = (on_index.series.start, on_index.series.end)
-    off_windows = section.get("off_windows")
     if off_windows is not None:
-        if not isinstance(off_windows, list) or not off_windows:
-            raise UsageError("off_windows must be a non-empty list of [start, end] pairs")
         off_index = _windowed_off_index(off_path, off_windows, variant, target, window, span)
     else:
         off_index = _counts_to_index(
@@ -271,9 +291,6 @@ def cmd_build_index(config: PipelineConfig) -> int:
         w_hat = weight
         diagnostics["weight"] = {"value": w_hat, "source": "fixed"}
     else:
-        dy_path = config.path(section, "output_growth", required=False)
-        if dy_path is None:
-            raise UsageError("config key 'output_growth' is required for grid search")
         dy = ts.read_series_csv(dy_path)
         result = ix.grid_search_weight(on_index, off_index, dy, grid_step=grid_step)
         w_hat = result.w_hat
@@ -458,6 +475,14 @@ def cmd_dynamics(config: PipelineConfig) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _intervention_lags(section: Mapping[str, object]) -> list[int]:
+    """Checked ``intervention_lags`` of the reduced-form section."""
+    s_lags = section.get("intervention_lags", [1])
+    if not isinstance(s_lags, list) or not s_lags:
+        raise UsageError("intervention_lags must be a non-empty list")
+    return [_integer(lag_, "intervention_lags") for lag_ in s_lags]
+
+
 def cmd_reduced_form(config: PipelineConfig) -> int:
     section = config.section("reduced_form")
     intervention = ts.read_series_csv(config.path(section, "intervention"))
@@ -472,12 +497,8 @@ def cmd_reduced_form(config: PipelineConfig) -> int:
         growth = ts.read_series_csv(config.path(section, "growth"))
 
     base: dict[str, ts.CalendarSeries] = {"dy.L1": ts.lag(growth, 1)}
-    s_lags = section.get("intervention_lags", [1])
-    if not isinstance(s_lags, list) or not s_lags:
-        raise UsageError("intervention_lags must be a non-empty list")
     effect_names = []
-    for lag_ in s_lags:
-        lag_ = _integer(lag_, "intervention_lags")
+    for lag_ in _intervention_lags(section):
         name = "s" if lag_ == 0 else f"s.L{lag_}"
         base[name] = ts.lag(intervention, lag_)
         effect_names.append(name)
@@ -528,7 +549,7 @@ def cmd_validate(config: PipelineConfig) -> int:
         config.path(section, "on_counts")
         config.path(section, "off_counts", required=False)
         config.path(section, "output_growth", required=False)
-        _netting_settings(section)
+        _index_settings(section)
     if "calendar" in config.raw:
         config.path(config.section("calendar"), "input")
     if "model" in config.raw:
@@ -536,6 +557,7 @@ def cmd_validate(config: PipelineConfig) -> int:
         _load_model(config)
     if "reduced_form" in config.raw:
         section = config.section("reduced_form")
+        _intervention_lags(section)
         config.path(section, "intervention")
         if section.get("region_levels") is not None:
             config.path(section, "region_levels")

@@ -12,11 +12,12 @@ from __future__ import annotations
 import csv
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from datetime import date
 from enum import Enum
+from itertools import compress, islice
+from operator import itemgetter
 from pathlib import Path
-from typing import Mapping
 
 import numpy as np
 
@@ -65,47 +66,90 @@ class IndexKind(str, Enum):
     SDN_NET = "sdn_net"
 
 
-def _month_index(year: int, month: int) -> int:
-    return year * 12 + (month - 1)
+_EPOCH_ORDINAL = date(1970, 1, 1).toordinal()
+_MAX_ORDINAL = date.max.toordinal()
+
+
+def _ordinal_months(day: np.ndarray) -> np.ndarray:
+    """Absolute month index ``year * 12 + month - 1`` of proleptic Gregorian ordinals."""
+    months = (day - _EPOCH_ORDINAL).astype("datetime64[D]").astype("datetime64[M]")
+    return months.astype(np.int64) + 1970 * 12
+
+
+def _frozen_int64(values) -> np.ndarray:
+    arr = np.array(values, dtype=np.int64)
+    arr.flags.writeable = False
+    return arr
+
+
+def _first_repeat(outlet: np.ndarray, day: np.ndarray) -> int | None:
+    """Position of the first entry whose (outlet, day) pair occurs earlier, if any."""
+    if outlet.size < 2:
+        return None
+    key = (day - day.min()) * (int(outlet.max()) + 1) + outlet
+    # a stable sort keeps equal pairs in array order, so every entry of a run
+    # of equal keys but the first repeats an earlier one
+    order = np.argsort(key, kind="stable")
+    ranked = key[order]
+    repeats = order[1:][ranked[1:] == ranked[:-1]]
+    return int(repeats.min()) if repeats.size else None
 
 
 @dataclass(frozen=True)
 class ArticleCountPanel:
-    """Daily article counts per outlet.
+    """Daily article counts per outlet, one entry per observed outlet-day.
 
-    ``counts`` maps outlet -> day -> non-negative count.  A day present for
-    any outlet counts toward that month's publishing days; outlets without an
-    entry on such a day contribute zero articles.
+    ``day`` (proleptic Gregorian ordinals, as ``date.toordinal``), ``outlet``
+    (positions in ``outlets``) and ``count`` (non-negative) are equal-length
+    integer arrays; ``month`` (absolute month index ``year * 12 + month - 1``)
+    is derived from ``day``.  A day present for any outlet counts toward that
+    month's publishing days; outlets without an entry on such a day
+    contribute zero articles.
     """
 
     outlets: tuple[str, ...]
-    counts: Mapping[str, Mapping[date, int]]
+    day: np.ndarray
+    outlet: np.ndarray
+    count: np.ndarray
+    month: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
         if not self.outlets:
             raise SeriesError("panel needs at least one outlet")
         if len(set(self.outlets)) != len(self.outlets):
             raise SeriesError("duplicate outlet identifiers")
-        frozen: dict[str, dict[date, int]] = {}
-        any_day = False
-        for outlet in self.outlets:
-            per_outlet = dict(self.counts.get(outlet, {}))
-            for day, count in per_outlet.items():
-                if count < 0:
-                    raise SeriesError(f"negative count for {outlet} on {day}")
-            any_day = any_day or bool(per_outlet)
-            frozen[outlet] = per_outlet
-        if not any_day:
+        day, outlet, count = (_frozen_int64(getattr(self, name)) for name in ("day", "outlet", "count"))
+        if day.ndim != 1 or day.shape != outlet.shape or day.shape != count.shape:
+            raise SeriesError("panel columns must be 1-D and equal length")
+        if day.size == 0:
             raise SeriesError("panel holds no daily observations")
-        object.__setattr__(self, "counts", frozen)
+        if outlet.min() < 0 or outlet.max() >= len(self.outlets):
+            raise SeriesError("panel outlet codes must index the outlets")
+        if day.min() < 1 or day.max() > _MAX_ORDINAL:
+            raise SeriesError("panel days must be ordinals of dates")
+        negative = np.flatnonzero(count < 0)
+        if negative.size:
+            i = negative[0]
+            raise SeriesError(
+                f"negative count for {self.outlets[outlet[i]]} on {date.fromordinal(int(day[i]))}"
+            )
+        repeat = _first_repeat(outlet, day)
+        if repeat is not None:
+            raise SeriesError(
+                f"duplicate count for {self.outlets[outlet[repeat]]} "
+                f"on {date.fromordinal(int(day[repeat]))}"
+            )
+        object.__setattr__(self, "day", day)
+        object.__setattr__(self, "outlet", outlet)
+        object.__setattr__(self, "count", count)
+        object.__setattr__(self, "month", _frozen_int64(_ordinal_months(day)))
 
-    def month_days(self) -> dict[int, set[date]]:
-        """Union of covered days per month, keyed by absolute month index."""
-        days: dict[int, set[date]] = {}
-        for per_outlet in self.counts.values():
-            for day in per_outlet:
-                days.setdefault(_month_index(day.year, day.month), set()).add(day)
-        return days
+    def publishing_days(self) -> tuple[int, np.ndarray]:
+        """First covered month and the count of distinct publishing days in
+        each month from it to the last covered month (0 for uncovered ones)."""
+        _, first_seen = np.unique(self.day, return_index=True)
+        months = self.month[first_seen]  # ascending, as the days are
+        return int(months[0]), np.bincount(months - months[0])
 
 
 @dataclass(frozen=True)
@@ -157,29 +201,22 @@ def monthly_mean_count(panel: ArticleCountPanel) -> CalendarSeries:
     :class:`CoverageWarning` and excluded; because exclusion leaves a hole in
     the month run, a :class:`GapError` follows.
     """
-    month_days = panel.month_days()
-    first, last = min(month_days), max(month_days)
-    empty = [m for m in range(first, last + 1) if m not in month_days]
-    if empty:
+    first, days = panel.publishing_days()
+    empty = np.flatnonzero(days == 0)
+    if empty.size:
         labels = ", ".join(
-            PeriodLabel.from_index(m, Frequency.MONTHLY).format(Frequency.MONTHLY)
+            PeriodLabel.from_index(first + int(m), Frequency.MONTHLY).format(Frequency.MONTHLY)
             for m in empty
         )
         warnings.warn(f"months with no publishing days excluded: {labels}", CoverageWarning)
         raise GapError(f"excluded months leave an interior gap: {labels}")
-    n_outlets = len(panel.outlets)
-    values = []
-    for m in range(first, last + 1):
-        days = month_days[m]
-        total = 0
-        for per_outlet in panel.counts.values():
-            total += sum(per_outlet.get(day, 0) for day in days)
-        values.append(total / (n_outlets * len(days)))
+    # float sums of integer counts are exact while a month's total stays below 2**53
+    totals = np.bincount(panel.month - first, weights=panel.count, minlength=days.size)
     return CalendarSeries(
         frequency=Frequency.MONTHLY,
         calendar=CalendarKind.GREGORIAN,
         start=PeriodLabel.from_index(first, Frequency.MONTHLY),
-        values=np.array(values),
+        values=totals / (len(panel.outlets) * days),
     )
 
 
@@ -190,19 +227,18 @@ def standardized_monthly_count(panel: ArticleCountPanel) -> CalendarSeries:
     deviation (denominator T-1) before averaging, so outlets with fat count
     levels do not dominate the cross-outlet mean.
     """
-    month_days = panel.month_days()
-    months = sorted(month_days)
-    if len(months) < 2:
+    first, days = panel.publishing_days()
+    if np.count_nonzero(days) < 2:
         raise SampleError("standardization needs at least 2 covered months")
-    first, last = months[0], months[-1]
-    if months != list(range(first, last + 1)):
+    if not days.all():
         raise GapError("panel months are not contiguous")
-    per_outlet_means = np.empty((len(panel.outlets), len(months)))
-    for i, outlet in enumerate(panel.outlets):
-        counts = panel.counts[outlet]
-        for t, m in enumerate(months):
-            days = month_days[m]
-            per_outlet_means[i, t] = sum(counts.get(day, 0) for day in days) / len(days)
+    n_outlets, n_months = len(panel.outlets), days.size
+    totals = np.bincount(
+        panel.outlet * n_months + (panel.month - first),
+        weights=panel.count,
+        minlength=n_outlets * n_months,
+    )
+    per_outlet_means = totals.reshape(n_outlets, n_months) / days
     sigma = per_outlet_means.std(axis=1, ddof=1)
     flat = np.nonzero(sigma == 0)[0]
     if flat.size:
@@ -350,10 +386,24 @@ def sdn_index(flows: EntityFlowSeries, w: float = 0.4) -> IntensityIndex:
 # ---------------------------------------------------------------------------
 
 
+# rows turned into integer columns at a time; the reader holds one block of
+# parsed rows, not the file
+_BLOCK_ROWS = 16_384
+
+
 def read_counts_csv(path: str | Path) -> ArticleCountPanel:
-    """Read daily counts from a ``date,outlet,count`` CSV (ISO dates)."""
+    """Read daily counts from a ``date,outlet,count`` CSV (ISO dates).
+
+    Rows with no non-blank cell are skipped.  A malformed row raises
+    :class:`SeriesError` naming the first failing line: a short row, a bad
+    date, an empty outlet, a bad, negative or over-64-bit count, or a second
+    row for one outlet-day, checked in that order within a row.
+    """
     path = Path(path)
-    counts: dict[str, dict[date, int]] = {}
+    days: dict[str, int] = {}  # date cell -> day ordinal, 0 when unparseable
+    cells_to_code: dict[str, int] = {}  # outlet cell -> outlet code, -1 when blank
+    codes: dict[str, int] = {}  # outlet name -> code, in order of appearance
+    blocks: list[tuple[np.ndarray, ...]] = []
     with path.open(newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
         header = next(reader, None)
@@ -363,31 +413,129 @@ def read_counts_csv(path: str | Path) -> ArticleCountPanel:
             "count",
         ]:
             raise SeriesError(f"{path}: expected header 'date,outlet,count'")
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) < 3:
-                raise SeriesError(f"{path}:{lineno}: expected 'date,outlet,count'")
-            try:
-                day = date.fromisoformat(row[0].strip())
-            except ValueError as exc:
-                raise SeriesError(f"{path}:{lineno}: bad date {row[0]!r}") from exc
-            outlet = row[1].strip()
-            if not outlet:
-                raise SeriesError(f"{path}:{lineno}: empty outlet")
-            try:
-                count = int(row[2])
-            except ValueError as exc:
-                raise SeriesError(f"{path}:{lineno}: bad count {row[2]!r}") from exc
-            if count < 0:
-                raise SeriesError(f"{path}:{lineno}: negative count")
-            per_outlet = counts.setdefault(outlet, {})
-            if day in per_outlet:
-                raise SeriesError(f"{path}:{lineno}: duplicate row for {outlet} {day}")
-            per_outlet[day] = count
-    if not counts:
+        first_line = 2
+        while rows := list(islice(reader, _BLOCK_ROWS)):
+            block, failure = _parse_block(rows, first_line, days, cells_to_code, codes)
+            blocks.append(block)
+            if failure is not None:
+                lineno, row = failure
+                # a repeated outlet-day on an earlier line fails first
+                line, day, code, _ = (np.concatenate(column) for column in zip(*blocks))
+                earlier = line < lineno
+                _check_repeats(path, line[earlier], day[earlier], code[earlier], codes)
+                raise SeriesError(f"{path}:{lineno}: {_row_error(row)}")
+            first_line += len(rows)
+    if not sum(len(block[0]) for block in blocks):
         raise SeriesError(f"{path}: no data rows")
-    return ArticleCountPanel(outlets=tuple(sorted(counts)), counts=counts)
+    line, day, code, count = (np.concatenate(column) for column in zip(*blocks))
+    # freed before the checks and the panel's copies, which sets the peak memory
+    del blocks
+    _check_repeats(path, line, day, code, codes)
+    del line
+    outlets = tuple(sorted(codes))
+    rank = np.empty(len(outlets), dtype=np.int64)
+    rank[[codes[name] for name in outlets]] = np.arange(len(outlets))
+    return ArticleCountPanel(outlets=outlets, day=day, outlet=rank[code], count=count)
+
+
+def _parse_block(
+    rows: list[list[str]],
+    first_line: int,
+    days: dict[str, int],
+    cells_to_code: dict[str, int],
+    codes: dict[str, int],
+) -> tuple[tuple[np.ndarray, ...], tuple[int, list[str]] | None]:
+    """Columns (line, day, outlet code, count) of a block's valid rows, and
+    the line and cells of its first failing row, if any.
+
+    The lookup dicts carry across blocks, so each distinct date and outlet
+    cell is parsed once per file.
+    """
+    n = len(rows)
+    wide = np.fromiter(map(len, rows), dtype=np.intp, count=n) >= 3
+    full = np.flatnonzero(wide)
+    cells = rows if full.size == n else list(compress(rows, wide.tolist()))
+    day = code = count = np.zeros(0, dtype=np.int64)
+    unparsed = np.zeros(0, dtype=bool)
+    if cells:
+        date_cells, outlet_cells, count_cells = (list(map(itemgetter(i), cells)) for i in range(3))
+        for cell in set(date_cells).difference(days):
+            try:
+                days[cell] = date.fromisoformat(cell.strip()).toordinal()
+            except ValueError:
+                days[cell] = 0
+        for cell in set(outlet_cells).difference(cells_to_code):
+            name = cell.strip()
+            cells_to_code[cell] = codes.setdefault(name, len(codes)) if name else -1
+        day = np.fromiter(map(days.__getitem__, date_cells), dtype=np.int64, count=full.size)
+        code = np.fromiter(map(cells_to_code.__getitem__, outlet_cells), dtype=np.int64, count=full.size)
+        count, unparsed = _count_column(count_cells)
+    bad_full = (day == 0) | (code < 0) | (count < 0) | unparsed
+    bad = np.ones(n, dtype=bool)  # short rows fail
+    bad[full] = bad_full
+    failure = None
+    for i in np.flatnonzero(bad).tolist():
+        # blank rows fail the width or the date check; they are skipped
+        if "".join(rows[i]).strip():
+            failure = (first_line + i, rows[i])
+            break
+    ok = ~bad_full
+    return (first_line + full[ok], day[ok], code[ok], count[ok]), failure
+
+
+def _count_column(cells: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """The count cells as int64, and a mask of those that are not integers
+    or do not fit in 64 bits (their values read 0)."""
+    unparsed = np.zeros(len(cells), dtype=bool)
+    try:
+        return np.fromiter(map(int, cells), dtype=np.int64, count=len(cells)), unparsed
+    except (ValueError, OverflowError):
+        pass
+    # a malformed or blank row in the block: parse cell by cell
+    values = np.zeros(len(cells), dtype=np.int64)
+    for i, cell in enumerate(cells):
+        try:
+            value = int(cell)
+        except ValueError:
+            unparsed[i] = True
+            continue
+        if -(2**63) <= value < 2**63:
+            values[i] = value
+        else:
+            unparsed[i] = True
+    return values, unparsed
+
+
+def _row_error(row: list[str]) -> str:
+    """Why a non-blank row that failed a column check is malformed."""
+    if len(row) < 3:
+        return "expected 'date,outlet,count'"
+    try:
+        date.fromisoformat(row[0].strip())
+    except ValueError:
+        return f"bad date {row[0]!r}"
+    if not row[1].strip():
+        return "empty outlet"
+    try:
+        count = int(row[2])
+    except ValueError:
+        return f"bad count {row[2]!r}"
+    if count < 0:
+        return "negative count"
+    return f"count {row[2]!r} does not fit in 64 bits"
+
+
+def _check_repeats(
+    path: Path, line: np.ndarray, day: np.ndarray, code: np.ndarray, codes: dict[str, int]
+) -> None:
+    """Raise for the first row that repeats an earlier row's outlet-day."""
+    repeat = _first_repeat(code, day)
+    if repeat is not None:
+        outlet = next(name for name, c in codes.items() if c == code[repeat])
+        raise SeriesError(
+            f"{path}:{line[repeat]}: duplicate row for {outlet} "
+            f"{date.fromordinal(int(day[repeat]))}"
+        )
 
 
 def read_flows_csv(path: str | Path) -> EntityFlowSeries:

@@ -2,20 +2,27 @@
 
 Everything here works directly from the structural equations, independently
 of the production moving-average and stacked-recursion code paths, so tests
-can cross-check those paths against plain simulation.  The exception is
+can cross-check those paths against plain simulation.  The exceptions are
 :func:`bootstrap_reference`, the one-replication-at-a-time bootstrap loop
-kept as the reference for the chunked production bootstrap.
+kept as the reference for the chunked production bootstrap, and
+:func:`read_counts_reference`, the row-at-a-time counts reader kept as the
+reference for the block-wise columnar one.
 """
 
 from __future__ import annotations
 
+import csv
 import warnings
+from datetime import date
+from pathlib import Path
+from typing import Mapping
 
 import numpy as np
 
 from newsvar.bootstrap import _structural_residuals, BootstrapBands
 from newsvar.dynamics import build_stacked, irf_all
-from newsvar.errors import NewsvarError
+from newsvar.errors import NewsvarError, SeriesError
+from newsvar.intensity import ArticleCountPanel
 from newsvar.regression import ArFit
 from newsvar.svar import ControlsVar1, estimate_svar_arrays, SvarEstimate, SvarSpec
 
@@ -295,3 +302,68 @@ def bootstrap_reference(
         median={s: median[i] for i, s in enumerate(shocks)},
         joint_resampling=joint_resampling,
     )
+
+
+def panel_from_mapping(
+    outlets: tuple[str, ...], counts: Mapping[str, Mapping[date, int]]
+) -> ArticleCountPanel:
+    """A columnar panel from outlet -> day -> count."""
+    entries = [
+        (day.toordinal(), outlets.index(outlet), count)
+        for outlet, per_outlet in counts.items()
+        for day, count in per_outlet.items()
+    ]
+    day, outlet, count = zip(*entries) if entries else ((), (), ())
+    return ArticleCountPanel(outlets=outlets, day=day, outlet=outlet, count=count)
+
+
+def panel_to_mapping(panel: ArticleCountPanel) -> dict[str, dict[date, int]]:
+    """outlet -> day -> count of a panel; every outlet gets an entry."""
+    counts: dict[str, dict[date, int]] = {outlet: {} for outlet in panel.outlets}
+    for day, outlet, count in zip(panel.day.tolist(), panel.outlet.tolist(), panel.count.tolist()):
+        counts[panel.outlets[outlet]][date.fromordinal(day)] = count
+    return counts
+
+
+def read_counts_reference(path: str | Path) -> tuple[tuple[str, ...], dict[str, dict[date, int]]]:
+    """The row-at-a-time counts reader: sorted outlets and outlet -> day -> count.
+
+    Kept as the reference for :func:`newsvar.intensity.read_counts_csv`,
+    which must raise the same first error or read the same counts.
+    """
+    path = Path(path)
+    counts: dict[str, dict[date, int]] = {}
+    with path.open(newline="", encoding="utf-8") as handle:
+        reader = csv.reader(handle)
+        header = next(reader, None)
+        if header is None or [h.strip().lower() for h in header[:3]] != [
+            "date",
+            "outlet",
+            "count",
+        ]:
+            raise SeriesError(f"{path}: expected header 'date,outlet,count'")
+        for lineno, row in enumerate(reader, start=2):
+            if not row or all(not cell.strip() for cell in row):
+                continue
+            if len(row) < 3:
+                raise SeriesError(f"{path}:{lineno}: expected 'date,outlet,count'")
+            try:
+                day = date.fromisoformat(row[0].strip())
+            except ValueError as exc:
+                raise SeriesError(f"{path}:{lineno}: bad date {row[0]!r}") from exc
+            outlet = row[1].strip()
+            if not outlet:
+                raise SeriesError(f"{path}:{lineno}: empty outlet")
+            try:
+                count = int(row[2])
+            except ValueError as exc:
+                raise SeriesError(f"{path}:{lineno}: bad count {row[2]!r}") from exc
+            if count < 0:
+                raise SeriesError(f"{path}:{lineno}: negative count")
+            per_outlet = counts.setdefault(outlet, {})
+            if day in per_outlet:
+                raise SeriesError(f"{path}:{lineno}: duplicate row for {outlet} {day}")
+            per_outlet[day] = count
+    if not counts:
+        raise SeriesError(f"{path}: no data rows")
+    return tuple(sorted(counts)), counts

@@ -13,6 +13,7 @@ import pytest
 from helpers import random_stable_system, simulate_panel
 from newsvar import bootstrap as boot
 from newsvar import cli
+from newsvar import intensity as ix
 from newsvar import svar as sv
 from newsvar import timeseries as ts
 
@@ -218,6 +219,44 @@ def test_build_index_out_of_range_setting_is_usage_error(index_workspace, capsys
     assert cli.main(["build-index", "--config", str(config)]) == 1
     assert_one_line_error(capsys, key)
     assert not (index_workspace / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "settings, key",
+    [
+        ({"variant": "bogus"}, "variant"),
+        ({"target_frequency": "weekly"}, "target_frequency"),
+        ({"normalization_window": ["1989Q1", "later"]}, "normalization_window"),
+        ({"off_windows": []}, "off_windows"),
+        ({"off_windows": [["1989Q1"]]}, "off window must be a [start, end] pair"),
+        ({"off_windows": [[None, "1989Q4"]]}, "off windows must be [start, end] pairs"),
+    ],
+)
+def test_bad_index_setting_exits_1_before_any_output(index_workspace, capsys, settings, key):
+    section = {"on_counts": "on.csv", "off_counts": "off.csv", "output_growth": "dy.csv"}
+    config = write_config(index_workspace, {"index": {**section, **settings}}, name="bad.json")
+    for command in ("build-index", "validate"):
+        assert cli.main([command, "--config", str(config)]) == 1, command
+        assert_one_line_error(capsys, key)
+    assert not (index_workspace / "out").exists()
+
+
+def test_masked_window_keeps_zero_count_days_and_both_edge_months():
+    days = [(1994, 12, 31), (1995, 1, 1), (1995, 1, 2), (1995, 3, 31), (1995, 4, 1)]
+    panel = ix.ArticleCountPanel(
+        outlets=("a",),
+        day=[date(*d).toordinal() for d in days],
+        outlet=[0] * 5,
+        count=[9, 4, 0, 6, 9],
+    )
+    masked = cli._mask_panel_months(panel, ts.PeriodLabel(1995, 1), ts.PeriodLabel(1995, 1), ts.Frequency.QUARTERLY)
+    assert masked.month.tolist() == [1995 * 12, 1995 * 12, 1995 * 12 + 2]
+    assert masked.count.tolist() == [4, 0, 6]
+    # 1995-01-02 holds only a zero count but is still a publishing day
+    first, days = masked.publishing_days()
+    assert (first, days.tolist()) == (1995 * 12, [2, 0, 1])
+    single = cli._mask_panel_months(panel, ts.PeriodLabel(1995, 1), ts.PeriodLabel(1995, 1), ts.Frequency.MONTHLY)
+    assert ix.monthly_mean_count(single).values.tolist() == [2.0]
 
 
 def test_build_index_malformed_row_is_data_error(index_workspace, capsys):
@@ -556,8 +595,9 @@ def test_reduced_form_fractional_lag_is_usage_error(tmp_path, capsys):
     payload = reduced_form_workspace(tmp_path, T=60)
     payload["reduced_form"]["intervention_lags"] = [1.5]
     config = write_config(tmp_path, payload)
-    assert cli.main(["reduced-form", "--config", str(config)]) == 1
-    assert_one_line_error(capsys, "intervention_lags")
+    for command in ("reduced-form", "validate"):
+        assert cli.main([command, "--config", str(config)]) == 1, command
+        assert_one_line_error(capsys, "intervention_lags")
     assert not (tmp_path / "out").exists()
 
 

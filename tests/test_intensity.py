@@ -1,8 +1,14 @@
+import string
+import tempfile
 from datetime import date
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from helpers import panel_from_mapping, panel_to_mapping, read_counts_reference
 from newsvar import intensity as ix
 from newsvar import timeseries as ts
 from newsvar.errors import (
@@ -37,7 +43,7 @@ def month_panel(month_counts, outlets=("a", "b")):
         for o, daily in per_outlet.items():
             for d, c in enumerate(daily, start=1):
                 counts[o][date(year, month, d)] = c
-    return ix.ArticleCountPanel(outlets=tuple(outlets), counts=counts)
+    return panel_from_mapping(tuple(outlets), counts)
 
 
 # ---------------------------------------------------------------------------
@@ -74,9 +80,59 @@ def test_monthly_mean_counts_missing_outlet_days_as_zero():
         "a": {date(2000, 1, 1): 2, date(2000, 1, 2): 2},
         "b": {date(2000, 1, 1): 4},
     }
-    panel = ix.ArticleCountPanel(outlets=("a", "b"), counts=counts)
+    panel = panel_from_mapping(("a", "b"), counts)
     out = ix.monthly_mean_count(panel)
     assert out.values[0] == pytest.approx(8 / 4)
+
+
+# ---------------------------------------------------------------------------
+# panel invariants
+# ---------------------------------------------------------------------------
+
+
+def test_panel_derives_months_and_freezes_columns():
+    panel = panel_from_mapping(
+        ("a", "b"), {"a": {date(1999, 12, 31): 1}, "b": {date(2000, 1, 1): 2}}
+    )
+    assert panel.month.tolist() == [1999 * 12 + 11, 2000 * 12]
+    with pytest.raises(ValueError):
+        panel.count[0] = 5
+
+
+def test_panel_rejects_duplicate_outlet_names():
+    with pytest.raises(SeriesError, match="duplicate outlet"):
+        panel_from_mapping(("a", "a"), {"a": {date(2000, 1, 1): 1}})
+
+
+def test_panel_rejects_duplicate_outlet_day():
+    day = date(2000, 1, 1).toordinal()
+    with pytest.raises(SeriesError, match="duplicate count for b on 2000-01-01"):
+        ix.ArticleCountPanel(outlets=("a", "b"), day=[day, day, day], outlet=[0, 1, 1], count=[1, 2, 3])
+
+
+def test_panel_rejects_negative_count():
+    with pytest.raises(SeriesError, match="negative count for a on 2000-01-02"):
+        panel_from_mapping(("a",), {"a": {date(2000, 1, 1): 1, date(2000, 1, 2): -1}})
+
+
+def test_panel_rejects_empty_panel():
+    with pytest.raises(SeriesError, match="no daily observations"):
+        panel_from_mapping(("a",), {})
+    with pytest.raises(SeriesError, match="at least one outlet"):
+        panel_from_mapping((), {})
+
+
+@pytest.mark.parametrize(
+    "columns, message",
+    [
+        ({"day": [730120, 730121], "outlet": [0], "count": [1, 1]}, "equal length"),
+        ({"day": [730120], "outlet": [1], "count": [1]}, "outlet codes"),
+        ({"day": [0], "outlet": [0], "count": [1]}, "ordinals"),
+    ],
+)
+def test_panel_rejects_malformed_columns(columns, message):
+    with pytest.raises(SeriesError, match=message):
+        ix.ArticleCountPanel(outlets=("a",), **columns)
 
 
 def test_monthly_mean_empty_month_warns_then_gaps():
@@ -311,7 +367,7 @@ def test_read_counts_csv(tmp_path):
     )
     panel = ix.read_counts_csv(p)
     assert panel.outlets == ("a", "b")
-    assert panel.counts["a"][date(2000, 1, 1)] == 3
+    assert panel_to_mapping(panel)["a"][date(2000, 1, 1)] == 3
 
 
 def test_read_counts_csv_errors_carry_line_numbers(tmp_path):
@@ -322,6 +378,106 @@ def test_read_counts_csv_errors_carry_line_numbers(tmp_path):
     p.write_text("date,outlet,count\n2000-01-01,a,3\n2000-01-01,a,4\n", encoding="utf-8")
     with pytest.raises(SeriesError, match="duplicate"):
         ix.read_counts_csv(p)
+
+
+def test_read_counts_csv_rejects_count_beyond_int64(tmp_path):
+    p = tmp_path / "counts.csv"
+    top = 2**63 - 1
+    p.write_text(f"date,outlet,count\n2000-01-01,a,{top}\n2000-01-02,a,{top + 1}\n", encoding="utf-8")
+    with pytest.raises(SeriesError, match=r":3: count '9223372036854775808' does not fit in 64 bits"):
+        ix.read_counts_csv(p)
+    p.write_text(f"date,outlet,count\n2000-01-01,a,{top}\n", encoding="utf-8")
+    assert ix.read_counts_csv(p).count.tolist() == [top]
+
+
+# Cells for generated count files.  Good dates span two months in four ISO
+# spellings (padded, basic, week date); bad cells cover impossible and
+# non-ISO dates, blank outlets and non-integer or negative counts.
+BAD_DATES = ["2000-13-01", "2001-02-29", "01/02/2000", "", "  "]
+GOOD_OUTLETS = ["a", "b", " a ", "c,d", 'q"x']
+BAD_OUTLETS = ["", " "]
+GOOD_COUNTS = ["0", "3", " 7 ", "+2", "1_000", "-0", str(2**62)]
+BAD_COUNTS = ["-1", "1.5", "x", "", "1__0"]
+
+
+@st.composite
+def date_cells(draw):
+    day = date.fromordinal(date(2000, 1, 1).toordinal() + draw(st.integers(0, 59)))
+    year, week, weekday = day.isocalendar()
+    return draw(st.sampled_from(
+        [day.isoformat(), f" {day.isoformat()} ", day.strftime("%Y%m%d"), f"{year}-W{week:02d}-{weekday}"]
+    ))
+
+
+def csv_cell(text: str, quoted: bool) -> str:
+    if quoted or any(ch in text for ch in ',"'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+@st.composite
+def counts_files(draw):
+    """CSV text in which about half the files are valid."""
+    noisy = draw(st.booleans())
+    shapes = ["row"] * 6 + ["blank", "long"] + (["short"] if noisy else [])
+
+    def cell(good, bad):
+        if noisy and draw(st.integers(0, 9)) == 0:
+            return draw(st.sampled_from(bad))
+        return draw(good)
+
+    lines = ["date,outlet,count"]
+    for _ in range(draw(st.integers(0, 12))):
+        shape = draw(st.sampled_from(shapes))
+        if shape == "blank":
+            lines.append(draw(st.sampled_from(["", ",,", " , ,", '"",', "  "])))
+            continue
+        cells = [
+            cell(date_cells(), BAD_DATES),
+            cell(st.sampled_from(GOOD_OUTLETS), BAD_OUTLETS),
+            cell(st.sampled_from(GOOD_COUNTS), BAD_COUNTS),
+        ]
+        if shape == "short":
+            cells = cells[: draw(st.integers(1, 2))]
+        elif shape == "long":
+            cells += draw(st.lists(st.text(string.ascii_letters + " ", max_size=3), min_size=1, max_size=2))
+        lines.append(",".join(csv_cell(text, draw(st.booleans())) for text in cells))
+    return "\n".join(lines) + "\n"
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(text=counts_files(), block_rows=st.sampled_from([1, 2, 3, 16_384]))
+def test_read_counts_csv_matches_row_reference(text, block_rows):
+    # small blocks put failing rows and repeated outlet-days in different blocks
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "counts.csv"
+        path.write_text(text, encoding="utf-8")
+        try:
+            expected = read_counts_reference(path)
+        except SeriesError as exc:
+            expected = str(exc)
+        try:
+            with mock.patch.object(ix, "_BLOCK_ROWS", block_rows):
+                panel = ix.read_counts_csv(path)
+        except SeriesError as exc:
+            assert str(exc) == expected
+            return
+    assert not isinstance(expected, str), expected
+    outlets, counts = expected
+    assert panel.outlets == outlets
+    assert panel_to_mapping(panel) == counts
+
+
+def test_read_counts_csv_reports_first_failure_across_blocks(tmp_path):
+    p = tmp_path / "counts.csv"
+    # a repeat on line 4 comes before a bad date on line 6 in a later block
+    p.write_text(
+        "date,outlet,count\n2000-01-01,a,1\n2000-01-02,a,1\n2000-01-01, a,2\n\nnope,a,1\n",
+        encoding="utf-8",
+    )
+    with mock.patch.object(ix, "_BLOCK_ROWS", 3):
+        with pytest.raises(SeriesError, match=r":4: duplicate row for a 2000-01-01"):
+            ix.read_counts_csv(p)
 
 
 def test_read_flows_csv(tmp_path):
