@@ -200,8 +200,11 @@ def _bootstrap_from_matrix(
         )
         kept += good.ok.size
 
-    # one partition of the draws serves all three quantiles
-    lower, upper, median = np.quantile(draws[:kept], [*quantiles, 0.5], axis=0)
+    # one partition of the draws serves all three quantiles; partitioned in
+    # place, since the draws are not read again
+    lower, upper, median = np.quantile(
+        draws[:kept], [*quantiles, 0.5], axis=0, overwrite_input=True
+    )
     return BootstrapBands(
         replications=kept,
         requested=replications,

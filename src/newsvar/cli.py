@@ -54,7 +54,7 @@ class PipelineConfig:
             raise UsageError(f"--config: no such file: {path}")
         try:
             raw = json.loads(path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise UsageError(f"--config: invalid JSON in {path}: {exc}") from exc
         if not isinstance(raw, dict):
             raise UsageError("--config: top level must be a JSON object")
@@ -102,7 +102,10 @@ def _flag(value: object, what: str) -> bool:
     return value
 
 
-def _parse_window(values: object, what: str) -> tuple[ts.PeriodLabel | None, ts.PeriodLabel | None]:
+def _parse_window(
+    values: object, what: str, frequency: ts.Frequency
+) -> tuple[ts.PeriodLabel | None, ts.PeriodLabel | None]:
+    """A [start, end] pair of period labels, each of the given frequency or null."""
     if values is None:
         return (None, None)
     if not isinstance(values, (list, tuple)) or len(values) != 2:
@@ -113,7 +116,7 @@ def _parse_window(values: object, what: str) -> tuple[ts.PeriodLabel | None, ts.
             out.append(None)
             continue
         try:
-            out.append(ts.PeriodLabel.parse(str(v))[0])
+            out.append(ts.PeriodLabel.parse(str(v), frequency)[0])
         except NewsvarError as exc:
             raise UsageError(f"{what}: {exc}") from exc
     return out[0], out[1]
@@ -236,14 +239,14 @@ def _index_settings(section: Mapping[str, object]) -> IndexSettings:
     if variant not in ("simple", "standardized"):
         raise UsageError(f"index variant must be 'simple' or 'standardized', got {variant!r}")
     target = _coerce(ts.Frequency, str(section.get("target_frequency", "quarterly")), "target_frequency")
-    window = _parse_window(section.get("normalization_window"), "normalization_window")
+    window = _parse_window(section.get("normalization_window"), "normalization_window", target)
     off_windows = section.get("off_windows")
     if off_windows is not None:
         if not isinstance(off_windows, list) or not off_windows:
             raise UsageError("off_windows must be a non-empty list of [start, end] pairs")
         windows = []
         for entry in off_windows:
-            w_lo, w_hi = _parse_window(entry, "off window")
+            w_lo, w_hi = _parse_window(entry, "off window", target)
             if w_lo is None or w_hi is None:
                 raise UsageError("off windows must be [start, end] pairs")
             windows.append((entry, w_lo, w_hi))
@@ -341,7 +344,7 @@ def _load_model(config: PipelineConfig) -> tuple[sv.SvarSpec, dict[str, ts.Calen
     spec_path = config.path(section, "spec")
     try:
         spec = sv.SvarSpec.from_json(json.loads(spec_path.read_text(encoding="utf-8")))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise UsageError(f"model spec {spec_path}: invalid JSON: {exc}") from exc
     data_map = section.get("data")
     if not isinstance(data_map, dict) or not data_map:

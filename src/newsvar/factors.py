@@ -16,7 +16,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import AlignmentError, CoverageError, GapError, SeriesError
-from .timeseries import align, CalendarKind, CalendarSeries, Frequency, PeriodLabel
+from .timeseries import align, CalendarKind, CalendarSeries, csv_rows, Frequency, PeriodLabel
 
 __all__ = [
     "WeightScheme",
@@ -161,8 +161,7 @@ def read_wide_panel_csv(
     edges.
     """
     path = Path(path)
-    with path.open(newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
+    with csv_rows(path) as reader:
         header = next(reader, None)
         if header is None or header[0].strip().lower() != "period" or len(header) < 2:
             raise SeriesError(f"{path}: expected header 'period,member1,...'")

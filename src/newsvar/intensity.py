@@ -35,6 +35,7 @@ from .timeseries import (
     align,
     CalendarKind,
     CalendarSeries,
+    csv_rows,
     Frequency,
     lag,
     PeriodLabel,
@@ -404,8 +405,7 @@ def read_counts_csv(path: str | Path) -> ArticleCountPanel:
     cells_to_code: dict[str, int] = {}  # outlet cell -> outlet code, -1 when blank
     codes: dict[str, int] = {}  # outlet name -> code, in order of appearance
     blocks: list[tuple[np.ndarray, ...]] = []
-    with path.open(newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
+    with csv_rows(path) as reader:
         header = next(reader, None)
         if header is None or [h.strip().lower() for h in header[:3]] != [
             "date",
@@ -543,8 +543,7 @@ def read_flows_csv(path: str | Path) -> EntityFlowSeries:
     path = Path(path)
     rows: list[tuple[PeriodLabel, float, float]] = []
     freq: Frequency | None = None
-    with path.open(newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
+    with csv_rows(path) as reader:
         header = next(reader, None)
         if header is None or [h.strip().lower() for h in header[:3]] != [
             "period",

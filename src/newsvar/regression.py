@@ -32,6 +32,8 @@ __all__ = [
     "RegressionFit",
     "StackedLstsq",
     "lstsq_stack",
+    "ChainLstsq",
+    "lstsq_chain",
     "ols",
     "BreuschGodfreyResult",
     "breusch_godfrey",
@@ -129,9 +131,7 @@ def lstsq_stack(X: np.ndarray, Y: np.ndarray) -> StackedLstsq:
     # beside it, without ever forming Q
     R_aug = np.linalg.qr(XY, mode="r")
     R = R_aug[:, :k, :k]
-    S = np.linalg.svd(R, compute_uv=False)
-    tol = S.max(axis=-1, keepdims=True) * max(n, k) * np.finfo(float).eps
-    rank = np.count_nonzero(S > tol, axis=-1)
+    rank = _rank(R, n)
     full = rank == k
     all_full = full.all()
     # R is upper triangular, so the LU solve below is plain back substitution
@@ -143,6 +143,70 @@ def lstsq_stack(X: np.ndarray, Y: np.ndarray) -> StackedLstsq:
         for arr in (coefficients, residuals, ssr):
             arr[~full] = np.nan
     return StackedLstsq(coefficients, residuals, ssr, rank, R)
+
+
+def _rank(R: np.ndarray, n: int) -> np.ndarray:
+    """Ranks of n-row designs from their (C, k, k) triangular QR factors.
+
+    :func:`numpy.linalg.matrix_rank`'s default rule: the count of singular
+    values above ``S.max() * max(n, k) * eps``.  A design and its R factor
+    have the same singular values.
+    """
+    S = np.linalg.svd(R, compute_uv=False)
+    tol = S.max(axis=-1, keepdims=True) * max(n, R.shape[-1]) * np.finfo(float).eps
+    return np.count_nonzero(S > tol, axis=-1)
+
+
+class ChainLstsq(NamedTuple):
+    """Least-squares fits of a chain of nested designs; see :func:`lstsq_chain`.
+
+    ``coefficients`` is (C, P, J) with P the widest design's width: fit j's
+    coefficients fill rows ``:p_j`` of column j and the rows below are 0.
+    ``ssr`` is (C, J) and ``full_rank`` (C,) the rank verdict of the widest
+    design.  Where that verdict is False (or A holds a non-finite value) the
+    coefficients and SSR are NaN.
+    """
+
+    coefficients: np.ndarray
+    ssr: np.ndarray
+    full_rank: np.ndarray
+
+
+def lstsq_chain(A: np.ndarray, fits: Sequence[tuple[int, int]]) -> ChainLstsq:
+    """Regressions of column ``c_j`` of ``A[c]`` on its first ``p_j`` columns,
+    for every fit ``(p_j, c_j)`` in ``fits`` and every c, from one QR.
+
+    ``A`` is (C, n, K) with ``p_j <= c_j < K <= n``: each design is a prefix
+    of the columns and each dependent column lies beyond it.  With
+    ``A = QR``, fit j's coefficients solve ``R[:p_j, :p_j] b = R[:p_j, c_j]``
+    and its SSR is the sum of ``R[i, c_j]**2`` over ``p_j <= i <= c_j``.
+    The rank is :func:`lstsq_stack`'s rule applied once, to the widest
+    design: singular values interlace under column deletion, so a full-rank
+    verdict there holds for every prefix.
+    """
+    A = np.asarray(A, dtype=float)
+    C, n, K = A.shape
+    p = np.array([width for width, _ in fits])
+    c = np.array([column for _, column in fits])
+    if not (np.all(0 < p) and np.all(p <= c) and np.all(c < K) and K <= n):
+        raise ValueError(f"fits {list(fits)} do not fit a ({n}, {K}) chain")
+    P = int(p.max())
+    finite = np.isfinite(A).all(axis=(1, 2))
+    if not finite.all():
+        A = np.where(finite[:, None, None], A, 0.0)  # rank 0 below
+    R = np.linalg.qr(A, mode="r")
+    full = _rank(R[:, :P, :P], n) == P
+    all_full = full.all()
+    RP = R[:, :P, :P] if all_full else np.where(full[:, None, None], R[:, :P, :P], np.eye(P))
+    rows = np.arange(K)[:, None]
+    # one back substitution serves every fit: zeros below row p_j of the
+    # right-hand side give exact zeros there, and the leading-block solve above
+    coefficients = np.linalg.solve(RP, np.where(rows[:P] < p, R[:, :P, c], 0.0))
+    ssr = np.where(rows >= p, R[:, :, c] ** 2, 0.0).sum(axis=1)
+    if not all_full:
+        coefficients[~full] = np.nan
+        ssr[~full] = np.nan
+    return ChainLstsq(coefficients, ssr, full)
 
 
 def _dependent_columns(design: np.ndarray, names: Sequence[str], rank: int) -> list[str]:

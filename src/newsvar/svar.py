@@ -11,12 +11,13 @@ as dependent variables in the endogenous block.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
+from functools import cached_property
 from typing import Mapping, NamedTuple
 
 import numpy as np
 
 from .errors import ModelSpecError, SampleError
-from .regression import ArFit, ar_fit, lstsq_stack, ols, RegressionFit
+from .regression import ArFit, ar_fit, lstsq_chain, lstsq_stack, ols, RegressionFit
 from .timeseries import align, CalendarSeries, PeriodLabel
 
 __all__ = [
@@ -85,6 +86,8 @@ class SvarSpec:
             if eq not in self.ordering:
                 raise ModelSpecError(f"extra lags reference unknown equation {eq!r}")
             base = self.base_lags(eq)
+            if len(set(terms)) != len(terms):
+                raise ModelSpecError(f"extra lags of {eq!r} list a term twice")
             for name, lag_ in terms:
                 if name not in self.ordering:
                     raise ModelSpecError(f"extra lag references unknown variable {name!r}")
@@ -142,6 +145,16 @@ class SvarSpec:
             terms.append((self.intervention_name, 1))
         terms.extend((c, 0) for c in self.controls)
         return terms
+
+    @cached_property
+    def _terms(self) -> tuple[tuple[tuple[str, int], ...], ...]:
+        """:meth:`equation_regressors` of every equation, in the ordering."""
+        return tuple(tuple(self.equation_regressors(eq)) for eq in self.ordering)
+
+    @cached_property
+    def _chains(self) -> tuple["_Chain", ...]:
+        """The equations grouped by nested designs; see :func:`_equation_chains`."""
+        return _equation_chains(self)
 
     def to_json(self) -> dict[str, object]:
         return {
@@ -418,10 +431,66 @@ def estimate_svar(
     return replace(est, sample_start=start.shift(spec.max_lag, frequency))
 
 
+class _Chain(NamedTuple):
+    """Equations whose designs nest, D_1 within D_2 within ... D_r, in causal order.
+
+    ``columns`` lists the chain's terms after the constant:
+    D_1, D_2 minus D_1, ..., D_r minus D_{r-1}, then equation r's own current
+    value.  ``fits`` holds each equation's (design width with the constant,
+    column of its dependent variable), as :func:`lstsq_chain` takes them;
+    every dependent variable but the last is a current-value regressor of a
+    later equation.  ``positions[j]`` gives the chain column of each of
+    equation j's coefficients in :meth:`SvarSpec.equation_regressors` order,
+    the constant (column 0) first.
+    """
+
+    equations: tuple[int, ...]
+    columns: tuple[tuple[str, int], ...]
+    fits: tuple[tuple[int, int], ...]
+    positions: tuple[np.ndarray, ...]
+
+
+def _equation_chains(spec: SvarSpec) -> tuple[_Chain, ...]:
+    """Group the equations into chains of nested designs.
+
+    Equations are taken from the narrowest design up; each joins the first
+    chain whose last design is a subset of its own, or starts a chain.  In a
+    recursive system equation i's design holds every earlier equation's
+    current value, so the designs of a plain lag structure form one chain.
+    """
+    terms = spec._terms
+    groups: list[list[int]] = []
+    for i in sorted(range(spec.m), key=lambda i: len(terms[i])):
+        for group in groups:
+            if set(terms[group[-1]]) <= set(terms[i]):
+                group.append(i)
+                break
+        else:
+            groups.append([i])
+    chains = []
+    for group in groups:
+        columns: list[tuple[str, int]] = []
+        for i in group:
+            columns += [t for t in terms[i] if t not in columns]
+        columns.append((spec.ordering[group[-1]], 0))
+        at = {t: j for j, t in enumerate(columns, start=1)}
+        chains.append(
+            _Chain(
+                equations=tuple(group),
+                columns=tuple(columns),
+                fits=tuple((1 + len(terms[i]), at[(spec.ordering[i], 0)]) for i in group),
+                positions=tuple(np.array([0] + [at[t] for t in terms[i]]) for i in group),
+            )
+        )
+    return tuple(chains)
+
+
 def _design_pool(spec: SvarSpec, Z: np.ndarray) -> tuple[dict[tuple[str, int], np.ndarray], int]:
     """Columns for every (name, lag) the spec can reference, over t = M..N-1.
 
     ``Z`` is (..., N, columns); leading axes carry through to the columns.
+    Raises :class:`SampleError` when some equation has no more observations
+    than regressors.
     """
     names = spec.ordering + (spec.intervention_name,) + spec.controls
     col = {name: i for i, name in enumerate(names)}
@@ -429,13 +498,14 @@ def _design_pool(spec: SvarSpec, Z: np.ndarray) -> tuple[dict[tuple[str, int], n
     N = Z.shape[-2]
     if N <= M:
         raise SampleError("aligned sample shorter than the lag order")
-    pool: dict[tuple[str, int], np.ndarray] = {}
-    wanted: set[tuple[str, int]] = set()
-    for eq in spec.ordering:
-        wanted.update(spec.equation_regressors(eq))
-        wanted.add((eq, 0))
-    for name, lag_ in wanted:
-        pool[(name, lag_)] = Z[..., M - lag_ : N - lag_, col[name]]
+    nobs = N - M
+    for eq, terms in zip(spec.ordering, spec._terms):
+        if nobs <= len(terms) + 1:
+            raise SampleError(
+                f"equation {eq!r} has {len(terms) + 1} regressors but only {nobs} observations"
+            )
+    wanted = {t for chain in spec._chains for t in chain.columns}
+    pool = {(name, lag_): Z[..., M - lag_ : N - lag_, col[name]] for name, lag_ in wanted}
     return pool, M
 
 
@@ -458,9 +528,9 @@ def _structural_blocks(
     gamma1s = np.zeros(batch + (m,))
     Dw = np.zeros(batch + (m, k))
     a_q = np.zeros(batch + (m,))
-    for i, (eq, coef) in enumerate(zip(spec.ordering, coefficients)):
+    for i, (terms, coef) in enumerate(zip(spec._terms, coefficients)):
         a_q[..., i] = coef[..., 0]
-        for j, (name, lag_) in enumerate(spec.equation_regressors(eq), start=1):
+        for j, (name, lag_) in enumerate(terms, start=1):
             if name == spec.intervention_name:
                 (gamma0s if lag_ == 0 else gamma1s)[..., i] = coef[..., j]
             elif name in spec.controls:
@@ -486,12 +556,7 @@ def estimate_svar_arrays(
 
     sigma = np.zeros(m)
     fits = []
-    for i, eq in enumerate(spec.ordering):
-        terms = spec.equation_regressors(eq)
-        if nobs <= len(terms) + 1:
-            raise SampleError(
-                f"equation {eq!r} has {len(terms) + 1} regressors but only {nobs} observations"
-            )
+    for i, (eq, terms) in enumerate(zip(spec.ordering, spec._terms)):
         X = np.column_stack([pool[t] for t in terms]) if terms else None
         fit = ols(pool[(eq, 0)], X, names=tuple(_lag_name(*t) for t in terms))
         fits.append(fit)
@@ -562,8 +627,9 @@ def estimate_svar_stack(
 ) -> SvarStack:
     """:func:`estimate_svar_arrays` for a stack of panels ``Z`` (C, N, m+1+k).
 
-    Each equation, the intervention AR(1) and the control AR(1)s or VAR(1)
-    are fit for the whole stack by one :func:`lstsq_stack` call each.  A
+    Each chain of equations with nested designs is fit for the whole stack
+    by one :func:`lstsq_chain` call (one QR), and the intervention AR(1) and
+    the control AR(1)s or VAR(1) by one :func:`lstsq_stack` call each.  A
     panel whose fit fails does not raise: its ``ok`` flag is cleared.
     """
     m, k = spec.m, len(spec.controls)
@@ -579,19 +645,17 @@ def estimate_svar_stack(
 
     ok = np.ones(C, dtype=bool)
     sigma = np.empty((C, m))
-    coefficients = []
-    for i, eq in enumerate(spec.ordering):
-        terms = spec.equation_regressors(eq)
-        if nobs <= len(terms) + 1:
-            raise SampleError(
-                f"equation {eq!r} has {len(terms) + 1} regressors but only {nobs} observations"
-            )
-        X = np.stack([np.ones((C, nobs))] + [pool[t] for t in terms], axis=-1)
-        fit = lstsq_stack(X, pool[(eq, 0)][..., None])
+    coefficients: dict[int, np.ndarray] = {}
+    for chain in spec._chains:
+        A = np.stack([np.ones((C, nobs))] + [pool[t] for t in chain.columns], axis=-1)
+        fit = lstsq_chain(A, chain.fits)
         ok &= fit.full_rank
-        coefficients.append(fit.coefficients[..., 0])
-        sigma[:, i] = fit.ssr[:, 0] / (nobs - X.shape[2])
-    A0, A1, A2, gamma0s, gamma1s, Dw, a_q = _structural_blocks(spec, coefficients)
+        for j, (i, (width, _), at) in enumerate(zip(chain.equations, chain.fits, chain.positions)):
+            coefficients[i] = fit.coefficients[:, at, j]
+            sigma[:, i] = fit.ssr[:, j] / (nobs - width)
+    A0, A1, A2, gamma0s, gamma1s, Dw, a_q = _structural_blocks(
+        spec, [coefficients[i] for i in range(m)]
+    )
 
     if controls_var1 and k:
         s_rho, s_intercept, s_omega, s_ok = _ar1_stack(Z[:, :, m])

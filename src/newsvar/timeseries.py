@@ -13,10 +13,11 @@ from __future__ import annotations
 
 import csv
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -420,6 +421,17 @@ def series_correlation(a: CalendarSeries, b: CalendarSeries) -> float:
 # ---------------------------------------------------------------------------
 
 
+@contextmanager
+def csv_rows(path: Path) -> Iterator[Iterator[list[str]]]:
+    """A ``csv.reader`` over a UTF-8 file; bytes that do not decode raise
+    :class:`SeriesError` naming the file."""
+    with path.open(newline="", encoding="utf-8") as handle:
+        try:
+            yield csv.reader(handle)
+        except UnicodeDecodeError as exc:
+            raise SeriesError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+
+
 def read_series_csv(
     path: str | Path,
     calendar: CalendarKind = CalendarKind.GREGORIAN,
@@ -429,8 +441,7 @@ def read_series_csv(
     path = Path(path)
     rows: list[tuple[PeriodLabel, float]] = []
     freq: Frequency | None = None
-    with path.open(newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
+    with csv_rows(path) as reader:
         header = next(reader, None)
         if header is None or [h.strip().lower() for h in header[:2]] != ["period", "value"]:
             raise SeriesError(f"{path}: expected header 'period,value'")

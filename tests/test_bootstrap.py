@@ -248,6 +248,32 @@ def test_chunked_bootstrap_matches_one_at_a_time_reference(case):
             assert np.max(np.abs(got - want)) <= 1e-12, (shock, name)
 
 
+def test_chained_bootstrap_bands_match_reference_to_rounding():
+    # the paper's layout: a second own lag of v2 only splits the designs into
+    # chains [v0, v1, v2] and [v3], fit from one QR each instead of four
+    rng = np.random.default_rng(31)
+    truth = random_stable_system(rng, m=4, k=1, radius=0.5)
+    Z = simulate_panel(truth, 127, rng)
+    spec = replace(truth.spec, lags=1, extra_lags={"v2": (("v2", 2),)})
+    est = sv.estimate_svar_arrays(spec, Z)
+    kwargs = dict(
+        horizon=8,
+        replications=40,
+        quantiles=(0.05, 0.95),
+        seed=5,
+        joint_resampling=False,
+        shocked_control=None,
+    )
+    chained = bs._bootstrap_from_matrix(est, Z, spec, **kwargs)
+    reference = bootstrap_reference(est, Z, spec, **kwargs)
+    assert chained.replications == reference.replications == 40
+    for shock in chained.shocks:
+        for name in ("lower", "upper", "median"):
+            got = getattr(chained, name)[shock]
+            want = getattr(reference, name)[shock]
+            assert np.max(np.abs(got - want)) < 1e-14, (shock, name)
+
+
 def test_chunked_bootstrap_matches_reference_across_chunks(monkeypatch):
     # several chunks, the last one partial, give the same bands as one chunk
     _, est, Z, _ = fitted_system(seed=14, T=100)

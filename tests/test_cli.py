@@ -230,6 +230,12 @@ def test_build_index_out_of_range_setting_is_usage_error(index_workspace, capsys
         ({"off_windows": []}, "off_windows"),
         ({"off_windows": [["1989Q1"]]}, "off window must be a [start, end] pair"),
         ({"off_windows": [[None, "1989Q4"]]}, "off windows must be [start, end] pairs"),
+        # window labels must have the target frequency: "1990-03" is not 1990Q3
+        ({"off_windows": [["1990-03", "1990-03"]]}, "expected quarterly"),
+        ({"off_windows": [["1989Q1", "1989Q4"], ["1991Q3", "1992"]]}, "expected quarterly"),
+        ({"normalization_window": ["1989-01", "1990Q4"]}, "expected quarterly"),
+        ({"target_frequency": "monthly", "off_windows": [["1990Q1", "1990Q2"]]}, "expected monthly"),
+        ({"target_frequency": "annual", "normalization_window": [None, "1990Q4"]}, "expected annual"),
     ],
 )
 def test_bad_index_setting_exits_1_before_any_output(index_workspace, capsys, settings, key):
@@ -265,6 +271,13 @@ def test_build_index_malformed_row_is_data_error(index_workspace, capsys):
     config = write_config(index_workspace, {"index": {"on_counts": "bad.csv"}})
     assert cli.main(["build-index", "--config", str(config)]) == 2
     assert ":3" in capsys.readouterr().err
+
+
+def test_build_index_undecodable_counts_file_is_data_error(index_workspace, capsys):
+    (index_workspace / "bad.csv").write_bytes(b"date,outlet,count\n2000-01-01,caf\xff,3\n")
+    config = write_config(index_workspace, {"index": {"on_counts": "bad.csv"}})
+    assert cli.main(["build-index", "--config", str(config)]) == 2
+    assert_one_line_error(capsys, "bad.csv", "not UTF-8")
 
 
 # ---------------------------------------------------------------------------
@@ -316,6 +329,27 @@ def test_estimate_unknown_control_is_data_error(tmp_path, capsys):
     )
     assert cli.main(["estimate", "--config", str(config)]) == 2
     assert "mystery" in capsys.readouterr().err
+
+
+def test_estimate_undecodable_series_file_is_data_error(tmp_path, capsys):
+    truth, data_map = model_workspace(tmp_path)
+    path = tmp_path / data_map[truth.variables[0]]
+    path.write_bytes(path.read_bytes().replace(b"\n1989Q2,", b"\n1989Q2\xff,", 1))
+    config = write_config(tmp_path, {"out_dir": "out", "model": {"spec": "spec.json", "data": data_map}})
+    assert cli.main(["estimate", "--config", str(config)]) == 2
+    assert_one_line_error(capsys, path.name, "not UTF-8")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("target", ["config", "spec"])
+def test_undecodable_json_file_is_usage_error(tmp_path, capsys, target):
+    _, data_map = model_workspace(tmp_path)
+    config = write_config(tmp_path, {"out_dir": "out", "model": {"spec": "spec.json", "data": data_map}})
+    path = config if target == "config" else tmp_path / "spec.json"
+    path.write_bytes(b"\xff" + path.read_bytes())
+    assert cli.main(["estimate", "--config", str(config)]) == 1
+    assert_one_line_error(capsys, path.name, "invalid JSON")
+    assert not (tmp_path / "out").exists()
 
 
 def test_estimate_is_byte_stable(tmp_path):

@@ -1,12 +1,15 @@
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import random_stable_system, simulate_panel
 from newsvar import svar as sv
 from newsvar import timeseries as ts
-from newsvar.errors import ModelSpecError, SampleError
+from newsvar.errors import ModelSpecError, NewsvarError, SampleError
 from newsvar.regression import ArFit
 
 
@@ -58,6 +61,8 @@ def test_spec_validation():
         sv.SvarSpec(ordering=("a", "b"), extra_lags={"a": (("c", 2),)})
     with pytest.raises(ModelSpecError):
         sv.SvarSpec(ordering=("a", "b"), lags=2, extra_lags={"a": (("b", 2),)})
+    with pytest.raises(ModelSpecError, match="twice"):
+        sv.SvarSpec(ordering=("a", "b"), lags=1, extra_lags={"a": (("b", 2), ("b", 2))})
 
 
 def test_spec_reproduces_published_inflation_equation_layout():
@@ -334,3 +339,140 @@ def test_estimate_json_export():
     assert np.array_equal(np.array(payload["A0"]), est.A0)
     assert payload["controls_process"]["kind"] == "ar1"
     json.dumps(payload)  # serializable
+
+
+# ---------------------------------------------------------------------------
+# stacked estimation: nested designs share one QR
+# ---------------------------------------------------------------------------
+
+CHAIN_PROPERTY = settings(max_examples=80, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def chain_problems(draw):
+    """A spec whose designs may or may not nest, a flag and a (5, 40, columns)
+    stack: a clean panel, then one with a constant series, a duplicated
+    column, a NaN cell and a column equal to another up to 1e-6 relative noise."""
+    m = draw(st.integers(1, 5), label="m")
+    k = draw(st.integers(0, 2), label="k")
+    ordering = tuple(f"v{i}" for i in range(m))
+    lag_order = st.sampled_from([1, 2])
+    if draw(st.booleans(), label="shared lags"):
+        lags = draw(lag_order)
+        base = dict.fromkeys(ordering, lags)
+    else:
+        lags = base = {eq: draw(lag_order) for eq in ordering}
+    # a second lag in one equation and not in a later one breaks the nesting
+    extra_lags = {}
+    for eq in ordering:
+        if base[eq] == 1:
+            names = draw(st.lists(st.sampled_from(ordering), unique=True, max_size=2))
+            if names:
+                extra_lags[eq] = tuple((name, 2) for name in names)
+    flags = st.tuples(st.booleans(), st.booleans())
+    if draw(st.booleans(), label="shared intervention flags"):
+        intervention = draw(flags)
+    else:
+        intervention = {eq: draw(flags) for eq in ordering}
+    spec = sv.SvarSpec(
+        ordering=ordering,
+        lags=lags,
+        extra_lags=extra_lags,
+        intervention=intervention,
+        controls=tuple(f"g{j}" for j in range(k)),
+    )
+    width = m + 1 + k
+    column = st.integers(0, width - 1)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    Z = rng.normal(size=(5, 40, width))
+    Z[1, :, draw(column, label="constant")] = 0.25
+    source = draw(column, label="source")
+    target = draw(column.filter(lambda j: j != source), label="target")
+    Z[2, :, target] = Z[2, :, source]
+    Z[3, draw(st.integers(0, 39), label="NaN row"), draw(column, label="NaN column")] = np.nan
+    Z[4, :, target] = Z[4, :, source] * (1 + 1e-6 * rng.normal(size=40))
+    return spec, draw(st.booleans(), label="controls_var1"), Z
+
+
+def equation_designs(spec, Z):
+    """Each equation's design, intercept first, built from the spec's terms."""
+    names = spec.ordering + (spec.intervention_name,) + spec.controls
+    M, N = spec.max_lag, Z.shape[0]
+    return [
+        np.column_stack(
+            [np.ones(N - M)]
+            + [Z[M - lag_ : N - lag_, names.index(name)] for name, lag_ in spec.equation_regressors(eq)]
+        )
+        for eq in spec.ordering
+    ]
+
+
+@CHAIN_PROPERTY
+@given(chain_problems())
+def test_stacked_estimate_matches_equation_by_equation(problem):
+    spec, controls_var1, Z = problem
+    stack = sv.estimate_svar_stack(spec, Z, controls_var1=controls_var1)
+    for c in range(Z.shape[0]):
+        designs = equation_designs(spec, Z[c])
+        full_rank = all(
+            np.isfinite(X).all() and np.linalg.matrix_rank(X) == X.shape[1] for X in designs
+        )
+        try:
+            est = sv.estimate_svar_arrays(spec, Z[c], controls_var1=controls_var1)
+        except NewsvarError:
+            est = None
+        assert stack.ok[c] == (full_rank and est is not None), c
+        if not stack.ok[c]:
+            continue
+        # backward-stable solvers agree to O(cond^2 eps): 1e-10 on the well
+        # conditioned panels, looser only where a column is nearly collinear
+        cond = max(np.linalg.cond(X) for X in designs)
+        tol = max(1e-10, cond**2 * np.finfo(float).eps)
+        want = sv.SvarStack.of(est)
+        for f in fields(sv.SvarStack):
+            if f.name in ("spec", "ok"):
+                continue
+            got, ref = getattr(stack, f.name)[c], getattr(want, f.name)[0]
+            scale = max(1.0, float(np.abs(ref).max(initial=0.0)))
+            assert np.max(np.abs(got - ref), initial=0.0) <= tol * scale, (c, f.name)
+
+
+@pytest.mark.parametrize(
+    "spec_json, controls_var1, chains, exogenous",
+    [
+        # the stress_bands shape: one chain of six equations; s AR(1), control VAR(1)
+        (
+            {"ordering": [f"q{i}" for i in range(1, 7)], "lags": 2, "controls": ["g1", "g2"]},
+            True,
+            1,
+            2,
+        ),
+        # the paper_bands shape: chains [de, dm, dp] and [dy]; one stacked AR(1) fit
+        (
+            {
+                "ordering": ["de", "dm", "dp", "dy"],
+                "lags": 1,
+                "per_equation_extras": {"dp": [["dp", 2]]},
+                "controls": ["dyw"],
+            },
+            False,
+            2,
+            1,
+        ),
+    ],
+)
+def test_stacked_estimate_factorizes_once_per_chain(monkeypatch, spec_json, controls_var1, chains, exogenous):
+    spec = sv.SvarSpec.from_json(spec_json)
+    Z = np.random.default_rng(0).normal(size=(3, 60, spec.m + 1 + len(spec.controls)))
+    calls = {"qr": 0, "svd": 0}
+    for name in calls:
+        real = getattr(np.linalg, name)
+
+        def counted(*args, _name=name, _real=real, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    stack = sv.estimate_svar_stack(spec, Z, controls_var1=controls_var1)
+    assert stack.ok.all()
+    assert calls == {"qr": chains + exogenous, "svd": chains + exogenous}

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from newsvar import factors, intensity
 from newsvar import timeseries as ts
 from newsvar.errors import AlignmentError, DomainError, FrequencyError, SeriesError
 
@@ -307,3 +308,19 @@ def test_csv_reports_bad_value_line(tmp_path):
     p.write_text("period,value\n1989,1.0\n1990,oops\n", encoding="utf-8")
     with pytest.raises(SeriesError, match=":3"):
         ts.read_series_csv(p)
+
+
+@pytest.mark.parametrize(
+    "reader, header",
+    [
+        (ts.read_series_csv, b"period,value"),
+        (intensity.read_counts_csv, b"date,outlet,count"),
+        (intensity.read_flows_csv, b"period,additions,removals"),
+        (factors.read_wide_panel_csv, b"period,a"),
+    ],
+)
+def test_csv_readers_refuse_undecodable_bytes(tmp_path, reader, header):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(header + b"\n1990,caf\xe9,1\n")
+    with pytest.raises(SeriesError, match="latin1.csv: not UTF-8 text"):
+        reader(path)
