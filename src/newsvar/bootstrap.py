@@ -20,7 +20,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .dynamics import build_stacked, irf_all, stacked_responses
+from .dynamics import _shock_columns, build_stacked, stacked_responses
 from .errors import BootstrapError, ModelSpecError, SampleError
 from .svar import aligned_matrix, ControlsVar1, estimate_svar_stack, SvarEstimate, SvarSpec
 from .timeseries import CalendarSeries
@@ -153,10 +153,8 @@ def _bootstrap_from_matrix(
     B1T = (P0inv @ system.Psi1).T
     B2T = (P0inv @ system.Psi2).T
     c = P0inv @ system.intercept
-    point = irf_all(est, horizon, shocked_control, method="stacked")
-    shocks = point.shocks
+    shocks, shock_cols = _shock_columns(est, shocked_control)
     m = est.m
-    shock_cols = [system.labels.index(name) for name in shocks]
     widest = max(1 + len(spec.equation_regressors(eq)) for eq in spec.ordering)
     chunk = max(1, CHUNK_DESIGN_BYTES // (8 * n_obs * widest))
 

@@ -3,8 +3,12 @@
 Two computation routes produce identical numbers: the direct route works on
 the domestic-block moving average with convolution terms for the exogenous
 intervention and global processes; the stacked route embeds those processes
-as extra equations in one big recursion.  Agreement between the two is a
-standing invariant checked by the test suite.
+as extra equations in one big recursion.  Either route yields one array of
+unit-innovation responses, from which the impulse responses, the variance
+shares and the cross-check between the routes all follow; the stationarity
+verdict comes from the stacked companion's eigenvalue moduli, taken once per
+call.  Agreement between the routes is a standing invariant checked by the
+test suite.
 """
 
 from __future__ import annotations
@@ -12,9 +16,9 @@ from __future__ import annotations
 import csv
 import json
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -28,12 +32,8 @@ __all__ = [
     "g_recursion",
     "build_stacked",
     "stacked_responses",
-    "irf_domestic",
-    "irf_sanction",
-    "irf_global",
     "irf_all",
     "fevd",
-    "stacked_dynamics",
     "max_method_deviation",
     "write_irf_csv",
     "write_fevd_csv",
@@ -186,16 +186,24 @@ def _stacked_moduli(system: StackedSystem) -> np.ndarray:
     return np.abs(np.linalg.eigvals(companion))
 
 
-def _warn_if_nonstationary(est: SvarEstimate) -> None:
-    moduli = _stacked_moduli(build_stacked(est))
+def _check_stationary(system: StackedSystem, refuse: bool) -> None:
+    """The stationarity verdict: responses warn, variance shares refuse."""
+    moduli = _stacked_moduli(system)
     top = float(np.max(moduli))
-    if top >= 1.0 - _STATIONARITY_TOL:
-        warnings.warn(
-            f"system is nonstationary (max eigenvalue modulus {top:.6f}); "
-            "impulse responses may diverge",
-            RuntimeWarning,
-            stacklevel=3,
+    if top < 1.0 - _STATIONARITY_TOL:
+        return
+    if refuse:
+        ranked = ", ".join(f"{v:.6f}" for v in sorted(moduli, reverse=True)[:4])
+        raise NonstationaryError(
+            "variance decomposition refused: companion eigenvalue moduli "
+            f"reach {top:.6f} (largest: {ranked})"
         )
+    warnings.warn(
+        f"system is nonstationary (max eigenvalue modulus {top:.6f}); "
+        "impulse responses may diverge",
+        RuntimeWarning,
+        stacklevel=3,
+    )
 
 
 def _domestic_ma(est: SvarEstimate, horizon: int) -> np.ndarray:
@@ -206,92 +214,98 @@ def _domestic_ma(est: SvarEstimate, horizon: int) -> np.ndarray:
     return G @ np.linalg.inv(est.A0)
 
 
-def _sanction_ma(est: SvarEstimate, horizon: int) -> np.ndarray:
-    """Convolution coefficients b_h of a unit intervention innovation."""
-    if est.s_process.order != 1:
-        raise ModelSpecError("intervention process must be first order")
+def _direct_ma(est: SvarEstimate, horizon: int, control: str | None) -> np.ndarray:
+    """Unit-innovation responses (shocks, H+1, m) from the domestic moving average.
+
+    The intervention and control shocks reach the domestic block through
+    their loadings at each lag, convolved with G_h A0^{-1}.
+    """
     rho = float(est.s_process.coefficients[0])
     if abs(rho) >= 1.0:
-        raise NonstationaryError(
-            f"intervention process is nonstationary (rho = {rho:.4f})"
-        )
-    GA = _domestic_ma(est, horizon)
-    # d_l: loading of the innovation on the intervention terms at lag l;
-    # GA already carries the A0 inverse.
-    d = np.empty((horizon + 1, est.m))
-    d[0] = est.gamma0s
+        raise NonstationaryError(f"intervention process is nonstationary (rho = {rho:.4f})")
+    m = est.m
+    loads = np.empty((1 if control is None else 2, horizon + 1, m))
+    loads[0, 0] = est.gamma0s
     for ell in range(1, horizon + 1):
-        d[ell] = rho**ell * est.gamma0s + rho ** (ell - 1) * est.gamma1s
-    b = np.empty((horizon + 1, est.m))
-    for h in range(horizon + 1):
-        b[h] = sum(GA[h - ell] @ d[ell] for ell in range(h + 1))
-    return b
-
-
-def _global_ma(est: SvarEstimate, horizon: int, control: str) -> np.ndarray:
-    """Convolution coefficients kappa_h of a unit shock to one control."""
-    if control not in est.controls:
-        raise ModelSpecError(f"control {control!r} not in the specification")
-    R, _, _ = est.controls_transition()
-    if R.size and np.max(np.abs(np.linalg.eigvals(R))) >= 1.0:
-        raise NonstationaryError("control process is nonstationary")
-    c_idx = est.controls.index(control)
-    GA = _domestic_ma(est, horizon)
-    e_c = np.zeros(est.k)
-    e_c[c_idx] = 1.0
-    kappa = np.empty((horizon + 1, est.m))
-    r_l = e_c
-    feed = []  # Dw R^l e_c at each lag; GA already carries the A0 inverse
-    for _ in range(horizon + 1):
-        feed.append(est.Dw @ r_l)
-        r_l = R @ r_l
-    for h in range(horizon + 1):
-        kappa[h] = sum(GA[h - ell] @ feed[ell] for ell in range(h + 1))
-    return kappa
-
-
-def _resolve_control(est: SvarEstimate, shocked_control: str | None) -> str | None:
-    if shocked_control is not None:
-        if shocked_control not in est.controls:
-            raise ModelSpecError(f"control {shocked_control!r} not in the specification")
-        return shocked_control
-    return est.controls[0] if est.controls else None
-
-
-def irf_domestic(est: SvarEstimate, shock: str, horizon: int) -> np.ndarray:
-    """Responses to a one-standard-error shock in one domestic equation."""
-    if shock not in est.variables:
-        raise ModelSpecError(f"unknown domestic shock {shock!r}")
-    _warn_if_nonstationary(est)
-    j = est.variables.index(shock)
-    GA = _domestic_ma(est, horizon)
-    return float(np.sqrt(est.sigma[j])) * GA[:, :, j]
-
-
-def irf_sanction(est: SvarEstimate, horizon: int) -> np.ndarray:
-    """Responses to a one-standard-error intervention innovation."""
-    out = est.s_process.omega * _sanction_ma(est, horizon)
-    _warn_if_nonstationary(est)
-    return out
-
-
-def irf_global(est: SvarEstimate, horizon: int, control: str | None = None) -> np.ndarray:
-    """Responses to a one-standard-error innovation in one global control."""
-    name = _resolve_control(est, control)
-    if name is None:
-        raise ModelSpecError("specification has no controls to shock")
-    _, _, omegas = est.controls_transition()
-    omega = float(omegas[est.controls.index(name)])
-    out = omega * _global_ma(est, horizon, name)
-    _warn_if_nonstationary(est)
-    return out
-
-
-def _shock_names(est: SvarEstimate, control: str | None) -> tuple[str, ...]:
-    shocks = est.variables + (est.spec.intervention_name,)
+        loads[0, ell] = rho**ell * est.gamma0s + rho ** (ell - 1) * est.gamma1s
     if control is not None:
-        shocks = shocks + (control,)
-    return shocks
+        R, _, _ = est.controls_transition()
+        r_l = np.zeros(est.k)
+        r_l[est.controls.index(control)] = 1.0
+        for ell in range(horizon + 1):
+            loads[1, ell] = est.Dw @ r_l
+            r_l = R @ r_l
+    GA = _domestic_ma(est, horizon)
+    out = np.zeros((m + len(loads), horizon + 1, m))
+    out[:m] = GA.transpose(2, 0, 1)
+    for e, load in enumerate(loads, start=m):
+        for ell in range(horizon + 1):
+            out[e, ell:] += GA[: horizon + 1 - ell] @ load[ell]
+    return out
+
+
+def _shock_columns(
+    est: SvarEstimate, shocked_control: str | None
+) -> tuple[tuple[str, ...], list[int]]:
+    """Shock names and their columns in the stacked system: the domestic
+    shocks, the intervention, then the shocked control (by default the first
+    control, if any)."""
+    if shocked_control is not None and shocked_control not in est.controls:
+        raise ModelSpecError(f"control {shocked_control!r} not in the specification")
+    shocks = est.variables + (est.spec.intervention_name,)
+    cols = list(range(est.m + 1))
+    if est.controls:
+        control = shocked_control or est.controls[0]
+        shocks += (control,)
+        cols.append(est.m + 1 + est.controls.index(control))
+    return shocks, cols
+
+
+class _Responses(NamedTuple):
+    """One route's responses: ``scales[i] * unscaled[i]`` is the response
+    (H+1, m) to a one-standard-error shock i, whose variance is
+    ``variances[i]``."""
+
+    shocks: tuple[str, ...]
+    scales: np.ndarray
+    variances: np.ndarray
+    unscaled: np.ndarray  # (shocks, H+1, m)
+
+
+def _responses(
+    est: SvarEstimate,
+    system: StackedSystem,
+    horizon: int,
+    shocked_control: str | None,
+    method: str,
+) -> _Responses:
+    shocks, cols = _shock_columns(est, shocked_control)
+    control = shocks[-1] if est.controls else None
+    if method == "direct":
+        unscaled = _direct_ma(est, horizon, control)
+    elif method == "stacked":
+        # unit shocks; the scales are applied by the caller
+        unit = replace(system, scales=np.ones_like(system.scales))
+        unscaled = stacked_responses(unit, horizon, cols, est.m)
+    else:
+        raise ValueError(f"unknown method {method!r}")
+    scales = [float(np.sqrt(v)) for v in est.sigma] + [float(est.s_process.omega)]
+    variances = list(est.sigma) + [est.s_process.omega**2]
+    if control is not None:
+        _, _, sds = est.controls_transition()
+        sd = float(sds[est.controls.index(control)])
+        scales.append(sd)
+        variances.append(sd**2)
+    return _Responses(shocks, np.array(scales), np.array(variances), unscaled)
+
+
+def _shares(r: _Responses) -> np.ndarray:
+    """Variance shares (H+1, m, shocks): each shock's cumulated squared
+    responses over their sum across shocks."""
+    contrib = np.stack(
+        [v * np.cumsum(u**2, axis=0) for v, u in zip(r.variances, r.unscaled)], axis=-1
+    )
+    return contrib / contrib.sum(axis=-1, keepdims=True)
 
 
 def irf_all(
@@ -301,46 +315,17 @@ def irf_all(
     method: str = "direct",
 ) -> IrfResult:
     """All shock responses in one result; ``method`` picks the computation route."""
-    if method == "stacked":
-        irf, _ = stacked_dynamics(est, horizon, shocked_control, want_fevd=False)
-        return irf
-    if method != "direct":
-        raise ValueError(f"unknown method {method!r}")
-    control = _resolve_control(est, shocked_control)
-    _, _, omegas = est.controls_transition()
-    responses: dict[str, np.ndarray] = {}
-    scales: dict[str, float] = {}
-    GA = _domestic_ma(est, horizon)
-    for j, name in enumerate(est.variables):
-        scales[name] = float(np.sqrt(est.sigma[j]))
-        responses[name] = scales[name] * GA[:, :, j]
-    s_name = est.spec.intervention_name
-    scales[s_name] = float(est.s_process.omega)
-    responses[s_name] = scales[s_name] * _sanction_ma(est, horizon)
-    if control is not None:
-        omega = float(omegas[est.controls.index(control)])
-        scales[control] = omega
-        responses[control] = omega * _global_ma(est, horizon, control)
-    _warn_if_nonstationary(est)
+    system = build_stacked(est)
+    r = _responses(est, system, horizon, shocked_control, method)
+    _check_stationary(system, refuse=False)
     return IrfResult(
         horizon=horizon,
         variables=est.variables,
-        shocks=_shock_names(est, control),
-        responses=responses,
-        scales=scales,
-        method="direct",
+        shocks=r.shocks,
+        responses={name: r.scales[i] * r.unscaled[i] for i, name in enumerate(r.shocks)},
+        scales={name: float(r.scales[i]) for i, name in enumerate(r.shocks)},
+        method=method,
     )
-
-
-def _require_stationary(est: SvarEstimate) -> None:
-    moduli = _stacked_moduli(build_stacked(est))
-    top = float(np.max(moduli))
-    if top >= 1.0 - _STATIONARITY_TOL:
-        ranked = ", ".join(f"{v:.6f}" for v in sorted(moduli, reverse=True)[:4])
-        raise NonstationaryError(
-            "variance decomposition refused: companion eigenvalue moduli "
-            f"reach {top:.6f} (largest: {ranked})"
-        )
 
 
 def fevd(
@@ -354,103 +339,32 @@ def fevd(
     When several controls are present only the designated one carries a
     shock; the rest are treated as deterministic paths and get no column.
     """
-    if method == "stacked":
-        _, result = stacked_dynamics(est, horizon, shocked_control, want_irf=False)
-        return result
-    if method != "direct":
-        raise ValueError(f"unknown method {method!r}")
-    _require_stationary(est)
-    control = _resolve_control(est, shocked_control)
-    GA = _domestic_ma(est, horizon)
-    numerators = []
-    for j in range(est.m):
-        numerators.append(est.sigma[j] * np.cumsum(GA[:, :, j] ** 2, axis=0))
-    b = _sanction_ma(est, horizon)
-    numerators.append(est.s_process.omega**2 * np.cumsum(b**2, axis=0))
-    if control is not None:
-        _, _, omegas = est.controls_transition()
-        omega = float(omegas[est.controls.index(control)])
-        kappa = _global_ma(est, horizon, control)
-        numerators.append(omega**2 * np.cumsum(kappa**2, axis=0))
-    stackednum = np.stack(numerators, axis=-1)  # (H+1, m, n_shocks)
-    denom = stackednum.sum(axis=-1, keepdims=True)
-    shares = stackednum / denom
-    shocks = _shock_names(est, control)
+    system = build_stacked(est)
+    _check_stationary(system, refuse=True)
+    r = _responses(est, system, horizon, shocked_control, method)
+    shares = _shares(r)
     return FevdResult(
         horizon=horizon,
         variables=est.variables,
-        shocks=shocks,
+        shocks=r.shocks,
         shares={v: shares[:, i, :] for i, v in enumerate(est.variables)},
-        method="direct",
+        method=method,
     )
-
-
-def stacked_dynamics(
-    est: SvarEstimate,
-    horizon: int,
-    shocked_control: str | None = None,
-    want_irf: bool = True,
-    want_fevd: bool = True,
-) -> tuple[IrfResult | None, FevdResult | None]:
-    """IRFs and FEVDs from the stacked recursion over all equations at once."""
-    system = build_stacked(est)
-    control = _resolve_control(est, shocked_control)
-    m = est.m
-    shock_cols = list(range(m)) + [m]
-    if control is not None:
-        shock_cols.append(m + 1 + est.controls.index(control))
-    shocks = _shock_names(est, control)
-    blocks = stacked_responses(system, horizon, shock_cols, m)  # (shocks, H+1, m)
-
-    irf_result = None
-    if want_irf:
-        _warn_if_nonstationary(est)
-        irf_result = IrfResult(
-            horizon=horizon,
-            variables=est.variables,
-            shocks=shocks,
-            responses={name: blocks[i] for i, name in enumerate(shocks)},
-            scales={name: float(system.scales[col]) for name, col in zip(shocks, shock_cols)},
-            method="stacked",
-        )
-
-    fevd_result = None
-    if want_fevd:
-        _require_stationary(est)
-        contrib = np.moveaxis(np.cumsum(blocks**2, axis=1), 0, -1)  # (H+1, m, n_shocks)
-        denom = contrib.sum(axis=-1, keepdims=True)
-        shares = contrib / denom
-        fevd_result = FevdResult(
-            horizon=horizon,
-            variables=est.variables,
-            shocks=shocks,
-            shares={v: shares[:, i, :] for i, v in enumerate(est.variables)},
-            method="stacked",
-        )
-    return irf_result, fevd_result
 
 
 def max_method_deviation(
     est: SvarEstimate, horizon: int, shocked_control: str | None = None
 ) -> float:
-    """Largest absolute difference between the direct and stacked routes."""
-    direct_irf = irf_all(est, horizon, shocked_control, method="direct")
-    stacked_irf, stacked_fv = stacked_dynamics(est, horizon, shocked_control)
-    worst = 0.0
-    for shock in direct_irf.shocks:
-        worst = max(
-            worst,
-            float(np.max(np.abs(direct_irf.responses[shock] - stacked_irf.responses[shock]))),
-        )
-    try:
-        direct_fv = fevd(est, horizon, shocked_control, method="direct")
-    except NonstationaryError:
-        return worst
-    for var in direct_fv.variables:
-        worst = max(
-            worst, float(np.max(np.abs(direct_fv.shares[var] - stacked_fv.shares[var])))
-        )
-    return worst
+    """Largest absolute difference between the direct and stacked routes,
+    over the responses and the variance shares."""
+    system = build_stacked(est)
+    _check_stationary(system, refuse=True)
+    routes = [
+        _responses(est, system, horizon, shocked_control, route) for route in ("direct", "stacked")
+    ]
+    irfs = [r.scales[:, None, None] * r.unscaled for r in routes]
+    shares = [_shares(r) for r in routes]
+    return float(max(np.max(np.abs(irfs[0] - irfs[1])), np.max(np.abs(shares[0] - shares[1]))))
 
 
 # ---------------------------------------------------------------------------

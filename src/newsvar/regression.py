@@ -371,13 +371,6 @@ class ArFit:
     omega: float
     fit: RegressionFit | None = None
 
-    def companion_stable(self) -> bool:
-        companion = np.zeros((self.order, self.order))
-        companion[0, :] = self.coefficients
-        if self.order > 1:
-            companion[1:, :-1] = np.eye(self.order - 1)
-        return bool(np.max(np.abs(np.linalg.eigvals(companion))) < 1.0)
-
 
 def ar_fit(series: CalendarSeries | np.ndarray, p: int = 1) -> ArFit:
     """Fit an AR(p) by OLS; ``omega`` is the residual standard error."""

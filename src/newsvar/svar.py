@@ -307,9 +307,6 @@ class SvarEstimate:
     def k(self) -> int:
         return len(self.controls)
 
-    def Sigma(self) -> np.ndarray:
-        return np.diag(self.sigma)
-
     def controls_transition(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(transition, intercepts, innovation sds) for the control block."""
         k = self.k

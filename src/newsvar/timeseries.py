@@ -196,9 +196,6 @@ class CalendarSeries:
             )
         return offset
 
-    def value_at(self, label: PeriodLabel) -> float:
-        return float(self.values[self.index_of(label)])
-
     def window(self, start: PeriodLabel | None, end: PeriodLabel | None) -> "CalendarSeries":
         """Slice inclusive of both endpoints (None keeps that edge)."""
         i = 0 if start is None else self.index_of(start)

@@ -193,7 +193,7 @@ def test_criterion_06_printed_value_arithmetic():
     median_intensity = 0.16
     median_impact = median_intensity * float(np.linalg.solve(planted.A0, planted.gamma0s)[0])
     checks.append(("median-intensity impact", median_impact, 0.047 <= median_impact <= 0.050))
-    one_se_impact = float(dyn.irf_sanction(planted, 0)[0, 0])
+    one_se_impact = float(dyn.irf_all(planted, 0).responses["s"][0, 0])
     checks.append(("one-s.e. impact", one_se_impact, 0.03 <= one_se_impact <= 0.04))
     reversal = median_intensity * 0.245
     checks.append(("next-quarter reversal", reversal, abs(reversal - 0.038) <= 2e-3))

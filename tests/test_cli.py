@@ -418,8 +418,10 @@ def test_dynamics_bootstrap_bands_deterministic(tmp_path):
     assert header == "variable,shock,horizon,value,lower,upper"
 
 
-def test_dynamics_nonstationary_fevd_is_data_error(tmp_path, capsys):
-    # an explosive intervention process makes variance shares meaningless
+@pytest.mark.parametrize("method", ["direct", "stacked", "both"])
+def test_dynamics_nonstationary_fevd_is_data_error(tmp_path, capsys, method):
+    # an explosive intervention process makes variance shares meaningless;
+    # every route refuses with the eigenvalue report, before the cross-check
     labels = quarter_labels(1989, 200)
     rng = np.random.default_rng(5)
     dy = rng.normal(0, 0.02, 200)
@@ -439,6 +441,7 @@ def test_dynamics_nonstationary_fevd_is_data_error(tmp_path, capsys):
                 "spec": "spec.json",
                 "data": {"dy": "dy.csv", "s": "s.csv"},
                 "horizon": 4,
+                "method": method,
             }
         },
     )
@@ -446,6 +449,7 @@ def test_dynamics_nonstationary_fevd_is_data_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert "eigenvalue" in err
+    assert not (tmp_path / "out" / "method_check.json").exists()
 
 
 def bootstrap_config(tmp_path, **bootstrap):

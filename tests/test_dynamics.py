@@ -1,7 +1,12 @@
+import importlib
+import importlib.util
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import oracle_irf, random_stable_system, stacked_true_matrices
 from newsvar import dynamics as dyn
@@ -89,7 +94,7 @@ def test_g_recursion_rejects_bad_shapes():
 def test_domestic_impact_of_first_variable_is_its_scale():
     rng = np.random.default_rng(1)
     est = random_stable_system(rng, m=4, k=1)
-    out = dyn.irf_domestic(est, "v0", 8)
+    out = dyn.irf_all(est, 8).responses["v0"]
     assert out[0, 0] == pytest.approx(np.sqrt(est.sigma[0]), abs=1e-12)
     # nothing precedes the first variable, so only lags carry it onwards
     assert out.shape == (9, 4)
@@ -97,7 +102,7 @@ def test_domestic_impact_of_first_variable_is_its_scale():
 
 def test_domestic_identity_system_single_spike():
     est = diagonal_system(sigma=[4.0, 1.0, 1.0])
-    out = dyn.irf_domestic(est, "v0", 6)
+    out = dyn.irf_all(est, 6).responses["v0"]
     assert out[0, 0] == 2.0
     assert np.allclose(out[1:], 0.0)
     assert np.allclose(out[0, 1:], 0.0)
@@ -107,15 +112,18 @@ def test_domestic_matches_simulation_oracle():
     rng = np.random.default_rng(2)
     for _ in range(5):
         est = random_stable_system(rng, m=4, k=1)
+        irf = dyn.irf_all(est, 24)
         for shock in est.variables:
-            analytic = dyn.irf_domestic(est, shock, 24)
+            analytic = irf.responses[shock]
             assert np.allclose(analytic, oracle_irf(est, shock, 24), atol=1e-8)
 
 
 def test_unknown_shock_name():
     est = diagonal_system()
     with pytest.raises(ModelSpecError):
-        dyn.irf_domestic(est, "nope", 4)
+        dyn.fevd(est, 4, "nope")
+    with pytest.raises(ModelSpecError):
+        dyn.max_method_deviation(est, 4, "nope")
 
 
 # ---------------------------------------------------------------------------
@@ -126,7 +134,7 @@ def test_unknown_shock_name():
 def test_sanction_impact_formula():
     rng = np.random.default_rng(3)
     est = random_stable_system(rng, m=4, k=1)
-    out = dyn.irf_sanction(est, 6)
+    out = dyn.irf_all(est, 6).responses["s"]
     impact = est.s_process.omega * np.linalg.solve(est.A0, est.gamma0s)
     assert np.allclose(out[0], impact, atol=1e-12)
     # first element: omega_s * gamma0s[0] because A0 is unit lower triangular
@@ -135,15 +143,42 @@ def test_sanction_impact_formula():
 
 def test_sanction_zero_loadings_zero_path():
     est = diagonal_system(rho=0.5, gamma0=[0, 0, 0], gamma1=[0, 0, 0])
-    assert np.all(dyn.irf_sanction(est, 10) == 0.0)
+    assert np.all(dyn.irf_all(est, 10).responses["s"] == 0.0)
 
 
 def test_sanction_matches_simulation_oracle():
     rng = np.random.default_rng(4)
     for _ in range(5):
         est = random_stable_system(rng, m=3, k=1)
-        analytic = dyn.irf_sanction(est, 24)
+        analytic = dyn.irf_all(est, 24).responses["s"]
         assert np.allclose(analytic, oracle_irf(est, "s", 24), atol=1e-8)
+
+
+def test_exogenous_responses_equal_term_by_term_convolution():
+    # the shifted per-lag accumulation adds the same terms in the same order
+    # as the sum over lags at each horizon, so the two agree exactly
+    rng = np.random.default_rng(15)
+    for m, k, horizon in ((1, 1, 0), (3, 1, 16), (4, 2, 24), (6, 2, 40)):
+        est = random_stable_system(rng, m=m, k=k)
+        irf = dyn.irf_all(est, horizon, est.controls[-1])
+        GA = dyn.g_recursion(
+            np.linalg.solve(est.A0, est.A1), np.linalg.solve(est.A0, est.A2), horizon
+        ) @ np.linalg.inv(est.A0)
+        rho = float(est.s_process.coefficients[0])
+        d = [est.gamma0s]
+        for ell in range(1, horizon + 1):
+            d.append(rho**ell * est.gamma0s + rho ** (ell - 1) * est.gamma1s)
+        R, _, sds = est.controls_transition()
+        r_l, feed = np.eye(k)[:, -1], []
+        for _ in range(horizon + 1):
+            feed.append(est.Dw @ r_l)
+            r_l = R @ r_l
+        exogenous = (("s", est.s_process.omega, d), (est.controls[-1], sds[-1], feed))
+        for shock, scale, load in exogenous:
+            loop = np.array(
+                [sum(GA[h - ell] @ load[ell] for ell in range(h + 1)) for h in range(horizon + 1)]
+            )
+            assert np.array_equal(irf.responses[shock], float(scale) * loop)
 
 
 def test_sanction_requires_stationary_process():
@@ -164,7 +199,7 @@ def test_sanction_requires_stationary_process():
         controls_process=est.controls_process,
     )
     with pytest.raises(NonstationaryError):
-        dyn.irf_sanction(bad, 4)
+        dyn.irf_all(bad, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +209,7 @@ def test_sanction_requires_stationary_process():
 
 def test_global_zero_loading_zero_path():
     est = diagonal_system(dw=np.zeros((3, 1)))
-    assert np.all(dyn.irf_global(est, 8) == 0.0)
+    assert np.all(dyn.irf_all(est, 8).responses["g0"] == 0.0)
 
 
 def test_global_one_period_passthrough_when_control_is_white_noise():
@@ -199,7 +234,7 @@ def test_global_one_period_passthrough_when_control_is_white_noise():
             ArFit(order=1, intercept=0.0, coefficients=np.array([0.0]), omega=2.0),
         ),
     )
-    out = dyn.irf_global(est, 5)
+    out = dyn.irf_all(est, 5).responses["g0"]
     assert np.allclose(out[0], 2.0 * delta[:, 0])
     assert np.allclose(out[1:], 0.0)
 
@@ -209,14 +244,14 @@ def test_global_matches_simulation_oracle():
     for _ in range(5):
         est = random_stable_system(rng, m=3, k=2)
         for control in est.controls:
-            analytic = dyn.irf_global(est, 24, control)
+            analytic = dyn.irf_all(est, 24, control).responses[control]
             assert np.allclose(analytic, oracle_irf(est, control, 24), atol=1e-8)
 
 
 def test_global_unknown_control():
     est = diagonal_system()
     with pytest.raises(ModelSpecError):
-        dyn.irf_global(est, 4, "nope")
+        dyn.irf_all(est, 4, "nope")
 
 
 # ---------------------------------------------------------------------------
@@ -234,13 +269,21 @@ def test_fevd_own_shocks_only():
         assert np.allclose(others, 0.0)
 
 
-def test_fevd_rows_sum_to_one():
-    rng = np.random.default_rng(6)
-    for _ in range(10):
-        est = random_stable_system(rng, m=4, k=1)
-        result = dyn.fevd(est, 24)
-        for var in result.variables:
-            assert np.allclose(result.shares[var].sum(axis=1), 1.0, atol=1e-10)
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    m=st.integers(1, 5),
+    k=st.integers(0, 2),
+    horizon=st.integers(0, 30),
+    method=st.sampled_from(["direct", "stacked"]),
+)
+def test_fevd_rows_sum_to_one(seed, m, k, horizon, method):
+    est = random_stable_system(np.random.default_rng(seed), m=m, k=k)
+    result = dyn.fevd(est, horizon, method=method)
+    assert result.shocks == est.variables + ("s",) + est.controls[:1]
+    for var in result.variables:
+        assert result.shares[var].shape == (horizon + 1, len(result.shocks))
+        assert np.allclose(result.shares[var].sum(axis=1), 1.0, rtol=0.0, atol=1e-12)
 
 
 def test_fevd_matches_monte_carlo_variance_shares():
@@ -279,7 +322,7 @@ def test_fevd_refuses_nonstationary_system():
     with pytest.raises(NonstationaryError, match="eigenvalue"):
         dyn.fevd(est, 4)
     with pytest.warns(RuntimeWarning, match="nonstationary"):
-        dyn.irf_domestic(est, "v0", 4)
+        dyn.irf_all(est, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -299,17 +342,9 @@ def test_stacked_equals_direct_everywhere():
 def test_stacked_sanction_column_equals_direct_sanction():
     rng = np.random.default_rng(10)
     est = random_stable_system(rng, m=3, k=1)
-    stacked_irf, _ = dyn.stacked_dynamics(est, 16)
-    direct = dyn.irf_sanction(est, 16)
+    stacked_irf = dyn.irf_all(est, 16, method="stacked")
+    direct = dyn.irf_all(est, 16).responses["s"]
     assert np.allclose(stacked_irf.responses["s"], direct, atol=1e-12)
-
-
-def test_stacked_fevd_rows_sum_to_one():
-    rng = np.random.default_rng(11)
-    est = random_stable_system(rng, m=3, k=1)
-    _, result = dyn.stacked_dynamics(est, 12)
-    for var in result.variables:
-        assert np.allclose(result.shares[var].sum(axis=1), 1.0, atol=1e-12)
 
 
 def test_scale_equivariance():
@@ -341,6 +376,34 @@ def test_scale_equivariance():
         assert np.allclose(fv.shares[var].sum(axis=1), 1.0, atol=1e-12)
 
 
+@pytest.mark.parametrize(
+    "call, g_recursions, eigvals",
+    [
+        (lambda est: dyn.irf_all(est, 24), 1, 1),
+        (lambda est: dyn.fevd(est, 24), 1, 1),
+        (lambda est: dyn.irf_all(est, 24, method="stacked"), 1, 1),
+        (lambda est: dyn.fevd(est, 24, method="stacked"), 1, 1),
+        (lambda est: dyn.max_method_deviation(est, 24), 2, 1),
+    ],
+    ids=["irf_all", "fevd", "irf_all-stacked", "fevd-stacked", "max_method_deviation"],
+)
+def test_one_response_array_per_route(monkeypatch, call, g_recursions, eigvals):
+    # one moving-average recursion per route and one set of companion moduli
+    # per call
+    est = random_stable_system(np.random.default_rng(14), m=4, k=2)
+    calls = {"g_recursion": 0, "eigvals": 0}
+    for owner, name in ((dyn, "g_recursion"), (np.linalg, "eigvals")):
+        real = getattr(owner, name)
+
+        def counted(*args, _name=name, _real=real, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+    call(est)
+    assert calls == {"g_recursion": g_recursions, "eigvals": eigvals}
+
+
 # ---------------------------------------------------------------------------
 # export
 # ---------------------------------------------------------------------------
@@ -363,3 +426,14 @@ def test_irf_csv_and_plot_json(tmp_path):
     fevd_path = tmp_path / "fevd.csv"
     dyn.write_fevd_csv(fv, fevd_path)
     assert fevd_path.read_text(encoding="utf-8").startswith("variable,shock,horizon,value")
+
+
+def test_traced_functions_resolve():
+    # the benchmark's tracer looks these names up on the package by name
+    path = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("bench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for layer, function in tracer.TRACED:
+        module = importlib.import_module(f"{tracer.PACKAGE}.{layer}")
+        assert callable(getattr(module, function, None)), (layer, function)
