@@ -347,6 +347,15 @@ def test_stacked_sanction_column_equals_direct_sanction():
     assert np.allclose(stacked_irf.responses["s"], direct, atol=1e-12)
 
 
+def test_stacked_fevd_rows_sum_to_one():
+    rng = np.random.default_rng(11)
+    est = random_stable_system(rng, m=3, k=1)
+    result = dyn.fevd(est, 12, method="stacked")
+    assert result.method == "stacked"
+    for var in result.variables:
+        assert np.allclose(result.shares[var].sum(axis=1), 1.0, atol=1e-12)
+
+
 def test_scale_equivariance():
     rng = np.random.default_rng(12)
     est = random_stable_system(rng, m=3, k=1)
