@@ -25,7 +25,7 @@ from . import intensity as ix
 from . import regression as reg
 from . import svar as sv
 from . import timeseries as ts
-from .errors import NewsvarError
+from .errors import ModelSpecError, NewsvarError
 
 __all__ = ["main", "PipelineConfig", "UsageError"]
 
@@ -59,14 +59,19 @@ class PipelineConfig:
         if not isinstance(raw, dict):
             raise UsageError("--config: top level must be a JSON object")
         base = path.parent
-        out_dir = Path(out_override) if out_override else base / str(raw.get("out_dir", "out"))
+        out_dir = raw.get("out_dir", "out")
+        if not isinstance(out_dir, str):
+            raise UsageError(f"config key 'out_dir' must be a string, got {out_dir!r}")
+        out_dir = Path(out_override) if out_override else base / out_dir
         seed = seed_override if seed_override is not None else _integer(raw.get("seed", 0), "seed")
         return PipelineConfig(raw=raw, base_dir=base, out_dir=out_dir, seed=seed)
 
     def section(self, name: str) -> Mapping[str, object]:
         section = self.raw.get(name)
-        if not isinstance(section, dict):
+        if section is None:
             raise UsageError(f"config lacks a {name!r} section")
+        if not isinstance(section, dict):
+            raise UsageError(f"config section {name!r} must be an object")
         return section
 
     def path(self, section: Mapping[str, object], key: str, required: bool = True) -> Path | None:
@@ -75,8 +80,22 @@ class PipelineConfig:
             if required:
                 raise UsageError(f"config key {key!r} is required")
             return None
+        return self._file(key, value)
+
+    def paths(self, section: Mapping[str, object], key: str, required: bool) -> dict[str, Path]:
+        """The section's ``{name: CSV path}`` map under ``key``, each path resolved."""
+        mapping = section.get(key, None if required else {})
+        if not isinstance(mapping, dict) or (required and not mapping):
+            raise UsageError(f"config key {key!r} must map names to CSV paths")
+        return {str(name): self._file(f"{key}.{name}", rel) for name, rel in mapping.items()}
+
+    def _file(self, key: str, value: object) -> Path:
         resolved = self.base_dir / str(value)
-        if not resolved.is_file():
+        try:
+            found = resolved.is_file()
+        except OSError:  # e.g. a name longer than the file system allows
+            found = False
+        if not found:
             raise UsageError(f"config key {key!r}: no such file: {resolved}")
         return resolved
 
@@ -207,20 +226,6 @@ def _windowed_off_index(
     )
 
 
-def _netting_settings(section: Mapping[str, object]) -> tuple[float | None, float | None]:
-    """Checked fixed ``weight``, or else the grid search's ``grid_step``."""
-    weight = section.get("weight")
-    if weight is not None:
-        weight = _coerce(float, weight, "weight")
-        if not 0.0 <= weight <= 1.0:
-            raise UsageError(f"config key 'weight' must lie in [0, 1], got {weight}")
-        return weight, None
-    grid_step = _coerce(float, section.get("grid_step", 0.1), "grid_step")
-    if not 0.0 < grid_step < 0.5:
-        raise UsageError(f"config key 'grid_step' must lie in (0, 0.5), got {grid_step}")
-    return None, grid_step
-
-
 class IndexSettings(NamedTuple):
     variant: str
     target: ts.Frequency
@@ -229,12 +234,15 @@ class IndexSettings(NamedTuple):
     off_windows: tuple[tuple[object, ts.PeriodLabel, ts.PeriodLabel], ...] | None
     weight: float | None
     grid_step: float | None
+    on_counts: Path
+    off_counts: Path | None
+    output_growth: Path | None
 
 
-def _index_settings(section: Mapping[str, object]) -> IndexSettings:
-    """Checked ``variant``, ``target_frequency``, ``normalization_window``,
-    ``off_windows`` and netting settings of the index section;
-    ``build-index`` and ``validate`` both read them here."""
+def _index_settings(config: PipelineConfig) -> IndexSettings:
+    """The checked index section, every path present resolved;
+    ``build-index`` and ``validate`` both read it here."""
+    section = config.section("index")
     variant = str(section.get("variant", "simple"))
     if variant not in ("simple", "standardized"):
         raise UsageError(f"index variant must be 'simple' or 'standardized', got {variant!r}")
@@ -251,21 +259,28 @@ def _index_settings(section: Mapping[str, object]) -> IndexSettings:
                 raise UsageError("off windows must be [start, end] pairs")
             windows.append((entry, w_lo, w_hi))
         off_windows = tuple(windows)
-    return IndexSettings(variant, target, window, off_windows, *_netting_settings(section))
+    # a fixed weight, or else the grid search's step
+    weight, grid_step = section.get("weight"), None
+    if weight is not None:
+        weight = _coerce(float, weight, "weight")
+        if not 0.0 <= weight <= 1.0:
+            raise UsageError(f"config key 'weight' must lie in [0, 1], got {weight}")
+    else:
+        grid_step = _coerce(float, section.get("grid_step", 0.1), "grid_step")
+        if not 0.0 < grid_step < 0.5:
+            raise UsageError(f"config key 'grid_step' must lie in (0, 0.5), got {grid_step}")
+    on_path = config.path(section, "on_counts")
+    off_path = config.path(section, "off_counts", required=False)
+    dy_path = config.path(section, "output_growth", required=False)
+    if off_path is not None and weight is None and dy_path is None:
+        raise UsageError("config key 'output_growth' is required for grid search")
+    return IndexSettings(variant, target, window, off_windows, weight, grid_step, on_path, off_path, dy_path)
 
 
 def cmd_build_index(config: PipelineConfig) -> int:
-    section = config.section("index")
     # checked before any output is written; net_index and grid_search_weight
     # would refuse a bad weight only after the on and off indices are out
-    variant, target, window, off_windows, weight, grid_step = _index_settings(section)
-    on_path = config.path(section, "on_counts")
-    off_path = config.path(section, "off_counts", required=False)
-    dy_path = None
-    if off_path is not None and weight is None:
-        dy_path = config.path(section, "output_growth", required=False)
-        if dy_path is None:
-            raise UsageError("config key 'output_growth' is required for grid search")
+    variant, target, window, off_windows, weight, grid_step, on_path, off_path, dy_path = _index_settings(config)
     config.out_dir.mkdir(parents=True, exist_ok=True)
 
     on_index = _counts_to_index(on_path, variant, target, window, ix.IndexKind.ON)
@@ -323,9 +338,13 @@ _CONVERTERS = {
 }
 
 
+def _calendar_input(config: PipelineConfig) -> Path:
+    """The calendar section's resolved ``input`` path."""
+    return config.path(config.section("calendar"), "input")
+
+
 def cmd_convert_calendar(config: PipelineConfig) -> int:
-    section = config.section("calendar")
-    series = ts.read_series_csv(config.path(section, "input"), calendar=ts.CalendarKind.IRANIAN)
+    series = ts.read_series_csv(_calendar_input(config), calendar=ts.CalendarKind.IRANIAN)
     converted = _CONVERTERS[series.frequency](series)
     config.out_dir.mkdir(parents=True, exist_ok=True)
     ts.write_series_csv(converted, config.out_dir / "converted.csv")
@@ -337,49 +356,6 @@ def cmd_convert_calendar(config: PipelineConfig) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _load_model(config: PipelineConfig) -> tuple[sv.SvarSpec, dict[str, ts.CalendarSeries], bool]:
-    """The spec, the data panel and the checked ``controls_var1`` flag."""
-    section = config.section("model")
-    controls_var1 = _flag(section.get("controls_var1", False), "controls_var1")
-    spec_path = config.path(section, "spec")
-    try:
-        spec = sv.SvarSpec.from_json(json.loads(spec_path.read_text(encoding="utf-8")))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise UsageError(f"model spec {spec_path}: invalid JSON: {exc}") from exc
-    data_map = section.get("data")
-    if not isinstance(data_map, dict) or not data_map:
-        raise UsageError("config key 'data' must map variable names to CSV paths")
-    data = {}
-    for name, rel in data_map.items():
-        csv_path = config.base_dir / str(rel)
-        if not csv_path.is_file():
-            raise UsageError(f"config key 'data.{name}': no such file: {csv_path}")
-        data[str(name)] = ts.read_series_csv(csv_path)
-    return spec, data, controls_var1
-
-
-def _estimate(config: PipelineConfig) -> tuple[sv.SvarEstimate, dict[str, ts.CalendarSeries], sv.SvarSpec]:
-    spec, data, controls_var1 = _load_model(config)
-    return sv.estimate_svar(spec, data, controls_var1=controls_var1), data, spec
-
-
-def cmd_estimate(config: PipelineConfig) -> int:
-    est, _, _ = _estimate(config)
-    config.out_dir.mkdir(parents=True, exist_ok=True)
-    _json_dump(sv.estimate_to_json(est), config.out_dir / "estimate.json")
-    for name, fit in zip(est.variables, est.fits):
-        bg = reg.breusch_godfrey(fit, lags=4)
-        reg.write_fit_csv(
-            fit,
-            config.out_dir / f"eq_{name}.csv",
-            extra_rows=(
-                ("bg_lm_stat_lag4", f"{bg.lm_stat:.6f}"),
-                ("bg_p_value", f"{bg.p_value:.6f}"),
-            ),
-        )
-    return EXIT_OK
-
-
 class BootstrapSettings(NamedTuple):
     replications: int
     quantiles: tuple[float, float]
@@ -387,7 +363,10 @@ class BootstrapSettings(NamedTuple):
     joint: bool
 
 
-class DynamicsSettings(NamedTuple):
+class ModelSettings(NamedTuple):
+    spec: sv.SvarSpec
+    data: dict[str, ts.CalendarSeries]
+    controls_var1: bool
     horizon: int
     method: str
     shocked_control: str | None
@@ -414,9 +393,10 @@ def _bootstrap_settings(boot_cfg: Mapping[str, object], default_seed: int) -> Bo
     return BootstrapSettings(replications, (lo, hi), seed, joint)
 
 
-def _dynamics_settings(section: Mapping[str, object], default_seed: int) -> DynamicsSettings:
-    """Checked ``horizon``, ``method``, ``shocked_control`` and ``bootstrap``
-    of the model section; ``dynamics`` and ``validate`` both read them here."""
+def _model_settings(config: PipelineConfig) -> ModelSettings:
+    """The checked model section with its spec and data panel read;
+    ``estimate``, ``dynamics`` and ``validate`` all read it here."""
+    section = config.section("model")
     horizon = _integer(section.get("horizon", 24), "horizon")
     if horizon < 0:
         raise UsageError(f"config key 'horizon' must be non-negative, got {horizon}")
@@ -424,21 +404,46 @@ def _dynamics_settings(section: Mapping[str, object], default_seed: int) -> Dyna
     if method not in ("direct", "stacked", "both"):
         raise UsageError(f"method must be direct, stacked, or both; got {method!r}")
     shocked = section.get("shocked_control")
+    shocked = str(shocked) if shocked is not None else None
     boot_cfg = section.get("bootstrap")
-    if boot_cfg is not None and not isinstance(boot_cfg, dict):
-        raise UsageError(f"config key 'bootstrap' must be an object, got {boot_cfg!r}")
-    return DynamicsSettings(
-        horizon,
-        method,
-        str(shocked) if shocked is not None else None,
-        _bootstrap_settings(boot_cfg, default_seed) if boot_cfg is not None else None,
-    )
+    if boot_cfg is not None:
+        if not isinstance(boot_cfg, dict):
+            raise UsageError(f"config key 'bootstrap' must be an object, got {boot_cfg!r}")
+        boot_cfg = _bootstrap_settings(boot_cfg, config.seed)
+    controls_var1 = _flag(section.get("controls_var1", False), "controls_var1")
+    spec_path = config.path(section, "spec")
+    try:
+        spec = sv.SvarSpec.from_json(json.loads(spec_path.read_text(encoding="utf-8")))
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise UsageError(f"model spec {spec_path}: invalid JSON: {exc}") from exc
+    if shocked is not None and shocked not in spec.controls:
+        raise ModelSpecError(f"control {shocked!r} not in the specification")
+    data = {name: ts.read_series_csv(path) for name, path in config.paths(section, "data", required=True).items()}
+    return ModelSettings(spec, data, controls_var1, horizon, method, shocked, boot_cfg)
+
+
+def cmd_estimate(config: PipelineConfig) -> int:
+    model = _model_settings(config)
+    est = sv.estimate_svar(model.spec, model.data, controls_var1=model.controls_var1)
+    config.out_dir.mkdir(parents=True, exist_ok=True)
+    _json_dump(sv.estimate_to_json(est), config.out_dir / "estimate.json")
+    for name, fit in zip(est.variables, est.fits):
+        bg = reg.breusch_godfrey(fit, lags=4)
+        reg.write_fit_csv(
+            fit,
+            config.out_dir / f"eq_{name}.csv",
+            extra_rows=(
+                ("bg_lm_stat_lag4", f"{bg.lm_stat:.6f}"),
+                ("bg_p_value", f"{bg.p_value:.6f}"),
+            ),
+        )
+    return EXIT_OK
 
 
 def cmd_dynamics(config: PipelineConfig) -> int:
     # every setting is checked before the estimate and before any output
-    horizon, method, shocked, boot_cfg = _dynamics_settings(config.section("model"), config.seed)
-    est, data, spec = _estimate(config)
+    spec, data, controls_var1, horizon, method, shocked, boot_cfg = _model_settings(config)
+    est = sv.estimate_svar(spec, data, controls_var1=controls_var1)
     config.out_dir.mkdir(parents=True, exist_ok=True)
 
     if method == "both":
@@ -478,41 +483,51 @@ def cmd_dynamics(config: PipelineConfig) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _intervention_lags(section: Mapping[str, object]) -> list[int]:
-    """Checked ``intervention_lags`` of the reduced-form section."""
-    s_lags = section.get("intervention_lags", [1])
-    if not isinstance(s_lags, list) or not s_lags:
+class ReducedFormSettings(NamedTuple):
+    intervention: Path
+    growth: Path | None
+    levels: tuple[Path, Path] | None  # (domestic, region), in place of growth
+    lags: tuple[int, ...]
+    controls: dict[str, Path]
+
+
+def _reduced_form_settings(config: PipelineConfig) -> ReducedFormSettings:
+    """The checked reduced-form section, every path resolved;
+    ``reduced-form`` and ``validate`` both read it here."""
+    section = config.section("reduced_form")
+    lags = section.get("intervention_lags", [1])
+    if not isinstance(lags, list) or not lags:
         raise UsageError("intervention_lags must be a non-empty list")
-    return [_integer(lag_, "intervention_lags") for lag_ in s_lags]
+    lags = tuple(_integer(lag_, "intervention_lags") for lag_ in lags)
+    if min(lags) < 0 or len(set(lags)) != len(lags):
+        # a repeated lag would enter the long-run effect twice, a negative one as a lead
+        raise UsageError(f"config key 'intervention_lags' must be distinct non-negative lags, got {list(lags)}")
+    intervention = config.path(section, "intervention")
+    region = config.path(section, "region_levels", required=False)
+    if region is not None:
+        growth, levels = None, (config.path(section, "domestic_levels"), region)
+    else:
+        growth, levels = config.path(section, "growth"), None
+    controls = config.paths(section, "controls", required=False)
+    return ReducedFormSettings(intervention, growth, levels, lags, controls)
 
 
 def cmd_reduced_form(config: PipelineConfig) -> int:
-    section = config.section("reduced_form")
-    intervention = ts.read_series_csv(config.path(section, "intervention"))
-
-    region_path = config.path(section, "region_levels", required=False)
-    if region_path is not None:
-        levels_path = config.path(section, "domestic_levels")
-        growth = reg.relative_series(
-            ts.read_series_csv(levels_path), ts.read_series_csv(region_path)
-        )
+    settings = _reduced_form_settings(config)
+    intervention = ts.read_series_csv(settings.intervention)
+    if settings.levels is not None:
+        growth = reg.relative_series(*(ts.read_series_csv(p) for p in settings.levels))
     else:
-        growth = ts.read_series_csv(config.path(section, "growth"))
+        growth = ts.read_series_csv(settings.growth)
 
     base: dict[str, ts.CalendarSeries] = {"dy.L1": ts.lag(growth, 1)}
     effect_names = []
-    for lag_ in _intervention_lags(section):
+    for lag_ in settings.lags:
         name = "s" if lag_ == 0 else f"s.L{lag_}"
         base[name] = ts.lag(intervention, lag_)
         effect_names.append(name)
-    controls_map = section.get("controls", {})
-    if not isinstance(controls_map, dict):
-        raise UsageError("config key 'controls' must map names to CSV paths")
-    for name, rel in controls_map.items():
-        csv_path = config.base_dir / str(rel)
-        if not csv_path.is_file():
-            raise UsageError(f"config key 'controls.{name}': no such file: {csv_path}")
-        base[str(name)] = ts.read_series_csv(csv_path)
+    for name, csv_path in settings.controls.items():
+        base[name] = ts.read_series_csv(csv_path)
 
     arrays, _ = ts.align(growth, *base.values())
     fit = reg.ols(arrays[0], np.column_stack(arrays[1:]), names=tuple(base))
@@ -532,46 +547,27 @@ def cmd_reduced_form(config: PipelineConfig) -> int:
     )
     payload = reg.fit_to_json(fit)
     payload["long_run_effect"] = {"theta": effect.theta, "se": effect.se}
-    payload["relative_to_region"] = region_path is not None
+    payload["relative_to_region"] = settings.levels is not None
     _json_dump(payload, config.out_dir / "reduced_form.json")
     return EXIT_OK
 
 
+# the parse of each config section, shared by its command and validate
+_SECTIONS = {
+    "index": _index_settings,
+    "calendar": _calendar_input,
+    "model": _model_settings,
+    "reduced_form": _reduced_form_settings,
+}
+
+
 def cmd_validate(config: PipelineConfig) -> int:
-    known = {"out_dir", "seed", "index", "calendar", "model", "reduced_form"}
-    unknown = set(config.raw) - known
+    unknown = set(config.raw) - {"out_dir", "seed", *_SECTIONS}
     if unknown:
         raise UsageError(f"unknown config sections: {sorted(unknown)}")
-    for name in ("index", "calendar", "model", "reduced_form"):
-        section = config.raw.get(name)
-        if section is not None and not isinstance(section, dict):
-            raise UsageError(f"config section {name!r} must be an object")
-    # resolve every referenced path now rather than at run time
-    if "index" in config.raw:
-        section = config.section("index")
-        config.path(section, "on_counts")
-        config.path(section, "off_counts", required=False)
-        config.path(section, "output_growth", required=False)
-        _index_settings(section)
-    if "calendar" in config.raw:
-        config.path(config.section("calendar"), "input")
-    if "model" in config.raw:
-        _dynamics_settings(config.section("model"), config.seed)
-        _load_model(config)
-    if "reduced_form" in config.raw:
-        section = config.section("reduced_form")
-        _intervention_lags(section)
-        config.path(section, "intervention")
-        if section.get("region_levels") is not None:
-            config.path(section, "region_levels")
-            config.path(section, "domestic_levels")
-        else:
-            config.path(section, "growth")
-        controls_map = section.get("controls", {})
-        if isinstance(controls_map, dict):
-            for name, rel in controls_map.items():
-                if not (config.base_dir / str(rel)).is_file():
-                    raise UsageError(f"config key 'controls.{name}': no such file: {rel}")
+    for name, parse in _SECTIONS.items():
+        if name in config.raw:
+            parse(config)
     print("config ok")
     return EXIT_OK
 

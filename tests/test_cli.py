@@ -1,6 +1,10 @@
+import contextlib
+import copy
 import csv
+import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 from dataclasses import replace
@@ -9,6 +13,8 @@ from datetime import date
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import random_stable_system, simulate_panel
 from newsvar import bootstrap as boot
@@ -54,8 +60,7 @@ def write_counts(path, per_outlet_monthly, year=1989, months=24, days_per_month=
                     writer.writerow([date(y, m, d).isoformat(), outlet, level])
 
 
-@pytest.fixture()
-def index_workspace(tmp_path):
+def write_index_inputs(tmp_path):
     on_profile = {"alpha": [1, 2, 5, 3, 2, 7, 1], "beta": [0, 1, 4, 2, 2, 3, 5]}
     off_profile = {"alpha": [1, 0, 0, 2, 1, 0, 3], "beta": [0, 1, 1, 0, 2, 1, 0]}
     write_counts(tmp_path / "on.csv", on_profile, months=48)
@@ -64,6 +69,11 @@ def index_workspace(tmp_path):
     rng = np.random.default_rng(0)
     write_series(tmp_path / "dy.csv", labels, rng.normal(0, 0.02, len(labels)))
     return tmp_path
+
+
+@pytest.fixture()
+def index_workspace(tmp_path):
+    return write_index_inputs(tmp_path)
 
 
 def model_workspace(tmp_path, T=240, seed=3):
@@ -729,3 +739,149 @@ def test_out_override(tmp_path):
         == 0
     )
     assert (tmp_path / "elsewhere" / "converted.csv").is_file()
+
+
+def section_workspace(tmp_path, section):
+    """Inputs and a valid single-section config for ``section``, with the
+    command that reads that section."""
+    if section == "index":
+        write_index_inputs(tmp_path)
+        body = {"on_counts": "on.csv", "off_counts": "off.csv", "output_growth": "dy.csv"}
+        return "build-index", {section: body}
+    if section == "calendar":
+        write_series(tmp_path / "x.csv", ["1368", "1369"], [1.0, 2.0])
+        return "convert-calendar", {section: {"input": "x.csv"}}
+    if section == "model":
+        _, data_map = model_workspace(tmp_path, T=60)
+        body = {"spec": "spec.json", "data": data_map, "horizon": 2, "bootstrap": {"replications": 2}}
+        return "dynamics", {section: body}
+    payload = reduced_form_workspace(tmp_path, T=60)
+    write_series(tmp_path / "dyw.csv", quarter_labels(1989, 60), np.linspace(0.0, 1.0, 60) ** 2)
+    payload[section]["controls"] = {"dyw": "dyw.csv"}
+    return "reduced-form", payload
+
+
+def run_quietly(argv):
+    """``cli.main``'s exit code and what it wrote to stderr."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, err.getvalue()
+
+
+@pytest.mark.parametrize(
+    "section, edits, top, code, fragment",
+    [
+        ("reduced_form", {"controls": ["dyw.csv"]}, {}, 1, "'controls' must map"),
+        ("index", {"output_growth": None}, {}, 1, "'output_growth' is required for grid search"),
+        ("model", {"shocked_control": "mystery"}, {}, 2, "control 'mystery' not in the specification"),
+        # a fixed weight never reads output_growth, but a dangling path is refused
+        ("index", {"weight": 0.4, "output_growth": "gone.csv"}, {}, 1, "'output_growth': no such file"),
+        ("reduced_form", {"intervention_lags": [1, 1]}, {}, 1, "distinct non-negative lags, got [1, 1]"),
+        ("reduced_form", {"intervention_lags": [-1]}, {}, 1, "distinct non-negative lags, got [-1]"),
+        ("calendar", {}, {"out_dir": None}, 1, "'out_dir' must be a string, got None"),
+        ("calendar", {}, {"out_dir": 5}, 1, "'out_dir' must be a string, got 5"),
+        ("calendar", {}, {"calendar": ["x.csv"]}, 1, "config section 'calendar' must be an object"),
+    ],
+)
+def test_validate_refuses_what_the_command_refuses(tmp_path, section, edits, top, code, fragment):
+    command, payload = section_workspace(tmp_path, section)
+    payload[section].update(edits)
+    payload.update(top)
+    config = write_config(tmp_path, payload)
+    before = sorted(tmp_path.iterdir())
+    refused = run_quietly([command, "--config", str(config)])
+    assert refused == run_quietly(["validate", "--config", str(config)])
+    assert refused[0] == code
+    assert refused[1].startswith("error: ") and refused[1].count("\n") == 1, refused[1]
+    assert fragment in refused[1]
+    # no out_dir ("out", "None" or "5") is left behind
+    assert sorted(tmp_path.iterdir()) == before
+
+
+@pytest.mark.parametrize("section", ["index", "calendar", "model", "reduced_form"])
+def test_valid_section_passes_validate_and_its_command(tmp_path, section):
+    command, payload = section_workspace(tmp_path, section)
+    config = write_config(tmp_path, payload)
+    assert run_quietly(["validate", "--config", str(config)]) == (0, "")
+    assert run_quietly([command, "--config", str(config)])[0] == 0
+    assert (tmp_path / "out").is_dir()
+
+
+# every key of each section's schema, as a path into the config
+_SCHEMA_KEYS = {
+    "index": [("index", key) for key in (
+        "on_counts", "off_counts", "variant", "target_frequency", "normalization_window",
+        "off_windows", "weight", "grid_step", "output_growth",
+    )],
+    "calendar": [("calendar", "input")],
+    "model": [("model", key) for key in (
+        "spec", "data", "controls_var1", "horizon", "shocked_control", "method", "bootstrap",
+    )] + [("model", "bootstrap", key) for key in ("replications", "quantiles", "seed", "joint")],
+    "reduced_form": [("reduced_form", key) for key in (
+        "growth", "domestic_levels", "region_levels", "intervention", "intervention_lags", "controls",
+    )],
+}
+
+# JSON values of the wrong type or out of range; integers stay small so runs stay short
+_scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers(-3, 3)
+    | st.floats(-1.5, 1.5)
+    | st.text(max_size=6)
+    | st.sampled_from(["", "1989Q1", "1990-03", "quarterly", "both", "g0", "dy.csv"])
+)
+_json_values = st.recursive(
+    _scalars,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=2),
+    max_leaves=4,
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_workspaces(tmp_path_factory):
+    return {
+        section: (root, *section_workspace(root, section))
+        for section in _SCHEMA_KEYS
+        for root in [tmp_path_factory.mktemp(section)]
+    }
+
+
+@pytest.mark.parametrize("section", sorted(_SCHEMA_KEYS))
+def test_fuzzed_section_fails_cleanly_and_validate_agrees(fuzz_workspaces, section):
+    root, command, payload = fuzz_workspaces[section]
+    config = root / "fuzzed.json"
+
+    # out_dir draws no strings, so that no output can land outside the workspace
+    edit = st.tuples(st.sampled_from(_SCHEMA_KEYS[section] + [("seed",)]), _json_values) | st.tuples(
+        st.just(("out_dir",)), _json_values.filter(lambda value: not isinstance(value, str))
+    )
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(edits=st.lists(edit, min_size=1, max_size=2))
+    def check(edits):
+        fuzzed = copy.deepcopy(payload)
+        for key, value in edits:
+            target = fuzzed
+            for part in key[:-1]:
+                if not isinstance(target.get(part), dict):
+                    target[part] = {}
+                target = target[part]
+            target[key[-1]] = value
+        config.write_text(json.dumps(fuzzed), encoding="utf-8")
+        shutil.rmtree(root / "out", ignore_errors=True)
+        before = sorted(root.iterdir())
+
+        code, err = run_quietly([command, "--config", str(config)])
+        assert code in (0, 1, 2)
+        if code:
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+        untouched = sorted(root.iterdir()) == before
+        checked = run_quietly(["validate", "--config", str(config)])
+        if code == 1 and untouched:
+            assert checked == (code, err)
+        if checked[0]:
+            assert checked == (code, err) and untouched
+
+    check()
