@@ -22,7 +22,7 @@ import numpy as np
 
 from .dynamics import _shock_columns, build_stacked, stacked_responses
 from .errors import BootstrapError, ModelSpecError, SampleError
-from .svar import aligned_matrix, ControlsVar1, estimate_svar_stack, SvarEstimate, SvarSpec
+from .svar import aligned_matrix, estimate_svar_stack, SvarEstimate
 from .timeseries import CalendarSeries
 
 __all__ = ["BootstrapBands", "bootstrap_irf", "write_bands_metadata"]
@@ -57,33 +57,9 @@ class BootstrapBands:
     joint_resampling: bool
 
 
-def _structural_residuals(est: SvarEstimate, n_obs: int) -> np.ndarray:
-    """Stack per-equation residuals aligned to the estimation sample."""
-    if est.fits is None:
-        raise ModelSpecError("estimate carries no residuals; re-estimate from data")
-    columns = [fit.residuals for fit in est.fits]
-    if est.s_process.fit is None:
-        raise ModelSpecError("intervention process carries no residuals")
-    columns.append(est.s_process.fit.residuals[-n_obs:])
-    proc = est.controls_process
-    if isinstance(proc, ControlsVar1):
-        if proc.fits is None:
-            raise ModelSpecError("control process carries no residuals")
-        columns.extend(fit.residuals[-n_obs:] for fit in proc.fits)
-    elif proc:
-        for fit in proc:
-            if fit.fit is None:
-                raise ModelSpecError("control process carries no residuals")
-            columns.append(fit.fit.residuals[-n_obs:])
-    if any(len(c) != n_obs for c in columns):
-        raise SampleError("residual blocks do not align with the estimation sample")
-    return np.column_stack(columns)
-
-
 def bootstrap_irf(
     est: SvarEstimate,
     data: Mapping[str, CalendarSeries],
-    spec: SvarSpec | None = None,
     horizon: int = 24,
     replications: int = 1000,
     quantiles: tuple[float, float] = (0.05, 0.95),
@@ -94,9 +70,9 @@ def bootstrap_irf(
     """Bootstrap confidence bands for all shock responses.
 
     Args:
-        est: point estimate whose residuals and matrices seed the scheme.
+        est: point estimate whose residuals and matrices seed the scheme;
+            replications are re-estimated with its spec.
         data: the panel the estimate was fit on (anchors initial conditions).
-        spec: re-estimation spec; defaults to the estimate's own.
         horizon: IRF horizon for the bands.
         replications: number of bootstrap samples.
         quantiles: (lower, upper) band quantiles; the point IRF need not lie
@@ -111,16 +87,14 @@ def bootstrap_irf(
         BootstrapError: more than 5 per cent of replications failed to
             re-estimate (also a RuntimeError).
     """
-    spec = spec or est.spec
     if not 0 <= quantiles[0] < quantiles[1] <= 1:
         raise ValueError("quantiles must satisfy 0 <= lo < hi <= 1")
     if replications < 1:
         raise ValueError("replications must be positive")
-    Z, _, _ = aligned_matrix(spec, data)
+    Z, _, _ = aligned_matrix(est.spec, data)
     return _bootstrap_from_matrix(
         est,
         Z,
-        spec,
         horizon=horizon,
         replications=replications,
         quantiles=quantiles,
@@ -133,7 +107,6 @@ def bootstrap_irf(
 def _bootstrap_from_matrix(
     est: SvarEstimate,
     Z: np.ndarray,
-    spec: SvarSpec,
     horizon: int,
     replications: int,
     quantiles: tuple[float, float],
@@ -141,13 +114,17 @@ def _bootstrap_from_matrix(
     joint_resampling: bool,
     shocked_control: str | None,
 ) -> BootstrapBands:
+    spec = est.spec
     system = build_stacked(est)
     n_state = system.Psi0.shape[0]
     N = Z.shape[0]
     M = spec.max_lag
     n_obs = N - M
-    U = _structural_residuals(est, n_obs)
-    controls_var1 = isinstance(est.controls_process, ControlsVar1)
+    U = est.residuals
+    if U is None:
+        raise ModelSpecError("estimate carries no residuals; re-estimate from data")
+    if U.shape[0] != n_obs:
+        raise SampleError("residual blocks do not align with the estimation sample")
     P0inv = np.linalg.inv(system.Psi0)
     # one-step form: z_t = c + B1 z_{t-1} + B2 z_{t-2} + P0inv u_t
     B1T = (P0inv @ system.Psi1).T
@@ -184,7 +161,7 @@ def _bootstrap_from_matrix(
             if M >= 2:
                 sim[t] += sim[t - 2] @ B2T
         del rows, u, shifted  # free before the estimator's workspace is allocated
-        stack = estimate_svar_stack(spec, sim.transpose(1, 0, 2), controls_var1=controls_var1)
+        stack = estimate_svar_stack(spec, sim.transpose(1, 0, 2), controls_var1=est.controls_var1)
         for _ in range(int(np.count_nonzero(~stack.ok))):
             dropped += 1
             if dropped > 0.05 * replications:

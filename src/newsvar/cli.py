@@ -50,7 +50,7 @@ class PipelineConfig:
     @staticmethod
     def load(path: str | Path, out_override: str | None = None, seed_override: int | None = None) -> "PipelineConfig":
         path = Path(path)
-        if not path.is_file():
+        if not _is_file(path):
             raise UsageError(f"--config: no such file: {path}")
         try:
             raw = json.loads(path.read_text(encoding="utf-8"))
@@ -91,20 +91,23 @@ class PipelineConfig:
 
     def _file(self, key: str, value: object) -> Path:
         resolved = self.base_dir / str(value)
-        try:
-            found = resolved.is_file()
-        except OSError:  # e.g. a name longer than the file system allows
-            found = False
-        if not found:
+        if not _is_file(resolved):
             raise UsageError(f"config key {key!r}: no such file: {resolved}")
         return resolved
 
 
-def _coerce(fn, value: object, what: str):
+def _is_file(path: Path) -> bool:
     try:
-        return fn(value)
-    except (TypeError, ValueError) as exc:
-        raise UsageError(f"config key {what!r}: {exc}") from exc
+        return path.is_file()
+    except OSError:  # e.g. a name longer than the file system allows
+        return False
+
+
+def _number(value: object, what: str) -> float:
+    """A JSON number: a string or a boolean is refused, not converted."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise UsageError(f"config key {what!r} must be a number, got {value!r}")
+    return float(value)
 
 
 def _integer(value: object, what: str) -> int:
@@ -246,7 +249,10 @@ def _index_settings(config: PipelineConfig) -> IndexSettings:
     variant = str(section.get("variant", "simple"))
     if variant not in ("simple", "standardized"):
         raise UsageError(f"index variant must be 'simple' or 'standardized', got {variant!r}")
-    target = _coerce(ts.Frequency, str(section.get("target_frequency", "quarterly")), "target_frequency")
+    try:
+        target = ts.Frequency(str(section.get("target_frequency", "quarterly")))
+    except ValueError as exc:
+        raise UsageError(f"config key 'target_frequency': {exc}") from exc
     window = _parse_window(section.get("normalization_window"), "normalization_window", target)
     off_windows = section.get("off_windows")
     if off_windows is not None:
@@ -262,11 +268,11 @@ def _index_settings(config: PipelineConfig) -> IndexSettings:
     # a fixed weight, or else the grid search's step
     weight, grid_step = section.get("weight"), None
     if weight is not None:
-        weight = _coerce(float, weight, "weight")
+        weight = _number(weight, "weight")
         if not 0.0 <= weight <= 1.0:
             raise UsageError(f"config key 'weight' must lie in [0, 1], got {weight}")
     else:
-        grid_step = _coerce(float, section.get("grid_step", 0.1), "grid_step")
+        grid_step = _number(section.get("grid_step", 0.1), "grid_step")
         if not 0.0 < grid_step < 0.5:
             raise UsageError(f"config key 'grid_step' must lie in (0, 0.5), got {grid_step}")
     on_path = config.path(section, "on_counts")
@@ -381,7 +387,7 @@ def _bootstrap_settings(boot_cfg: Mapping[str, object], default_seed: int) -> Bo
     quantiles = boot_cfg.get("quantiles", (0.05, 0.95))
     if not isinstance(quantiles, (list, tuple)) or len(quantiles) != 2:
         raise UsageError("config key 'quantiles' must be a [lower, upper] pair")
-    lo, hi = (_coerce(float, q, "quantiles") for q in quantiles)
+    lo, hi = (_number(q, "quantiles") for q in quantiles)
     if not 0.0 <= lo < hi <= 1.0:
         raise UsageError(f"config key 'quantiles' must satisfy 0 <= lower < upper <= 1, got {[lo, hi]}")
     seed_key = "bootstrap.seed" if "seed" in boot_cfg else "seed"
@@ -463,7 +469,6 @@ def cmd_dynamics(config: PipelineConfig) -> int:
         bands = boot.bootstrap_irf(
             est,
             data,
-            spec,
             horizon=horizon,
             replications=boot_cfg.replications,
             quantiles=boot_cfg.quantiles,
@@ -491,6 +496,11 @@ class ReducedFormSettings(NamedTuple):
     controls: dict[str, Path]
 
 
+def _effect_name(lag_: int) -> str:
+    """The design's name for the intervention at ``lag_``."""
+    return "s" if lag_ == 0 else f"s.L{lag_}"
+
+
 def _reduced_form_settings(config: PipelineConfig) -> ReducedFormSettings:
     """The checked reduced-form section, every path resolved;
     ``reduced-form`` and ``validate`` both read it here."""
@@ -509,6 +519,11 @@ def _reduced_form_settings(config: PipelineConfig) -> ReducedFormSettings:
     else:
         growth, levels = config.path(section, "growth"), None
     controls = config.paths(section, "controls", required=False)
+    built = ["const", "dy.L1", *map(_effect_name, lags)]
+    clashes = [name for name in controls if name in built]
+    if clashes:
+        # a control of that name would replace the regressor in the design
+        raise UsageError(f"config key 'controls' names regressors the command builds: {clashes}")
     return ReducedFormSettings(intervention, growth, levels, lags, controls)
 
 
@@ -523,7 +538,7 @@ def cmd_reduced_form(config: PipelineConfig) -> int:
     base: dict[str, ts.CalendarSeries] = {"dy.L1": ts.lag(growth, 1)}
     effect_names = []
     for lag_ in settings.lags:
-        name = "s" if lag_ == 0 else f"s.L{lag_}"
+        name = _effect_name(lag_)
         base[name] = ts.lag(intervention, lag_)
         effect_names.append(name)
     for name, csv_path in settings.controls.items():

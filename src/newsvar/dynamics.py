@@ -81,7 +81,7 @@ class StackedSystem:
     """The full system over (endogenous, intervention, controls).
 
     Built from a :class:`SvarStack`, every array gains the stack's leading
-    axis.
+    axis.  ``scales`` are the innovation standard errors.
     """
 
     labels: tuple[str, ...]
@@ -117,18 +117,6 @@ def g_recursion(Phi1: np.ndarray, Phi2: np.ndarray, horizon: int) -> np.ndarray:
 
 def build_stacked(est: SvarEstimate | SvarStack) -> StackedSystem:
     """Assemble the stacked one-step form from one estimate or a stack of them."""
-    if isinstance(est, SvarEstimate):
-        if est.s_process.order != 1:
-            raise ModelSpecError("stacked dynamics require a first-order intervention process")
-        system = build_stacked(SvarStack.of(est))
-        return StackedSystem(
-            labels=est.variables + (est.spec.intervention_name,) + est.controls,
-            Psi0=system.Psi0[0],
-            Psi1=system.Psi1[0],
-            Psi2=system.Psi2[0],
-            intercept=system.intercept[0],
-            scales=system.scales[0],
-        )
     spec = est.spec
     m, k = spec.m, len(spec.controls)
     n = m + 1 + k
@@ -220,7 +208,7 @@ def _direct_ma(est: SvarEstimate, horizon: int, control: str | None) -> np.ndarr
     The intervention and control shocks reach the domestic block through
     their loadings at each lag, convolved with G_h A0^{-1}.
     """
-    rho = float(est.s_process.coefficients[0])
+    rho = float(est.s_rho)
     if abs(rho) >= 1.0:
         raise NonstationaryError(f"intervention process is nonstationary (rho = {rho:.4f})")
     m = est.m
@@ -229,7 +217,7 @@ def _direct_ma(est: SvarEstimate, horizon: int, control: str | None) -> np.ndarr
     for ell in range(1, horizon + 1):
         loads[0, ell] = rho**ell * est.gamma0s + rho ** (ell - 1) * est.gamma1s
     if control is not None:
-        R, _, _ = est.controls_transition()
+        R = est.c_transition
         r_l = np.zeros(est.k)
         r_l[est.controls.index(control)] = 1.0
         for ell in range(horizon + 1):
@@ -263,12 +251,10 @@ def _shock_columns(
 
 class _Responses(NamedTuple):
     """One route's responses: ``scales[i] * unscaled[i]`` is the response
-    (H+1, m) to a one-standard-error shock i, whose variance is
-    ``variances[i]``."""
+    (H+1, m) to a one-standard-error shock i."""
 
     shocks: tuple[str, ...]
     scales: np.ndarray
-    variances: np.ndarray
     unscaled: np.ndarray  # (shocks, H+1, m)
 
 
@@ -289,21 +275,14 @@ def _responses(
         unscaled = stacked_responses(unit, horizon, cols, est.m)
     else:
         raise ValueError(f"unknown method {method!r}")
-    scales = [float(np.sqrt(v)) for v in est.sigma] + [float(est.s_process.omega)]
-    variances = list(est.sigma) + [est.s_process.omega**2]
-    if control is not None:
-        _, _, sds = est.controls_transition()
-        sd = float(sds[est.controls.index(control)])
-        scales.append(sd)
-        variances.append(sd**2)
-    return _Responses(shocks, np.array(scales), np.array(variances), unscaled)
+    return _Responses(shocks, system.scales[cols], unscaled)
 
 
 def _shares(r: _Responses) -> np.ndarray:
     """Variance shares (H+1, m, shocks): each shock's cumulated squared
     responses over their sum across shocks."""
     contrib = np.stack(
-        [v * np.cumsum(u**2, axis=0) for v, u in zip(r.variances, r.unscaled)], axis=-1
+        [s**2 * np.cumsum(u**2, axis=0) for s, u in zip(r.scales, r.unscaled)], axis=-1
     )
     return contrib / contrib.sum(axis=-1, keepdims=True)
 

@@ -16,14 +16,20 @@ from typing import Mapping, NamedTuple
 
 import numpy as np
 
-from .errors import ModelSpecError, SampleError
-from .regression import ArFit, ar_fit, lstsq_chain, lstsq_stack, ols, RegressionFit
+from .errors import (
+    CollinearityError,
+    DegenerateDataError,
+    DomainError,
+    ModelSpecError,
+    NewsvarError,
+    SampleError,
+)
+from .regression import lstsq_chain, lstsq_stack, ols, RegressionFit
 from .timeseries import align, CalendarSeries, PeriodLabel
 
 __all__ = [
     "SvarSpec",
     "SvarEstimate",
-    "ControlsVar1",
     "SvarStack",
     "estimate_svar",
     "estimate_svar_arrays",
@@ -252,98 +258,17 @@ def _spec_terms(value: object, what: str) -> tuple[tuple[str, int], ...]:
 
 
 @dataclass(frozen=True)
-class ControlsVar1:
-    """First-order VAR for the control block: z_t = a + A z_{t-1} + v_t."""
-
-    names: tuple[str, ...]
-    intercept: np.ndarray
-    transition: np.ndarray
-    omega: np.ndarray  # innovation covariance
-    fits: tuple[RegressionFit, ...] | None = None
-
-
-@dataclass(frozen=True)
-class SvarEstimate:
-    """Structural matrices, residual variances, and exogenous-process fits.
+class _System:
+    """The numbers of the recursive system, shared by one estimate and a stack.
 
     ``A0`` is unit lower triangular with the negated contemporaneous
     coefficients below the diagonal; ``sigma`` holds the diagonal of the
-    structural innovation covariance.
-    """
-
-    spec: SvarSpec
-    variables: tuple[str, ...]
-    controls: tuple[str, ...]
-    A0: np.ndarray
-    A1: np.ndarray
-    A2: np.ndarray
-    gamma0s: np.ndarray
-    gamma1s: np.ndarray
-    Dw: np.ndarray
-    a_q: np.ndarray
-    sigma: np.ndarray
-    s_process: ArFit
-    controls_process: tuple[ArFit, ...] | ControlsVar1 | None = None
-    fits: tuple[RegressionFit, ...] | None = None
-    nobs: int = 0
-    sample_start: PeriodLabel | None = None
-
-    def __post_init__(self) -> None:
-        m = len(self.variables)
-        for name in ("A0", "A1", "A2", "gamma0s", "gamma1s", "a_q", "sigma", "Dw"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
-        if self.A0.shape != (m, m):
-            raise ModelSpecError("A0 must be m x m")
-        if not np.allclose(np.diag(self.A0), 1.0):
-            raise ModelSpecError("A0 diagonal must be exactly 1")
-        if np.any(np.triu(self.A0, 1) != 0.0):
-            raise ModelSpecError("A0 must be lower triangular")
-
-    @property
-    def m(self) -> int:
-        return len(self.variables)
-
-    @property
-    def k(self) -> int:
-        return len(self.controls)
-
-    def controls_transition(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(transition, intercepts, innovation sds) for the control block."""
-        k = self.k
-        if k == 0:
-            return np.zeros((0, 0)), np.zeros(0), np.zeros(0)
-        proc = self.controls_process
-        if isinstance(proc, ControlsVar1):
-            return (
-                proc.transition.copy(),
-                proc.intercept.copy(),
-                np.sqrt(np.diag(proc.omega)),
-            )
-        if proc is None or len(proc) != k:
-            raise ModelSpecError("estimate lacks a process for every control")
-        for fit in proc:
-            if fit.order != 1:
-                raise ModelSpecError("control processes must be first order")
-        rho = np.array([fit.coefficients[0] for fit in proc])
-        return (
-            np.diag(rho),
-            np.array([fit.intercept for fit in proc]),
-            np.array([fit.omega for fit in proc]),
-        )
-
-
-@dataclass(frozen=True)
-class SvarStack:
-    """The matrices of C structural estimates at once; axis 0 indexes them.
-
-    The fields mirror :class:`SvarEstimate` with the exogenous processes
-    spelled out: ``s_rho``, ``s_intercept`` and ``s_omega`` for the
-    intervention AR(1), and ``c_transition``, ``c_intercept`` and ``c_sd``
-    for the control block (see :meth:`SvarEstimate.controls_transition`).
-    ``ok`` is False where the estimate failed: a rank-deficient design, a
-    constant series under an autoregression or a non-finite panel, the
-    cases in which :func:`estimate_svar_arrays` raises.  The other fields
-    hold no meaningful numbers there.
+    structural innovation covariance.  The intervention follows an AR(1)
+    with coefficient ``s_rho``, intercept ``s_intercept`` and innovation
+    standard error ``s_omega``; the controls follow
+    ``z_t = c_intercept + c_transition z_{t-1} + v_t`` with innovation
+    standard errors ``c_sd`` (a diagonal ``c_transition`` when each control
+    is its own AR(1)).
     """
 
     spec: SvarSpec
@@ -361,31 +286,66 @@ class SvarStack:
     c_transition: np.ndarray
     c_intercept: np.ndarray
     c_sd: np.ndarray
-    ok: np.ndarray
 
-    @staticmethod
-    def of(est: SvarEstimate) -> "SvarStack":
-        """A stack of one holding ``est``; its intervention process must be an AR(1)."""
-        transition, intercept, sd = est.controls_transition()
-        proc = est.s_process
-        return SvarStack(
-            spec=est.spec,
-            A0=est.A0[None],
-            A1=est.A1[None],
-            A2=est.A2[None],
-            gamma0s=est.gamma0s[None],
-            gamma1s=est.gamma1s[None],
-            Dw=est.Dw[None],
-            a_q=est.a_q[None],
-            sigma=est.sigma[None],
-            s_rho=np.array([proc.coefficients[0]], dtype=float),
-            s_intercept=np.array([proc.intercept], dtype=float),
-            s_omega=np.array([proc.omega], dtype=float),
-            c_transition=transition[None],
-            c_intercept=intercept[None],
-            c_sd=sd[None],
-            ok=np.ones(1, dtype=bool),
-        )
+
+@dataclass(frozen=True)
+class SvarEstimate(_System):
+    """One estimate of the system; see :class:`_System` for the matrices.
+
+    The exogenous numbers are 0-d arrays.  Estimates fit from data also
+    carry the equation ``fits``, the ``residuals`` (estimation sample x
+    (m+1+k): equations, intervention, controls) that the bootstrap
+    resamples, the control VAR(1) innovation covariance ``c_omega`` when
+    ``controls_var1`` is set, ``nobs`` and ``sample_start``.
+    """
+
+    controls_var1: bool = False
+    c_omega: np.ndarray | None = None
+    fits: tuple[RegressionFit, ...] | None = None
+    residuals: np.ndarray | None = None
+    nobs: int = 0
+    sample_start: PeriodLabel | None = None
+
+    def __post_init__(self) -> None:
+        for f in fields(_System):
+            if f.name != "spec":
+                object.__setattr__(self, f.name, np.asarray(getattr(self, f.name), dtype=float))
+        m = self.m
+        if self.A0.shape != (m, m):
+            raise ModelSpecError("A0 must be m x m")
+        if not np.allclose(np.diag(self.A0), 1.0):
+            raise ModelSpecError("A0 diagonal must be exactly 1")
+        if np.any(np.triu(self.A0, 1) != 0.0):
+            raise ModelSpecError("A0 must be lower triangular")
+
+    @property
+    def variables(self) -> tuple[str, ...]:
+        return self.spec.ordering
+
+    @property
+    def controls(self) -> tuple[str, ...]:
+        return self.spec.controls
+
+    @property
+    def m(self) -> int:
+        return self.spec.m
+
+    @property
+    def k(self) -> int:
+        return len(self.spec.controls)
+
+
+@dataclass(frozen=True)
+class SvarStack(_System):
+    """C estimates of the system at once; axis 0 of every array indexes them.
+
+    ``ok`` is False where the estimate failed: a rank-deficient design, a
+    constant series under an autoregression or a non-finite panel, the
+    cases in which :func:`estimate_svar_arrays` raises.  The other fields
+    hold no meaningful numbers there.
+    """
+
+    ok: np.ndarray
 
     def select(self, index: np.ndarray) -> "SvarStack":
         """The estimates at ``index`` (integer or boolean), in that order."""
@@ -542,72 +502,65 @@ def _structural_blocks(
 def estimate_svar_arrays(
     spec: SvarSpec, Z: np.ndarray, controls_var1: bool = False
 ) -> SvarEstimate:
-    """Estimate from an aligned (N, m+1+k) matrix; see :func:`estimate_svar`."""
+    """Estimate from an aligned (N, m+1+k) matrix; see :func:`estimate_svar`.
+
+    Every structural and exogenous number is :func:`estimate_svar_stack`'s
+    on a stack of one.  Each equation is also fit by :func:`ols`, for its
+    coefficient table, its residuals and, on a rank-deficient design, the
+    error that names the dependent columns.
+    """
     m = spec.m
-    k = len(spec.controls)
     names = spec.ordering + (spec.intervention_name,) + spec.controls
     if Z.ndim != 2 or Z.shape[1] != len(names):
         raise ModelSpecError(f"data matrix must have {len(names)} columns")
     pool, M = _design_pool(spec, Z)
-    nobs = Z.shape[0] - M
-
-    sigma = np.zeros(m)
-    fits = []
-    for i, (eq, terms) in enumerate(zip(spec.ordering, spec._terms)):
-        X = np.column_stack([pool[t] for t in terms]) if terms else None
-        fit = ols(pool[(eq, 0)], X, names=tuple(_lag_name(*t) for t in terms))
-        fits.append(fit)
-        sigma[i] = fit.sigma_hat**2
-    A0, A1, A2, gamma0s, gamma1s, Dw, a_q = _structural_blocks(
-        spec, [fit.coefficients for fit in fits]
+    fits = tuple(
+        ols(
+            pool[(eq, 0)],
+            np.column_stack([pool[t] for t in terms]) if terms else None,
+            names=tuple(_lag_name(*t) for t in terms),
+        )
+        for eq, terms in zip(spec.ordering, spec._terms)
     )
-
-    s_col = Z[:, m]
-    s_process = ar_fit(s_col, p=1)
-
-    controls_process: tuple[ArFit, ...] | ControlsVar1 | None
-    if k == 0:
-        controls_process = ()
-    elif controls_var1:
-        zc = Z[:, m + 1 :]
-        design = zc[:-1, :]
-        cfits = tuple(
-            ols(zc[1:, j], design, names=tuple(f"{c}.L1" for c in spec.controls))
-            for j in range(k)
-        )
-        resid = np.column_stack([f.residuals for f in cfits])
-        dof = resid.shape[0] - (k + 1)
-        controls_process = ControlsVar1(
-            names=spec.controls,
-            intercept=np.array([f.coefficient("const") for f in cfits]),
-            transition=np.vstack([f.coefficients[1:] for f in cfits]),
-            omega=resid.T @ resid / dof,
-            fits=cfits,
-        )
-    else:
-        controls_process = tuple(ar_fit(Z[:, m + 1 + j], p=1) for j in range(k))
-
+    one = estimate_svar_stack(spec, Z[None], controls_var1=controls_var1)
+    x = Z[:, m:]
+    if not one.ok[0]:
+        raise _exogenous_error(x, controls_var1)
+    point = one.select(0)
+    # the exogenous innovations over t = 1..N-1, from the stack's coefficients
+    exogenous = np.column_stack(
+        [
+            x[1:, 0] - point.s_intercept - point.s_rho * x[:-1, 0],
+            x[1:, 1:] - point.c_intercept - x[:-1, 1:] @ point.c_transition.T,
+        ]
+    )
+    nobs = Z.shape[0] - M
+    var1 = controls_var1 and len(spec.controls) > 0
+    v = exogenous[:, 1:]
     return SvarEstimate(
-        spec=spec,
-        variables=spec.ordering,
-        controls=spec.controls,
-        A0=A0,
-        A1=A1,
-        A2=A2,
-        gamma0s=gamma0s,
-        gamma1s=gamma1s,
-        Dw=Dw,
-        a_q=a_q,
-        sigma=sigma,
-        s_process=s_process,
-        controls_process=controls_process,
-        fits=tuple(fits),
+        **{f.name: getattr(point, f.name) for f in fields(_System)},
+        controls_var1=var1,
+        c_omega=v.T @ v / (len(v) - v.shape[1] - 1) if var1 else None,
+        fits=fits,
+        residuals=np.column_stack([*(fit.residuals for fit in fits), exogenous[-nobs:]]),
         nobs=nobs,
     )
 
 
+def _exogenous_error(x: np.ndarray, controls_var1: bool) -> NewsvarError:
+    """The error for exogenous series ``x`` (N, 1+k) whose fit failed: a
+    non-finite value, a constant series under an AR(1) or a rank-deficient
+    design, checked series by series."""
+    for j in range(x.shape[1]):
+        if not np.isfinite(x[:, j]).all():
+            return DomainError("regression inputs must be finite")
+        if (j == 0 or not controls_var1) and np.ptp(x[:, j]) == 0.0:
+            return DegenerateDataError("cannot fit an autoregression to a constant series")
+    return CollinearityError("exogenous process design is rank deficient")
+
+
 def _ar1_stack(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """AR(1) fits of the rows of ``x`` (B, N) as :func:`ar_fit` makes them.
+    """AR(1) fits of the rows of ``x`` (B, N) as :func:`~newsvar.regression.ar_fit` makes them.
 
     Returns (rho, intercept, omega, ok); ``ok`` is False where the series
     is constant or the fit is rank deficient.
@@ -622,7 +575,7 @@ def _ar1_stack(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.nd
 def estimate_svar_stack(
     spec: SvarSpec, Z: np.ndarray, controls_var1: bool = False
 ) -> SvarStack:
-    """:func:`estimate_svar_arrays` for a stack of panels ``Z`` (C, N, m+1+k).
+    """Estimate the system on each of a stack of panels ``Z`` (C, N, m+1+k).
 
     Each chain of equations with nested designs is fit for the whole stack
     by one :func:`lstsq_chain` call (one QR), and the intervention AR(1) and
@@ -736,30 +689,29 @@ def estimate_to_json(est: SvarEstimate) -> dict[str, object]:
         "stationary": rf.stationary,
         "companion_eigenvalue_moduli": sorted(np.abs(rf.eigenvalues).tolist(), reverse=True),
         "intervention_process": {
-            "order": est.s_process.order,
-            "intercept": est.s_process.intercept,
-            "coefficients": est.s_process.coefficients.tolist(),
-            "omega": est.s_process.omega,
+            "order": 1,
+            "intercept": float(est.s_intercept),
+            "coefficients": [float(est.s_rho)],
+            "omega": float(est.s_omega),
         },
     }
-    proc = est.controls_process
-    if isinstance(proc, ControlsVar1):
+    if est.controls_var1:
         payload["controls_process"] = {
             "kind": "var1",
-            "intercept": proc.intercept.tolist(),
-            "transition": proc.transition.tolist(),
-            "omega": proc.omega.tolist(),
+            "intercept": est.c_intercept.tolist(),
+            "transition": est.c_transition.tolist(),
+            "omega": est.c_omega.tolist(),
         }
-    elif proc:
+    elif est.k:
         payload["controls_process"] = {
             "kind": "ar1",
             "per_control": {
                 name: {
-                    "intercept": f.intercept,
-                    "rho": float(f.coefficients[0]),
-                    "omega": f.omega,
+                    "intercept": float(est.c_intercept[j]),
+                    "rho": float(est.c_transition[j, j]),
+                    "omega": float(est.c_sd[j]),
                 }
-                for name, f in zip(est.controls, proc)
+                for j, name in enumerate(est.controls)
             },
         }
     else:

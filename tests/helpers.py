@@ -3,8 +3,10 @@
 Everything here works directly from the structural equations, independently
 of the production moving-average and stacked-recursion code paths, so tests
 can cross-check those paths against plain simulation.  The exceptions are
+:func:`lstsq_reference`, the equation-by-equation ``np.linalg.lstsq``
+estimator kept as the reference for the stacked production estimator;
 :func:`bootstrap_reference`, the one-replication-at-a-time bootstrap loop
-kept as the reference for the chunked production bootstrap, and
+kept as the reference for the chunked production bootstrap; and
 :func:`read_counts_reference`, the row-at-a-time counts reader kept as the
 reference for the block-wise columnar one.
 """
@@ -19,12 +21,11 @@ from typing import Mapping
 
 import numpy as np
 
-from newsvar.bootstrap import _structural_residuals, BootstrapBands
+from newsvar.bootstrap import BootstrapBands
 from newsvar.dynamics import build_stacked, irf_all
 from newsvar.errors import NewsvarError, SeriesError
 from newsvar.intensity import ArticleCountPanel
-from newsvar.regression import ArFit
-from newsvar.svar import ControlsVar1, estimate_svar_arrays, SvarEstimate, SvarSpec
+from newsvar.svar import SvarEstimate, SvarSpec
 
 
 def random_stable_system(
@@ -32,12 +33,15 @@ def random_stable_system(
     m: int = 4,
     k: int = 1,
     radius: float | None = None,
+    controls_var1: bool = False,
 ) -> SvarEstimate:
     """Draw a random recursive system with intervention and global blocks.
 
     The domestic companion spectral radius is rescaled to ``radius`` (drawn
     from U(0.2, 0.85) when omitted); exogenous AR coefficients stay inside
-    the unit circle, so the full stacked system is stationary.
+    the unit circle, so the full stacked system is stationary.  With
+    ``controls_var1`` the controls follow a full VAR(1) whose transition has
+    spectral radius U(0.2, 0.8).
     """
     names = tuple(f"v{i}" for i in range(m))
     controls = tuple(f"g{j}" for j in range(k))
@@ -58,25 +62,17 @@ def random_stable_system(
     Phi2 *= scale**2
 
     rho_s = rng.uniform(0.2, 0.9)
-    s_process = ArFit(
-        order=1,
-        intercept=rng.normal(0.0, 0.05),
-        coefficients=np.array([rho_s]),
-        omega=rng.uniform(0.5, 1.5),
-    )
-    controls_process = tuple(
-        ArFit(
-            order=1,
-            intercept=rng.normal(0.0, 0.05),
-            coefficients=np.array([rng.uniform(-0.8, 0.8)]),
-            omega=rng.uniform(0.5, 1.5),
-        )
-        for _ in range(k)
-    )
+    s_intercept = rng.normal(0.0, 0.05)
+    s_omega = rng.uniform(0.5, 1.5)
+    draws = [(rng.normal(0.0, 0.05), rng.uniform(-0.8, 0.8), rng.uniform(0.5, 1.5)) for _ in range(k)]
+    c_intercept, rhos, c_sd = (np.array([d[i] for d in draws]) for i in range(3))
+    c_transition = np.diag(rhos)
+    if controls_var1 and k:
+        c_transition = rng.normal(0.0, 0.5, size=(k, k))
+        top = np.max(np.abs(np.linalg.eigvals(c_transition)))
+        c_transition *= rng.uniform(0.2, 0.8) / top if top > 0 else 1.0
     return SvarEstimate(
         spec=spec,
-        variables=names,
-        controls=controls,
         A0=A0,
         A1=A0 @ Phi1,
         A2=A0 @ Phi2,
@@ -85,8 +81,13 @@ def random_stable_system(
         Dw=rng.normal(0.0, 0.4, size=(m, k)),
         a_q=rng.normal(0.0, 0.1, size=m),
         sigma=rng.uniform(0.5, 1.5, size=m),
-        s_process=s_process,
-        controls_process=controls_process,
+        s_rho=rho_s,
+        s_intercept=s_intercept,
+        s_omega=s_omega,
+        c_transition=c_transition,
+        c_intercept=c_intercept,
+        c_sd=c_sd,
+        controls_var1=controls_var1 and k > 0,
     )
 
 
@@ -108,10 +109,8 @@ def simulate_structural(
     an independent oracle for the analytic responses.
     """
     m, k = est.m, est.k
-    rho_s = float(est.s_process.coefficients[0])
-    a_s = est.s_process.intercept
-    if k:
-        R, c_a, _ = est.controls_transition()
+    rho_s, a_s = float(est.s_rho), float(est.s_intercept)
+    R, c_a = est.c_transition, est.c_intercept
     q = np.zeros((steps + 2, m))
     if q_init is not None:
         q[0] = q_init[0]
@@ -121,7 +120,7 @@ def simulate_structural(
     out = np.empty((steps, m))
     for t in range(steps):
         s_t = a_s + rho_s * s_prev + eta[t]
-        z_t = (c_a + R @ z_prev + v[t]) if k else np.zeros(0)
+        z_t = c_a + R @ z_prev + v[t]
         row = np.empty(m)
         for i in range(m):
             acc = est.a_q[i]
@@ -129,8 +128,7 @@ def simulate_structural(
                 acc -= est.A0[i, j] * row[j]
             acc += est.A1[i] @ q[t + 1] + est.A2[i] @ q[t]
             acc += est.gamma0s[i] * s_t + est.gamma1s[i] * s_prev
-            if k:
-                acc += est.Dw[i] @ z_t
+            acc += est.Dw[i] @ z_t
             acc += eps[t, i]
             row[i] = acc
         q[t + 2] = row
@@ -154,10 +152,9 @@ def oracle_irf(est: SvarEstimate, shock: str, horizon: int) -> np.ndarray:
     if shock in est.variables:
         eps[0, est.variables.index(shock)] = np.sqrt(est.sigma[est.variables.index(shock)])
     elif shock == est.spec.intervention_name:
-        eta[0] = est.s_process.omega
+        eta[0] = est.s_omega
     elif shock in est.controls:
-        _, _, omegas = est.controls_transition()
-        v[0, est.controls.index(shock)] = omegas[est.controls.index(shock)]
+        v[0, est.controls.index(shock)] = est.c_sd[est.controls.index(shock)]
     else:
         raise ValueError(f"unknown shock {shock!r}")
     baseline = simulate_structural(
@@ -171,21 +168,18 @@ def stacked_true_matrices(est: SvarEstimate) -> tuple[np.ndarray, np.ndarray, np
     """(P0inv, B1, B2, intercept) of the one-step form, assembled locally."""
     m, k = est.m, est.k
     n = m + 1 + k
-    R, c_a, _ = est.controls_transition()
     P0 = np.eye(n)
     P0[:m, :m] = est.A0
     P0[:m, m] = -est.gamma0s
-    if k:
-        P0[:m, m + 1 :] = -est.Dw
+    P0[:m, m + 1 :] = -est.Dw
     P1 = np.zeros((n, n))
     P1[:m, :m] = est.A1
     P1[:m, m] = est.gamma1s
-    P1[m, m] = float(est.s_process.coefficients[0])
-    if k:
-        P1[m + 1 :, m + 1 :] = R
+    P1[m, m] = est.s_rho
+    P1[m + 1 :, m + 1 :] = est.c_transition
     P2 = np.zeros((n, n))
     P2[:m, :m] = est.A2
-    a = np.concatenate([est.a_q, [est.s_process.intercept], c_a])
+    a = np.concatenate([est.a_q, [est.s_intercept], est.c_intercept])
     P0inv = np.linalg.inv(P0)
     return P0inv, P0inv @ P1, P0inv @ P2, P0inv @ a
 
@@ -194,16 +188,9 @@ def simulate_panel(
     est: SvarEstimate, steps: int, rng: np.random.Generator, burn: int = 100
 ) -> np.ndarray:
     """Gaussian-innovation sample path of (q, s, controls), after burn-in."""
-    m, k = est.m, est.k
-    n = m + 1 + k
+    n = est.m + 1 + est.k
     P0inv, B1, B2, c = stacked_true_matrices(est)
-    scales = np.concatenate(
-        [
-            np.sqrt(est.sigma),
-            [est.s_process.omega],
-            est.controls_transition()[2] if k else np.zeros(0),
-        ]
-    )
+    scales = np.concatenate([np.sqrt(est.sigma), [est.s_omega], est.c_sd])
     total = steps + burn
     u = rng.normal(size=(total, n)) * scales
     shifted = u @ P0inv.T + c
@@ -213,10 +200,103 @@ def simulate_panel(
     return Z[2 + burn :]
 
 
+def equation_designs(spec: SvarSpec, Z: np.ndarray) -> list[np.ndarray]:
+    """Each equation's design, intercept first, built from the spec's terms."""
+    names = spec.ordering + (spec.intervention_name,) + spec.controls
+    M, N = spec.max_lag, Z.shape[0]
+    return [
+        np.column_stack(
+            [np.ones(N - M)]
+            + [Z[M - lag_ : N - lag_, names.index(name)] for name, lag_ in spec.equation_regressors(eq)]
+        )
+        for eq in spec.ordering
+    ]
+
+
+def exogenous_designs(
+    spec: SvarSpec, Z: np.ndarray, controls_var1: bool = False
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(design, dependent columns) of each exogenous fit over t = 1..N-1: the
+    intervention's AR(1), then each control's AR(1) or the controls' VAR(1)."""
+    x = Z[:, spec.m :]
+    const = np.ones((Z.shape[0] - 1, 1))
+    own = 1 if controls_var1 else x.shape[1]
+    fits = [(np.hstack([const, x[:-1, j : j + 1]]), x[1:, j : j + 1]) for j in range(own)]
+    if controls_var1 and x.shape[1] > 1:
+        fits.append((np.hstack([const, x[:-1, 1:]]), x[1:, 1:]))
+    return fits
+
+
+def lstsq_reference(spec: SvarSpec, Z: np.ndarray, controls_var1: bool = False) -> SvarEstimate | None:
+    """The estimate fit equation by equation with ``np.linalg.lstsq``.
+
+    The reference for the stacked production estimator: each design comes
+    from the spec's terms (:func:`equation_designs`, :func:`exogenous_designs`)
+    and each coefficient is placed by its term's name.  Returns None where a
+    design or its dependent variable holds a non-finite value or a design
+    is rank deficient (a constant series under an AR(1) among them).
+    """
+    m, k = spec.m, len(spec.controls)
+    var1 = controls_var1 and k > 0
+    nobs = Z.shape[0] - spec.max_lag
+    problems = [(X, Z[spec.max_lag :, i : i + 1]) for i, X in enumerate(equation_designs(spec, Z))]
+    solved = []
+    for X, Y in problems + exogenous_designs(spec, Z, var1):
+        if not (np.isfinite(X).all() and np.isfinite(Y).all()) or np.linalg.matrix_rank(X) < X.shape[1]:
+            return None
+        B = np.linalg.lstsq(X, Y, rcond=None)[0]
+        E = Y - X @ B
+        solved.append((B, E, E.T @ E / (X.shape[0] - X.shape[1])))
+
+    A0, A1, A2 = np.eye(m), np.zeros((m, m)), np.zeros((m, m))
+    gamma = {0: np.zeros(m), 1: np.zeros(m)}
+    Dw = np.zeros((m, k))
+    for i, eq in enumerate(spec.ordering):
+        for (name, lag_), b in zip(spec.equation_regressors(eq), solved[i][0][1:, 0]):
+            if name == spec.intervention_name:
+                gamma[lag_][i] = b
+            elif name in spec.controls:
+                Dw[i, spec.controls.index(name)] = b
+            elif lag_ == 0:
+                A0[i, spec.ordering.index(name)] = -b
+            else:
+                (A1 if lag_ == 1 else A2)[i, spec.ordering.index(name)] = b
+    (Bs, _, Vs), *controls = solved[m:]
+    if var1:
+        (Bc, _, Vc), = controls
+        c_transition, c_intercept, c_omega = Bc[1:].T, Bc[0], Vc
+        c_sd = np.sqrt(np.diag(Vc))
+    else:
+        c_transition = np.diag([B[1, 0] for B, _, _ in controls])
+        c_intercept = np.array([B[0, 0] for B, _, _ in controls])
+        c_sd = np.array([np.sqrt(V[0, 0]) for _, _, V in controls])
+        c_omega = None
+    return SvarEstimate(
+        spec=spec,
+        A0=A0,
+        A1=A1,
+        A2=A2,
+        gamma0s=gamma[0],
+        gamma1s=gamma[1],
+        Dw=Dw,
+        a_q=np.array([B[0, 0] for B, _, _ in solved[:m]]),
+        sigma=np.array([V[0, 0] for _, _, V in solved[:m]]),
+        s_rho=Bs[1, 0],
+        s_intercept=Bs[0, 0],
+        s_omega=np.sqrt(Vs[0, 0]),
+        c_transition=c_transition,
+        c_intercept=c_intercept,
+        c_sd=c_sd,
+        controls_var1=var1,
+        c_omega=c_omega,
+        residuals=np.column_stack([E[-nobs:] for _, E, _ in solved]),
+        nobs=nobs,
+    )
+
+
 def bootstrap_reference(
     est: SvarEstimate,
     Z: np.ndarray,
-    spec: SvarSpec,
     horizon: int,
     replications: int,
     quantiles: tuple[float, float],
@@ -228,15 +308,15 @@ def bootstrap_reference(
 
     Same arguments and draws as ``newsvar.bootstrap._bootstrap_from_matrix``:
     each replication simulates its panel step by step, re-estimates it with
-    ``estimate_svar_arrays`` and recomputes the stacked responses with
-    ``irf_all``; a replication whose re-estimate raises is dropped.
+    :func:`lstsq_reference` and recomputes the stacked responses with
+    ``irf_all``; a replication the reference cannot estimate is dropped.
     """
+    spec = est.spec
     system = build_stacked(est)
     n_state = system.Psi0.shape[0]
     M = spec.max_lag
-    n_obs = Z.shape[0] - M
-    U = _structural_residuals(est, n_obs)
-    controls_var1 = isinstance(est.controls_process, ControlsVar1)
+    U = est.residuals
+    n_obs = U.shape[0]
     P0inv = np.linalg.inv(system.Psi0)
     B1 = P0inv @ system.Psi1
     B2 = P0inv @ system.Psi2
@@ -266,12 +346,14 @@ def bootstrap_reference(
         else:
             for t in range(M, Z.shape[0]):
                 sim[t] = shifted[t - M] + B1 @ sim[t - 1]
+        re_est = lstsq_reference(spec, sim, est.controls_var1)
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
-                re_est = estimate_svar_arrays(spec, sim, controls_var1=controls_var1)
-                rep = irf_all(re_est, horizon, shocked_control, method="stacked")
+                rep = None if re_est is None else irf_all(re_est, horizon, shocked_control, method="stacked")
         except (NewsvarError, np.linalg.LinAlgError):
+            rep = None
+        if rep is None:
             dropped += 1
             if dropped > 0.05 * replications:
                 raise RuntimeError(

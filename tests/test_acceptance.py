@@ -18,7 +18,6 @@ from newsvar import svar as sv
 from newsvar import timeseries as ts
 from newsvar.bootstrap import _bootstrap_from_matrix
 from newsvar.errors import NewsvarError
-from newsvar.regression import ArFit
 
 
 def report(number: int, name: str, ok: bool, detail: str) -> None:
@@ -177,8 +176,6 @@ def test_criterion_06_printed_value_arithmetic():
     )
     planted = sv.SvarEstimate(
         spec=spec,
-        variables=spec.ordering,
-        controls=(),
         A0=np.eye(m),
         A1=np.zeros((m, m)),
         A2=np.zeros((m, m)),
@@ -187,8 +184,12 @@ def test_criterion_06_printed_value_arithmetic():
         Dw=np.zeros((m, 0)),
         a_q=np.zeros(m),
         sigma=np.ones(m),
-        s_process=ArFit(order=1, intercept=0.063, coefficients=np.array([0.743]), omega=0.125),
-        controls_process=(),
+        s_rho=0.743,
+        s_intercept=0.063,
+        s_omega=0.125,
+        c_transition=np.zeros((0, 0)),
+        c_intercept=np.zeros(0),
+        c_sd=np.zeros(0),
     )
     median_intensity = 0.16
     median_impact = median_intensity * float(np.linalg.solve(planted.A0, planted.gamma0s)[0])
@@ -292,8 +293,8 @@ def test_criterion_09_bootstrap_determinism_and_coverage():
         joint_resampling=False,
         shocked_control=None,
     )
-    a = _bootstrap_from_matrix(est0, Z0, truth.spec, **kwargs)
-    b = _bootstrap_from_matrix(est0, Z0, truth.spec, **kwargs)
+    a = _bootstrap_from_matrix(est0, Z0, **kwargs)
+    b = _bootstrap_from_matrix(est0, Z0, **kwargs)
     deterministic = all(
         np.array_equal(a.lower[s], b.lower[s]) and np.array_equal(a.upper[s], b.upper[s])
         for s in a.shocks
@@ -309,7 +310,6 @@ def test_criterion_09_bootstrap_determinism_and_coverage():
             bands = _bootstrap_from_matrix(
                 est,
                 Z,
-                truth.spec,
                 horizon=horizon,
                 replications=inner,
                 quantiles=(0.05, 0.95),

@@ -5,6 +5,7 @@ import pytest
 
 from helpers import (
     bootstrap_reference,
+    lstsq_reference,
     random_stable_system,
     simulate_panel,
     stacked_true_matrices,
@@ -75,7 +76,6 @@ def test_vanishing_residual_variance_collapses_bands_to_point():
     bands = bs._bootstrap_from_matrix(
         est,
         Z,
-        truth.spec,
         horizon=6,
         replications=25,
         quantiles=(0.05, 0.95),
@@ -112,7 +112,7 @@ def test_joint_resampling_preserves_cross_equation_dependence():
     # joint resampling keeps residual rows together while separate resampling
     # scrambles them, which shows up in the simulated cross correlations
     truth, est, Z, panel = fitted_system(seed=8, T=400)
-    U = bs._structural_residuals(est, Z.shape[0] - 2)
+    U = est.residuals
     rng = np.random.default_rng(9)
     rows = rng.integers(0, U.shape[0], U.shape[0])
     joint = U[rows]
@@ -142,7 +142,6 @@ def test_bootstrap_requires_residuals():
         bs._bootstrap_from_matrix(
             synthetic,
             np.zeros((50, 4)),
-            synthetic.spec,
             horizon=4,
             replications=5,
             quantiles=(0.05, 0.95),
@@ -237,8 +236,8 @@ def test_chunked_bootstrap_matches_one_at_a_time_reference(case):
         joint_resampling=joint,
         shocked_control=shocked,
     )
-    batched = bs._bootstrap_from_matrix(est, Z, spec, **kwargs)
-    reference = bootstrap_reference(est, Z, spec, **kwargs)
+    batched = bs._bootstrap_from_matrix(est, Z, **kwargs)
+    reference = bootstrap_reference(est, Z, **kwargs)
     assert batched.shocks == reference.shocks
     assert (batched.replications, batched.dropped) == (reference.replications, reference.dropped)
     for shock in batched.shocks:
@@ -264,8 +263,8 @@ def test_chained_bootstrap_bands_match_reference_to_rounding():
         joint_resampling=False,
         shocked_control=None,
     )
-    chained = bs._bootstrap_from_matrix(est, Z, spec, **kwargs)
-    reference = bootstrap_reference(est, Z, spec, **kwargs)
+    chained = bs._bootstrap_from_matrix(est, Z, **kwargs)
+    reference = bootstrap_reference(est, Z, **kwargs)
     assert chained.replications == reference.replications == 40
     for shock in chained.shocks:
         for name in ("lower", "upper", "median"):
@@ -285,12 +284,12 @@ def test_chunked_bootstrap_matches_reference_across_chunks(monkeypatch):
         joint_resampling=False,
         shocked_control=None,
     )
-    reference = bootstrap_reference(est, Z, est.spec, **kwargs)
+    reference = bootstrap_reference(est, Z, **kwargs)
     monkeypatch.setattr(bs, "CHUNK_DESIGN_BYTES", 1)  # one replication per chunk
-    single = bs._bootstrap_from_matrix(est, Z, est.spec, **kwargs)
+    single = bs._bootstrap_from_matrix(est, Z, **kwargs)
     widest = 8 * (Z.shape[0] - 2) * 9
     monkeypatch.setattr(bs, "CHUNK_DESIGN_BYTES", 5 * widest)  # chunks of 5, then 3
-    chunked = bs._bootstrap_from_matrix(est, Z, est.spec, **kwargs)
+    chunked = bs._bootstrap_from_matrix(est, Z, **kwargs)
     for bands in (single, chunked):
         assert bands.replications == reference.replications == 23
         for shock in bands.shocks:
@@ -300,16 +299,19 @@ def test_chunked_bootstrap_matches_reference_across_chunks(monkeypatch):
 
 def test_stacked_estimator_flags_the_failures_the_loop_drops():
     # a panel whose intervention is constant cannot be re-estimated: the
-    # one-at-a-time estimator raises, the stacked one clears that panel's flag
+    # equation-by-equation reference and the point estimator refuse it, the
+    # stacked estimator clears that panel's flag
     _, est, Z, _ = fitted_system(seed=15, T=80)
     flat = Z.copy()
     flat[:, est.m] = 0.25
+    assert lstsq_reference(est.spec, flat) is None
     with pytest.raises(NewsvarError):
         sv.estimate_svar_arrays(est.spec, flat)
     broken = Z.copy()
     broken[5, 0] = np.nan
+    assert lstsq_reference(est.spec, broken) is None
     stack = sv.estimate_svar_stack(est.spec, np.stack([Z, flat, broken, Z]))
     assert stack.ok.tolist() == [True, False, False, True]
-    single = sv.estimate_svar_arrays(est.spec, Z)
-    assert np.allclose(stack.A1[0], single.A1, rtol=0, atol=1e-13)
-    assert np.allclose(stack.sigma[3], single.sigma, rtol=1e-13, atol=0)
+    reference = lstsq_reference(est.spec, Z)
+    assert np.allclose(stack.A1[0], reference.A1, rtol=0, atol=1e-13)
+    assert np.allclose(stack.sigma[3], reference.sigma, rtol=1e-13, atol=0)

@@ -246,6 +246,11 @@ def test_build_index_out_of_range_setting_is_usage_error(index_workspace, capsys
         ({"normalization_window": ["1989-01", "1990Q4"]}, "expected quarterly"),
         ({"target_frequency": "monthly", "off_windows": [["1990Q1", "1990Q2"]]}, "expected monthly"),
         ({"target_frequency": "annual", "normalization_window": [None, "1990Q4"]}, "expected annual"),
+        # numbers are JSON numbers: a boolean or a numeric string is refused
+        ({"weight": True}, "'weight' must be a number, got True"),
+        ({"weight": "0.4"}, "'weight' must be a number, got '0.4'"),
+        ({"grid_step": "0.2"}, "'grid_step' must be a number"),
+        ({"grid_step": False}, "'grid_step' must be a number"),
     ],
 )
 def test_bad_index_setting_exits_1_before_any_output(index_workspace, capsys, settings, key):
@@ -483,6 +488,8 @@ def bootstrap_config(tmp_path, **bootstrap):
         ({"quantiles": [0.05]}, "quantiles"),
         ({"quantiles": [-0.1, 0.5]}, "quantiles"),
         ({"replications": 0}, "replications"),
+        ({"quantiles": [True, 0.9]}, "'quantiles' must be a number, got True"),
+        ({"quantiles": [0.05, "0.95"]}, "'quantiles' must be a number, got '0.95'"),
     ],
 )
 def test_dynamics_bad_bootstrap_setting_is_usage_error(tmp_path, capsys, settings, key):
@@ -724,6 +731,13 @@ def test_missing_config_flag_is_usage_error(capsys):
     assert "--config" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name", ["a" * 300, "."])
+def test_unusable_config_path_is_usage_error(tmp_path, capsys, name):
+    # a name longer than the file system allows, and a directory
+    assert cli.main(["validate", "--config", str(tmp_path / name)]) == 1
+    assert_one_line_error(capsys, "--config: no such file")
+
+
 def test_unknown_command_is_usage_error(tmp_path):
     config = write_config(tmp_path, {})
     assert cli.main(["frobnicate", "--config", str(config)]) == 1
@@ -782,6 +796,18 @@ def run_quietly(argv):
         ("calendar", {}, {"out_dir": None}, 1, "'out_dir' must be a string, got None"),
         ("calendar", {}, {"out_dir": 5}, 1, "'out_dir' must be a string, got 5"),
         ("calendar", {}, {"calendar": ["x.csv"]}, 1, "config section 'calendar' must be an object"),
+        # a control must not replace a regressor the command builds
+        ("reduced_form", {"controls": {"s.L1": "dyw.csv"}}, {}, 1, "regressors the command builds: ['s.L1']"),
+        ("reduced_form", {"controls": {"dy.L1": "dyw.csv"}}, {}, 1, "regressors the command builds: ['dy.L1']"),
+        (
+            "reduced_form",
+            {"intervention_lags": [0, 2], "controls": {"s": "dyw.csv", "s.L1": "dyw.csv", "s.L2": "dyw.csv"}},
+            {},
+            1,
+            "regressors the command builds: ['s', 's.L2']",
+        ),
+        # the intercept too: reduced_form.json kept the control's coefficient under "const"
+        ("reduced_form", {"controls": {"const": "dyw.csv"}}, {}, 1, "regressors the command builds: ['const']"),
     ],
 )
 def test_validate_refuses_what_the_command_refuses(tmp_path, section, edits, top, code, fragment):
