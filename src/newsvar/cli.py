@@ -46,6 +46,7 @@ class PipelineConfig:
     base_dir: Path
     out_dir: Path
     seed: int
+    seed_source: str  # where the seed came from, for messages
 
     @staticmethod
     def load(path: str | Path, out_override: str | None = None, seed_override: int | None = None) -> "PipelineConfig":
@@ -64,7 +65,8 @@ class PipelineConfig:
             raise UsageError(f"config key 'out_dir' must be a string, got {out_dir!r}")
         out_dir = Path(out_override) if out_override else base / out_dir
         seed = seed_override if seed_override is not None else _integer(raw.get("seed", 0), "seed")
-        return PipelineConfig(raw=raw, base_dir=base, out_dir=out_dir, seed=seed)
+        source = "--seed" if seed_override is not None else "config key 'seed'"
+        return PipelineConfig(raw=raw, base_dir=base, out_dir=out_dir, seed=seed, seed_source=source)
 
     def section(self, name: str) -> Mapping[str, object]:
         section = self.raw.get(name)
@@ -379,7 +381,7 @@ class ModelSettings(NamedTuple):
     bootstrap: BootstrapSettings | None
 
 
-def _bootstrap_settings(boot_cfg: Mapping[str, object], default_seed: int) -> BootstrapSettings:
+def _bootstrap_settings(boot_cfg: Mapping[str, object], config: PipelineConfig) -> BootstrapSettings:
     """Checked settings of the bootstrap section; its seed defaults to the config's."""
     replications = _integer(boot_cfg.get("replications", 1000), "replications")
     if replications < 1:
@@ -390,11 +392,11 @@ def _bootstrap_settings(boot_cfg: Mapping[str, object], default_seed: int) -> Bo
     lo, hi = (_number(q, "quantiles") for q in quantiles)
     if not 0.0 <= lo < hi <= 1.0:
         raise UsageError(f"config key 'quantiles' must satisfy 0 <= lower < upper <= 1, got {[lo, hi]}")
-    seed_key = "bootstrap.seed" if "seed" in boot_cfg else "seed"
-    seed = _integer(boot_cfg.get("seed", default_seed), seed_key)
+    seed = _integer(boot_cfg.get("seed", config.seed), "bootstrap.seed")
+    source = "config key 'bootstrap.seed'" if "seed" in boot_cfg else config.seed_source
     if seed < 0:
         # numpy's generators take only non-negative seeds
-        raise UsageError(f"config key {seed_key!r} must be non-negative, got {seed}")
+        raise UsageError(f"{source} must be non-negative, got {seed}")
     joint = _flag(boot_cfg.get("joint", False), "joint")
     return BootstrapSettings(replications, (lo, hi), seed, joint)
 
@@ -415,7 +417,7 @@ def _model_settings(config: PipelineConfig) -> ModelSettings:
     if boot_cfg is not None:
         if not isinstance(boot_cfg, dict):
             raise UsageError(f"config key 'bootstrap' must be an object, got {boot_cfg!r}")
-        boot_cfg = _bootstrap_settings(boot_cfg, config.seed)
+        boot_cfg = _bootstrap_settings(boot_cfg, config)
     controls_var1 = _flag(section.get("controls_var1", False), "controls_var1")
     spec_path = config.path(section, "spec")
     try:

@@ -3,6 +3,14 @@
 Classical (homoskedastic) standard errors are the default to match hand
 calculations; heteroskedasticity-robust errors sit behind a flag.
 
+Every least-squares fit in the package runs through one kernel,
+:func:`lstsq_chain`: the equation chains, :func:`ols` (a chain of one fit)
+and the exogenous AR(1)/VAR(1) fits (q regressions on one design).  The
+exogenous fits take their SSR from the kernel's R factor, which moves their
+residual standard errors, and through them the point IRFs and FEVDs, by
+rounding only: at most 3.3e-16 absolute on the benchmark's inputs, seeds
+11 and 13, against a sum of squared residuals.
+
 scipy is imported inside the few functions that need it (p-values and the
 collinearity report), so loading the package costs numpy alone.
 """
@@ -30,8 +38,6 @@ from .timeseries import align, CalendarSeries, log_diff
 
 __all__ = [
     "RegressionFit",
-    "StackedLstsq",
-    "lstsq_stack",
     "ChainLstsq",
     "lstsq_chain",
     "ols",
@@ -86,17 +92,17 @@ class RegressionFit:
         return 2.0 * special.stdtr(dof, -np.abs(t))
 
 
-class StackedLstsq(NamedTuple):
-    """Least-squares fits of a stack of problems; axis 0 indexes the stack.
+class ChainLstsq(NamedTuple):
+    """Least-squares fits of a chain of nested designs; see :func:`lstsq_chain`.
 
-    ``coefficients`` is (C, k, q), ``residuals`` (C, n, q), ``ssr`` (C, q),
-    ``rank`` (C,) and ``R`` (C, k, k), the triangular QR factor of each
-    design.  Where a design is not of full rank (or holds non-finite
-    values) its coefficients, residuals and SSR are NaN.
+    ``coefficients`` is (C, P, J) with P the widest design's width: fit j's
+    coefficients fill rows ``:p_j`` of column j and the rows below are 0.
+    ``ssr`` is (C, J), ``rank`` (C,) the rank of the widest design and ``R``
+    (C, P, P) its triangular QR factor.  Where that design is not of full
+    rank (or A holds a non-finite value) the coefficients and SSR are NaN.
     """
 
     coefficients: np.ndarray
-    residuals: np.ndarray
     ssr: np.ndarray
     rank: np.ndarray
     R: np.ndarray
@@ -106,107 +112,51 @@ class StackedLstsq(NamedTuple):
         return self.rank == self.R.shape[-1]
 
 
-def lstsq_stack(X: np.ndarray, Y: np.ndarray) -> StackedLstsq:
-    """Householder-QR least squares of ``Y[c]`` on ``X[c]`` for every c.
-
-    ``X`` is (C, n, k) with n >= k and ``Y`` is (C, n, q).  The rank is
-    :func:`numpy.linalg.matrix_rank`'s default rule applied to the singular
-    values S of R: the count of S above ``S.max() * max(n, k) * eps``.  X and
-    R have the same singular values, so the verdict is the one
-    ``matrix_rank(X[c])`` gives.  A slice with a non-finite value counts as
-    rank 0.
-    """
-    X = np.asarray(X, dtype=float)
-    Y = np.asarray(Y, dtype=float)
-    C, n, k = X.shape
-    if Y.ndim != 3 or Y.shape[:2] != (C, n):
-        raise ValueError(f"Y must be ({C}, {n}, q), got {Y.shape}")
-    if not 0 < k <= n:
-        raise ValueError(f"need 1 to {n} regressors, got {k}")
-    XY = np.concatenate([X, Y], axis=2)
-    finite = np.isfinite(XY).all(axis=(1, 2))
-    if not finite.all():
-        XY[~finite] = 0.0  # rank 0 below
-    # Householder reflections of [X, Y] give R in the first k columns and Q'Y
-    # beside it, without ever forming Q
-    R_aug = np.linalg.qr(XY, mode="r")
-    R = R_aug[:, :k, :k]
-    rank = _rank(R, n)
-    full = rank == k
-    all_full = full.all()
-    # R is upper triangular, so the LU solve below is plain back substitution
-    solvable = R if all_full else np.where(full[:, None, None], R, np.eye(k))
-    coefficients = np.linalg.solve(solvable, R_aug[:, :k, k:])
-    residuals = XY[:, :, k:] - XY[:, :, :k] @ coefficients
-    ssr = np.einsum("cnq,cnq->cq", residuals, residuals)
-    if not all_full:
-        for arr in (coefficients, residuals, ssr):
-            arr[~full] = np.nan
-    return StackedLstsq(coefficients, residuals, ssr, rank, R)
-
-
-def _rank(R: np.ndarray, n: int) -> np.ndarray:
-    """Ranks of n-row designs from their (C, k, k) triangular QR factors.
-
-    :func:`numpy.linalg.matrix_rank`'s default rule: the count of singular
-    values above ``S.max() * max(n, k) * eps``.  A design and its R factor
-    have the same singular values.
-    """
-    S = np.linalg.svd(R, compute_uv=False)
-    tol = S.max(axis=-1, keepdims=True) * max(n, R.shape[-1]) * np.finfo(float).eps
-    return np.count_nonzero(S > tol, axis=-1)
-
-
-class ChainLstsq(NamedTuple):
-    """Least-squares fits of a chain of nested designs; see :func:`lstsq_chain`.
-
-    ``coefficients`` is (C, P, J) with P the widest design's width: fit j's
-    coefficients fill rows ``:p_j`` of column j and the rows below are 0.
-    ``ssr`` is (C, J) and ``full_rank`` (C,) the rank verdict of the widest
-    design.  Where that verdict is False (or A holds a non-finite value) the
-    coefficients and SSR are NaN.
-    """
-
-    coefficients: np.ndarray
-    ssr: np.ndarray
-    full_rank: np.ndarray
-
-
 def lstsq_chain(A: np.ndarray, fits: Sequence[tuple[int, int]]) -> ChainLstsq:
     """Regressions of column ``c_j`` of ``A[c]`` on its first ``p_j`` columns,
     for every fit ``(p_j, c_j)`` in ``fits`` and every c, from one QR.
 
-    ``A`` is (C, n, K) with ``p_j <= c_j < K <= n``: each design is a prefix
-    of the columns and each dependent column lies beyond it.  With
-    ``A = QR``, fit j's coefficients solve ``R[:p_j, :p_j] b = R[:p_j, c_j]``
-    and its SSR is the sum of ``R[i, c_j]**2`` over ``p_j <= i <= c_j``.
-    The rank is :func:`lstsq_stack`'s rule applied once, to the widest
-    design: singular values interlace under column deletion, so a full-rank
-    verdict there holds for every prefix.
+    ``A`` is (C, n, K) with ``p_j <= c_j < K`` and ``P = max p_j <= n``: each
+    design is a prefix of the columns and each dependent column lies beyond
+    it.  q regressions on one design X are the chain ``[X, Y]`` with fits
+    ``(k, k + j)``.  With ``A = QR``, fit j's coefficients solve
+    ``R[:p_j, :p_j] b = R[:p_j, c_j]`` and its SSR is the sum of
+    ``R[i, c_j]**2`` over ``p_j <= i <= c_j``.  The rank is
+    :func:`numpy.linalg.matrix_rank`'s default rule applied to the widest
+    design's R, which has that design's singular values S: the count of S
+    above ``S.max() * max(n, P) * eps``.  Singular values interlace under
+    column deletion, so a full-rank verdict there holds for every prefix.
+    A panel with a non-finite value counts as rank 0.
     """
     A = np.asarray(A, dtype=float)
     C, n, K = A.shape
     p = np.array([width for width, _ in fits])
     c = np.array([column for _, column in fits])
-    if not (np.all(0 < p) and np.all(p <= c) and np.all(c < K) and K <= n):
+    if not (np.all(0 < p) and np.all(p <= c) and np.all(c < K) and p.max() <= n):
         raise ValueError(f"fits {list(fits)} do not fit a ({n}, {K}) chain")
     P = int(p.max())
     finite = np.isfinite(A).all(axis=(1, 2))
     if not finite.all():
         A = np.where(finite[:, None, None], A, 0.0)  # rank 0 below
+    # Householder reflections give R without ever forming Q
     R = np.linalg.qr(A, mode="r")
-    full = _rank(R[:, :P, :P], n) == P
+    RP = R[:, :P, :P]
+    S = np.linalg.svd(RP, compute_uv=False)
+    tol = S.max(axis=-1, keepdims=True) * max(n, P) * np.finfo(float).eps
+    rank = np.count_nonzero(S > tol, axis=-1)
+    full = rank == P
     all_full = full.all()
-    RP = R[:, :P, :P] if all_full else np.where(full[:, None, None], R[:, :P, :P], np.eye(P))
-    rows = np.arange(K)[:, None]
+    # R is upper triangular, so the LU solve below is plain back substitution
+    solvable = RP if all_full else np.where(full[:, None, None], RP, np.eye(P))
+    rows = np.arange(R.shape[1])[:, None]
     # one back substitution serves every fit: zeros below row p_j of the
     # right-hand side give exact zeros there, and the leading-block solve above
-    coefficients = np.linalg.solve(RP, np.where(rows[:P] < p, R[:, :P, c], 0.0))
+    coefficients = np.linalg.solve(solvable, np.where(rows[:P] < p, R[:, :P, c], 0.0))
     ssr = np.where(rows >= p, R[:, :, c] ** 2, 0.0).sum(axis=1)
     if not all_full:
         coefficients[~full] = np.nan
         ssr[~full] = np.nan
-    return ChainLstsq(coefficients, ssr, full)
+    return ChainLstsq(coefficients, ssr, rank, RP)
 
 
 def _dependent_columns(design: np.ndarray, names: Sequence[str], rank: int) -> list[str]:
@@ -227,9 +177,9 @@ def ols(
 ) -> RegressionFit:
     """Ordinary least squares with classical standard errors.
 
-    The fit is :func:`lstsq_stack` on a stack of one; the coefficient
-    covariance comes from the inverse of its R factor, since
-    ``(X'X)^{-1} = R^{-1} R^{-T}``.
+    The fit is :func:`lstsq_chain` on ``[X, y]`` with the one fit
+    ``(k, k)``; the coefficient covariance comes from the inverse of its R
+    factor, since ``(X'X)^{-1} = R^{-1} R^{-T}``.
 
     Args:
         y: dependent variable, length n.
@@ -270,7 +220,8 @@ def ols(
         raise ValueError("regression needs at least one regressor or an intercept")
     if n <= k:
         raise SampleError(f"need more than {k} observations, got {n}")
-    fit = lstsq_stack(design[None], y[None, :, None])
+    A = np.column_stack([design, y])[None]
+    fit = lstsq_chain(A, [(k, k)])
     rank = int(fit.rank[0])
     if rank < k:
         if not (np.isfinite(design).all() and np.isfinite(y).all()):
@@ -280,9 +231,13 @@ def ols(
             "design matrix is rank deficient; dependent columns: "
             + ", ".join(dependent)
         )
+    # the SSR is summed from the residuals in this stacked (1, n, 1) form: the
+    # kernel's SSR from R, or a flat residuals @ residuals, rounds differently
+    # and moves sigma_hat in its last bit
+    stacked = A[:, :, k:] - A[:, :, :k] @ fit.coefficients
+    ssr = float(np.einsum("cnq,cnq->cq", stacked, stacked)[0, 0])
     coef = fit.coefficients[0, :, 0]
-    residuals = fit.residuals[0, :, 0]
-    ssr = float(fit.ssr[0, 0])
+    residuals = stacked[0, :, 0]
     sigma2 = ssr / (n - k)
     R_inv = np.linalg.inv(fit.R[0])  # R is triangular: LU needs no pivoting here
     if robust:

@@ -24,7 +24,7 @@ from .errors import (
     NewsvarError,
     SampleError,
 )
-from .regression import lstsq_chain, lstsq_stack, ols, RegressionFit
+from .regression import lstsq_chain, ols, RegressionFit
 from .timeseries import align, CalendarSeries, PeriodLabel
 
 __all__ = [
@@ -565,8 +565,8 @@ def _ar1_stack(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.nd
     Returns (rho, intercept, omega, ok); ``ok`` is False where the series
     is constant or the fit is rank deficient.
     """
-    X = np.stack([np.ones_like(x[:, 1:]), x[:, :-1]], axis=-1)
-    fit = lstsq_stack(X, x[:, 1:, None])
+    A = np.stack([np.ones_like(x[:, 1:]), x[:, :-1], x[:, 1:]], axis=-1)
+    fit = lstsq_chain(A, [(2, 2)])
     omega = np.sqrt(fit.ssr[:, 0] / (x.shape[1] - 3))
     ok = fit.full_rank & (np.ptp(x, axis=1) != 0.0)
     return fit.coefficients[:, 1, 0], fit.coefficients[:, 0, 0], omega, ok
@@ -578,8 +578,8 @@ def estimate_svar_stack(
     """Estimate the system on each of a stack of panels ``Z`` (C, N, m+1+k).
 
     Each chain of equations with nested designs is fit for the whole stack
-    by one :func:`lstsq_chain` call (one QR), and the intervention AR(1) and
-    the control AR(1)s or VAR(1) by one :func:`lstsq_stack` call each.  A
+    by one :func:`lstsq_chain` call (one QR), and so are the intervention
+    AR(1) and the control AR(1)s or VAR(1), one call each.  A
     panel whose fit fails does not raise: its ``ok`` flag is cleared.
     """
     m, k = spec.m, len(spec.controls)
@@ -610,8 +610,8 @@ def estimate_svar_stack(
     if controls_var1 and k:
         s_rho, s_intercept, s_omega, s_ok = _ar1_stack(Z[:, :, m])
         zc = Z[:, :, m + 1 :]
-        X = np.concatenate([np.ones((C, N - 1, 1)), zc[:, :-1]], axis=2)
-        fit = lstsq_stack(X, zc[:, 1:])
+        A = np.concatenate([np.ones((C, N - 1, 1)), zc[:, :-1], zc[:, 1:]], axis=2)
+        fit = lstsq_chain(A, [(k + 1, k + 1 + j) for j in range(k)])
         ok &= s_ok & fit.full_rank
         c_intercept = fit.coefficients[:, 0, :]
         c_transition = np.swapaxes(fit.coefficients[:, 1:, :], 1, 2)

@@ -12,6 +12,7 @@ Period label grammar: annual ``YYYY``, quarterly ``YYYYQn``, monthly
 from __future__ import annotations
 
 import csv
+import math
 import re
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -420,13 +421,15 @@ def series_correlation(a: CalendarSeries, b: CalendarSeries) -> float:
 
 @contextmanager
 def csv_rows(path: Path) -> Iterator[Iterator[list[str]]]:
-    """A ``csv.reader`` over a UTF-8 file; bytes that do not decode raise
-    :class:`SeriesError` naming the file."""
+    """A ``csv.reader`` over a UTF-8 file; bytes that do not decode, and
+    what ``csv`` cannot split, raise :class:`SeriesError` naming the file."""
     with path.open(newline="", encoding="utf-8") as handle:
         try:
             yield csv.reader(handle)
         except UnicodeDecodeError as exc:
             raise SeriesError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+        except csv.Error as exc:
+            raise SeriesError(f"{path}: {exc}") from exc
 
 
 def read_series_csv(
@@ -434,9 +437,13 @@ def read_series_csv(
     calendar: CalendarKind = CalendarKind.GREGORIAN,
     units: str = "",
 ) -> CalendarSeries:
-    """Read a ``period,value`` CSV into a series, inferring the frequency."""
+    """Read a ``period,value`` CSV into a series, inferring the frequency.
+
+    Every :class:`SeriesError` names the file, and the line where one is at
+    fault.
+    """
     path = Path(path)
-    rows: list[tuple[PeriodLabel, float]] = []
+    rows: dict[int, tuple[float, int]] = {}  # period index -> (value, line)
     freq: Frequency | None = None
     with csv_rows(path) as reader:
         header = next(reader, None)
@@ -456,23 +463,32 @@ def read_series_csv(
                 value = float(row[1])
             except ValueError as exc:
                 raise SeriesError(f"{path}:{lineno}: bad value {row[1]!r}") from exc
-            rows.append((label, value))
+            if math.isinf(value):
+                raise SeriesError(f"{path}:{lineno}: value {row[1]!r} is infinite")
+            index = label.to_index(freq)
+            if index in rows:
+                raise SeriesError(
+                    f"{path}:{lineno}: duplicate period {label.format(freq)}"
+                    f" (first on line {rows[index][1]})"
+                )
+            rows[index] = (value, lineno)
     if not rows or freq is None:
         raise SeriesError(f"{path}: no data rows")
-    rows.sort(key=lambda item: item[0].to_index(freq))
-    indices = [label.to_index(freq) for label, _ in rows]
-    expected = range(indices[0], indices[0] + len(indices))
-    if indices != list(expected):
-        missing = sorted(set(expected) - set(indices))
-        shown = PeriodLabel.from_index(missing[0], freq).format(freq) if missing else "?"
+    first, last = min(rows), max(rows)
+    if last - first + 1 != len(rows):
+        gap = next(i for i in range(first, last) if i not in rows)
+        shown = PeriodLabel.from_index(gap, freq).format(freq)
         raise SeriesError(f"{path}: periods not contiguous (first gap at {shown})")
-    return CalendarSeries(
-        frequency=freq,
-        calendar=calendar,
-        start=rows[0][0],
-        values=np.array([v for _, v in rows]),
-        units=units,
-    )
+    try:
+        return CalendarSeries(
+            frequency=freq,
+            calendar=calendar,
+            start=PeriodLabel.from_index(first, freq),
+            values=np.array([rows[i][0] for i in range(first, last + 1)]),
+            units=units,
+        )
+    except SeriesError as exc:
+        raise SeriesError(f"{path}: {exc}") from exc
 
 
 def write_series_csv(series: CalendarSeries, path: str | Path) -> None:

@@ -544,6 +544,17 @@ def test_bad_dynamics_setting_exits_1_before_any_output(tmp_path, capsys, top, m
     assert not (tmp_path / "out").exists()
 
 
+def test_negative_seed_flag_is_named_in_the_error(tmp_path, capsys):
+    _, data_map = model_workspace(tmp_path, T=120)
+    section = {"spec": "spec.json", "data": data_map, "horizon": 4, "bootstrap": {"replications": 20}}
+    config = write_config(tmp_path, {"out_dir": "out", "model": section})
+    for command in ("dynamics", "validate"):
+        assert cli.main([command, "--config", str(config), "--seed", "-1"]) == 1, command
+        err = capsys.readouterr().err
+        assert err == "error: --seed must be non-negative, got -1\n"
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize(
     "field, value",
     [

@@ -124,11 +124,17 @@ def stacked_problems(draw, min_k=1):
     return rng.normal(size=(C, n, k)), rng.normal(size=(C, n, q))
 
 
+def stack_as_chain(X, Y):
+    """q regressions on one design X as the chain [X, Y] with fits (k, k + j)."""
+    k, q = X.shape[2], Y.shape[2]
+    return np.concatenate([X, Y], axis=2), [(k, k + j) for j in range(q)]
+
+
 @KERNEL_PROPERTY
 @given(stacked_problems())
-def test_lstsq_stack_matches_numpy_lstsq_slice_by_slice(problem):
+def test_lstsq_chain_matches_numpy_lstsq_slice_by_slice_on_a_stack(problem):
     X, Y = problem
-    fit = reg.lstsq_stack(X, Y)
+    fit = reg.lstsq_chain(*stack_as_chain(X, Y))
     assert fit.full_rank.all()
     for c in range(X.shape[0]):
         want, _, _, _ = np.linalg.lstsq(X[c], Y[c], rcond=None)
@@ -137,12 +143,14 @@ def test_lstsq_stack_matches_numpy_lstsq_slice_by_slice(problem):
         assert np.max(np.abs(fit.coefficients[c] - want)) <= tol
         resid = Y[c] - X[c] @ want
         assert np.allclose(fit.ssr[c], np.sum(resid**2, axis=0), rtol=1e-9, atol=1e-12)
-        assert np.allclose(fit.residuals[c], resid, rtol=0, atol=1e-9)
+        # the kernel keeps no residuals; ols computes them from its fit
+        ols_resid = [reg.ols(y, X[c], intercept=False).residuals for y in Y[c].T]
+        assert np.allclose(np.column_stack(ols_resid), resid, rtol=0, atol=1e-9)
 
 
 @KERNEL_PROPERTY
 @given(stacked_problems(), st.data())
-def test_lstsq_stack_rank_mask_matches_matrix_rank(problem, data):
+def test_lstsq_chain_rank_mask_matches_matrix_rank(problem, data):
     X, Y = problem
     C, n, k = X.shape
     for c in range(C):
@@ -157,12 +165,47 @@ def test_lstsq_stack_rank_mask_matches_matrix_rank(problem, data):
             )
             factor = data.draw(st.sampled_from([2.0, -0.5, 8.0]), label="factor")
             X[c, :, target] = factor * X[c, :, source]
-    fit = reg.lstsq_stack(X, Y)
+    fit = reg.lstsq_chain(*stack_as_chain(X, Y))
     ranks = [int(np.linalg.matrix_rank(X[c])) for c in range(C)]
     assert fit.rank.tolist() == ranks
     assert fit.full_rank.tolist() == [r == k for r in ranks]
     assert np.isnan(fit.coefficients[~fit.full_rank]).all()
     assert np.isfinite(fit.coefficients[fit.full_rank]).all()
+
+
+@st.composite
+def chain_problems(draw):
+    """(A, fits): a (C, n, K) stack with nested fits (p_j, c_j), P = max p_j
+    <= n but K often above n, and several dependent columns per width."""
+    P = draw(st.integers(1, 6))
+    n = draw(st.integers(P, P + 8))
+    K = P + draw(st.integers(1, 8))
+    C = draw(st.integers(1, 3))
+    widths = sorted(set(draw(st.lists(st.integers(1, P), max_size=4))) | {P})
+    fits = [
+        (p, column)
+        for p in widths
+        for column in draw(st.lists(st.integers(p, K - 1), min_size=1, max_size=3, unique=True))
+    ]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return rng.normal(size=(C, n, K)), fits
+
+
+@KERNEL_PROPERTY
+@given(chain_problems())
+def test_lstsq_chain_matches_numpy_lstsq_fit_by_fit(problem):
+    A, fits = problem
+    fit = reg.lstsq_chain(A, fits)
+    assert fit.full_rank.all()
+    for c in range(A.shape[0]):
+        for j, (p, column) in enumerate(fits):
+            X, y = A[c, :, :p], A[c, :, column]
+            want, _, _, _ = np.linalg.lstsq(X, y, rcond=None)
+            tol = 1e-13 * np.linalg.cond(X) ** 2 * max(1.0, float(np.abs(want).max()))
+            assert np.max(np.abs(fit.coefficients[c, :p, j] - want)) <= tol
+            assert (fit.coefficients[c, p:, j] == 0.0).all()
+            resid = y - X @ want
+            assert np.isclose(fit.ssr[c, j], resid @ resid, rtol=1e-9, atol=1e-12)
 
 
 @KERNEL_PROPERTY

@@ -1,5 +1,12 @@
+import re
+import string
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from newsvar import factors, intensity
 from newsvar import timeseries as ts
@@ -308,6 +315,91 @@ def test_csv_reports_bad_value_line(tmp_path):
     p.write_text("period,value\n1989,1.0\n1990,oops\n", encoding="utf-8")
     with pytest.raises(SeriesError, match=":3"):
         ts.read_series_csv(p)
+
+
+def test_csv_names_a_repeated_period_and_its_line(tmp_path):
+    p = tmp_path / "repeat.csv"
+    p.write_text("period,value\n2000Q1,1\n2000Q1,2\n2000Q2,3\n", encoding="utf-8")
+    with pytest.raises(SeriesError) as info:
+        ts.read_series_csv(p)
+    assert str(info.value) == f"{p}:3: duplicate period 2000Q1 (first on line 2)"
+
+
+@pytest.mark.parametrize("cell", ["inf", "-inf", "1e999"])
+def test_csv_names_the_line_of_an_infinite_value(tmp_path, cell):
+    p = tmp_path / "inf.csv"
+    p.write_text(f"period,value\n1989,1.0\n\n1990,{cell}\n1991,2.0\n", encoding="utf-8")
+    with pytest.raises(SeriesError, match=f"^{re.escape(str(p))}:4: value '{cell}' is infinite$"):
+        ts.read_series_csv(p)
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        ("1989,1.0\n1990,nan\n1991,2.0\n", "missing markers are permitted only at the edges"),
+        ("1989,1.0\n1990," + "9" * 140_000 + "\n", "field larger than field limit"),
+    ],
+)
+def test_csv_errors_after_the_rows_name_the_file(tmp_path, body, message):
+    p = tmp_path / "bad.csv"
+    p.write_text("period,value\n" + body, encoding="utf-8")
+    with pytest.raises(SeriesError, match=f"^{re.escape(str(p))}: {message}"):
+        ts.read_series_csv(p)
+
+
+_LABELS = {
+    "annual": ["1990", "1991", "1992", "1993", "1994", "1995"],
+    "quarterly": ["1990Q3", "1990Q4", "1991Q1", "1991Q2", "1991Q3", "1991Q4"],
+    "monthly": ["1990-11", "1990-12", "1991-01", "1991-02", "1991-03", "1991-04"],
+}
+_BAD_LABELS = ["", "19x0", "1990Q5", "1990-13", "1990-1", "Q1", "1234567"]
+_VALUES = ["1.5", "-2", " 3 ", "0", "1e-3", "nan", "NaN"]
+_BAD_VALUES = ["", "inf", "-inf", "1e999", "abc", "1,5", "0x10"]
+
+
+@st.composite
+def series_files(draw):
+    """Series CSV text: mostly good rows of one frequency, so that gaps,
+    repeats and NaN runs occur, among bad and mixed-frequency labels, bad
+    values, blank and short rows, stray columns, quoting and noise."""
+    header = draw(st.sampled_from(["period,value"] * 12 + ["Period, Value", "period,value,x", "value,period", ""]))
+    freq = draw(st.sampled_from(sorted(_LABELS)))
+    good_label = st.sampled_from(_LABELS[freq])
+    any_label = st.sampled_from([l for labels in _LABELS.values() for l in labels] + _BAD_LABELS)
+    lines = [header]
+    for _ in range(draw(st.integers(0, 6))):
+        shape = draw(st.sampled_from(["row"] * 20 + ["blank", "short", "long", "noise"]))
+        if shape == "blank":
+            lines.append(draw(st.sampled_from(["", ",", " , ", '"",'])))
+            continue
+        if shape == "noise":
+            lines.append(draw(st.text(string.printable, max_size=12)))
+            continue
+        cells = [
+            draw(st.sampled_from([good_label] * 12 + [any_label]).flatmap(lambda s: s)),
+            draw(st.sampled_from(_VALUES * 6 + _BAD_VALUES)),
+        ]
+        if shape == "short":
+            cells = cells[:1]
+        elif shape == "long":
+            cells.append(draw(st.sampled_from(["", "x", "1"])))
+        lines.append(",".join(f'"{c}"' if draw(st.booleans()) else c for c in cells))
+    return "\n".join(lines) + draw(st.sampled_from(["\n", "", "\r\n"]))
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(text=series_files())
+def test_read_series_csv_returns_a_series_or_names_the_file(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "series.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        try:
+            series = ts.read_series_csv(path)
+        except SeriesError as exc:
+            assert str(exc).startswith(f"{path}:"), str(exc)
+            return
+    assert isinstance(series, ts.CalendarSeries)
+    assert np.isfinite(series.values).any()
 
 
 @pytest.mark.parametrize(
