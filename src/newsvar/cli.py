@@ -68,12 +68,14 @@ class PipelineConfig:
         source = "--seed" if seed_override is not None else "config key 'seed'"
         return PipelineConfig(raw=raw, base_dir=base, out_dir=out_dir, seed=seed, seed_source=source)
 
-    def section(self, name: str) -> Mapping[str, object]:
+    def section(self, name: str, keys: tuple[str, ...]) -> Mapping[str, object]:
+        """The object under ``name``, which holds only the given keys."""
         section = self.raw.get(name)
         if section is None:
             raise UsageError(f"config lacks a {name!r} section")
         if not isinstance(section, dict):
             raise UsageError(f"config section {name!r} must be an object")
+        _known_keys(section, f"config section {name!r}", keys)
         return section
 
     def path(self, section: Mapping[str, object], key: str, required: bool = True) -> Path | None:
@@ -103,6 +105,12 @@ def _is_file(path: Path) -> bool:
         return path.is_file()
     except OSError:  # e.g. a name longer than the file system allows
         return False
+
+
+def _known_keys(section: Mapping[str, object], what: str, keys: tuple[str, ...]) -> None:
+    unknown = sorted(set(section) - set(keys))
+    if unknown:
+        raise UsageError(f"{what} has unknown keys: {unknown}")
 
 
 def _number(value: object, what: str) -> float:
@@ -247,7 +255,10 @@ class IndexSettings(NamedTuple):
 def _index_settings(config: PipelineConfig) -> IndexSettings:
     """The checked index section, every path present resolved;
     ``build-index`` and ``validate`` both read it here."""
-    section = config.section("index")
+    section = config.section("index", (
+        "on_counts", "off_counts", "variant", "target_frequency", "normalization_window",
+        "off_windows", "weight", "grid_step", "output_growth",
+    ))
     variant = str(section.get("variant", "simple"))
     if variant not in ("simple", "standardized"):
         raise UsageError(f"index variant must be 'simple' or 'standardized', got {variant!r}")
@@ -348,7 +359,7 @@ _CONVERTERS = {
 
 def _calendar_input(config: PipelineConfig) -> Path:
     """The calendar section's resolved ``input`` path."""
-    return config.path(config.section("calendar"), "input")
+    return config.path(config.section("calendar", ("input",)), "input")
 
 
 def cmd_convert_calendar(config: PipelineConfig) -> int:
@@ -383,6 +394,7 @@ class ModelSettings(NamedTuple):
 
 def _bootstrap_settings(boot_cfg: Mapping[str, object], config: PipelineConfig) -> BootstrapSettings:
     """Checked settings of the bootstrap section; its seed defaults to the config's."""
+    _known_keys(boot_cfg, "config key 'bootstrap'", ("replications", "quantiles", "seed", "joint"))
     replications = _integer(boot_cfg.get("replications", 1000), "replications")
     if replications < 1:
         raise UsageError(f"config key 'replications' must be positive, got {replications}")
@@ -404,7 +416,9 @@ def _bootstrap_settings(boot_cfg: Mapping[str, object], config: PipelineConfig) 
 def _model_settings(config: PipelineConfig) -> ModelSettings:
     """The checked model section with its spec and data panel read;
     ``estimate``, ``dynamics`` and ``validate`` all read it here."""
-    section = config.section("model")
+    section = config.section("model", (
+        "spec", "data", "controls_var1", "horizon", "shocked_control", "method", "bootstrap",
+    ))
     horizon = _integer(section.get("horizon", 24), "horizon")
     if horizon < 0:
         raise UsageError(f"config key 'horizon' must be non-negative, got {horizon}")
@@ -506,7 +520,9 @@ def _effect_name(lag_: int) -> str:
 def _reduced_form_settings(config: PipelineConfig) -> ReducedFormSettings:
     """The checked reduced-form section, every path resolved;
     ``reduced-form`` and ``validate`` both read it here."""
-    section = config.section("reduced_form")
+    section = config.section("reduced_form", (
+        "growth", "domestic_levels", "region_levels", "intervention", "intervention_lags", "controls",
+    ))
     lags = section.get("intervention_lags", [1])
     if not isinstance(lags, list) or not lags:
         raise UsageError("intervention_lags must be a non-empty list")
@@ -515,11 +531,13 @@ def _reduced_form_settings(config: PipelineConfig) -> ReducedFormSettings:
         # a repeated lag would enter the long-run effect twice, a negative one as a lead
         raise UsageError(f"config key 'intervention_lags' must be distinct non-negative lags, got {list(lags)}")
     intervention = config.path(section, "intervention")
-    region = config.path(section, "region_levels", required=False)
-    if region is not None:
-        growth, levels = None, (config.path(section, "domestic_levels"), region)
-    else:
-        growth, levels = config.path(section, "growth"), None
+    sources = [key for key in ("growth", "domestic_levels", "region_levels") if section.get(key) is not None]
+    if sources not in (["growth"], ["domestic_levels", "region_levels"]):
+        raise UsageError(
+            f"config section 'reduced_form' needs 'growth' or both 'domestic_levels' and 'region_levels', got {sources}"
+        )
+    growth = config.path(section, "growth", required=False)
+    levels = None if growth else (config.path(section, "domestic_levels"), config.path(section, "region_levels"))
     controls = config.paths(section, "controls", required=False)
     built = ["const", "dy.L1", *map(_effect_name, lags)]
     clashes = [name for name in controls if name in built]

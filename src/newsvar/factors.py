@@ -16,7 +16,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import AlignmentError, CoverageError, GapError, SeriesError
-from .timeseries import align, CalendarKind, CalendarSeries, csv_rows, Frequency, PeriodLabel
+from .timeseries import align, CalendarKind, CalendarSeries, Frequency, PeriodLabel, read_period_table
 
 __all__ = [
     "WeightScheme",
@@ -155,59 +155,21 @@ def read_wide_panel_csv(
     path: str | Path,
     calendar: CalendarKind = CalendarKind.GREGORIAN,
 ) -> dict[str, CalendarSeries]:
-    """Read a wide CSV ``period,member1,member2,...`` into per-member series.
+    """Read a wide CSV ``period,member1,member2,...`` into per-member series
+    (see :func:`~newsvar.timeseries.read_period_table`).
 
-    Empty cells mark missing values; they may appear only at a member's span
-    edges.
+    Missing values may stand only at a member's span edges, which they trim.
     """
     path = Path(path)
-    with csv_rows(path) as reader:
-        header = next(reader, None)
-        if header is None or header[0].strip().lower() != "period" or len(header) < 2:
-            raise SeriesError(f"{path}: expected header 'period,member1,...'")
-        members = [h.strip() for h in header[1:]]
-        freq: Frequency | None = None
-        labels: list[PeriodLabel] = []
-        rows: list[list[float]] = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            try:
-                label, found = PeriodLabel.parse(row[0], freq)
-            except SeriesError as exc:
-                raise SeriesError(f"{path}:{lineno}: {exc}") from exc
-            freq = freq or found
-            values = []
-            for name, cell in zip(members, row[1:]):
-                cell = cell.strip()
-                try:
-                    values.append(float(cell) if cell else np.nan)
-                except ValueError as exc:
-                    raise SeriesError(f"{path}:{lineno}: bad value for {name}") from exc
-            values.extend([np.nan] * (len(members) - len(values)))
-            labels.append(label)
-            rows.append(values)
-    if freq is None or not rows:
-        raise SeriesError(f"{path}: no data rows")
-    order = np.argsort([l.to_index(freq) for l in labels])
-    labels = [labels[i] for i in order]
-    indices = [l.to_index(freq) for l in labels]
-    if indices != list(range(indices[0], indices[0] + len(indices))):
-        raise SeriesError(f"{path}: periods not contiguous")
-    table = np.array([rows[i] for i in order])
+    freq, start, members, table = read_period_table(path)
     panel = {}
-    for j, name in enumerate(members):
-        column = table[:, j]
-        finite = np.isfinite(column)
-        if not finite.any():
+    for name, column in zip(members, table.T):
+        if np.isnan(column).all():
             raise SeriesError(f"{path}: member {name!r} has no data")
-        first, last = int(np.argmax(finite)), len(finite) - 1 - int(np.argmax(finite[::-1]))
-        panel[name] = CalendarSeries(
-            frequency=freq,
-            calendar=calendar,
-            start=labels[first],
-            values=column[first : last + 1],
-        )
+        try:
+            panel[name] = CalendarSeries(freq, calendar, start, column).trimmed()
+        except SeriesError as exc:
+            raise SeriesError(f"{path}: member {name!r}: {exc}") from exc
     return panel
 
 

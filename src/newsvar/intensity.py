@@ -39,6 +39,7 @@ from .timeseries import (
     Frequency,
     lag,
     PeriodLabel,
+    read_period_table,
 )
 
 __all__ = [
@@ -186,6 +187,8 @@ class EntityFlowSeries:
             raise SeriesError("additions and removals must be 1-D and equal length")
         if additions.size == 0:
             raise SeriesError("entity flow series is empty")
+        if not (np.isfinite(additions).all() and np.isfinite(removals).all()):
+            raise SeriesError("entity flow counts must be finite")
         if (additions < 0).any() or (removals < 0).any():
             raise SeriesError("entity flow counts must be non-negative")
         for arr, name in ((additions, "additions"), (removals, "removals")):
@@ -539,41 +542,14 @@ def _check_repeats(
 
 
 def read_flows_csv(path: str | Path) -> EntityFlowSeries:
-    """Read entity flows from a ``period,additions,removals`` CSV."""
+    """Read entity flows from a ``period,additions,removals`` CSV
+    (see :func:`~newsvar.timeseries.read_period_table`)."""
     path = Path(path)
-    rows: list[tuple[PeriodLabel, float, float]] = []
-    freq: Frequency | None = None
-    with csv_rows(path) as reader:
-        header = next(reader, None)
-        if header is None or [h.strip().lower() for h in header[:3]] != [
-            "period",
-            "additions",
-            "removals",
-        ]:
-            raise SeriesError(f"{path}: expected header 'period,additions,removals'")
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) < 3:
-                raise SeriesError(f"{path}:{lineno}: expected 3 columns")
-            try:
-                label, found = PeriodLabel.parse(row[0], freq)
-                rows.append((label, float(row[1]), float(row[2])))
-            except (SeriesError, ValueError) as exc:
-                raise SeriesError(f"{path}:{lineno}: {exc}") from exc
-            freq = freq or found
-    if not rows or freq is None:
-        raise SeriesError(f"{path}: no data rows")
-    rows.sort(key=lambda item: item[0].to_index(freq))
-    indices = [label.to_index(freq) for label, _, _ in rows]
-    if indices != list(range(indices[0], indices[0] + len(indices))):
-        raise SeriesError(f"{path}: periods not contiguous")
-    return EntityFlowSeries(
-        frequency=freq,
-        start=rows[0][0],
-        additions=np.array([a for _, a, _ in rows]),
-        removals=np.array([r for _, _, r in rows]),
-    )
+    freq, start, _, table = read_period_table(path, ("additions", "removals"))
+    try:
+        return EntityFlowSeries(freq, start, table[:, 0], table[:, 1])
+    except SeriesError as exc:
+        raise SeriesError(f"{path}: {exc}") from exc
 
 
 def write_index_csv(index: IntensityIndex, path: str | Path) -> None:

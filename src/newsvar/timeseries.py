@@ -3,7 +3,7 @@
 A :class:`CalendarSeries` is a contiguous run of values stamped with a
 frequency (monthly/quarterly/annual) and a calendar (Gregorian/Iranian).
 Module functions cover Iranian-to-Gregorian conversion, frequency
-aggregation, log differencing, lagging, alignment, and two-column CSV I/O.
+aggregation, log differencing, lagging, alignment, and period-keyed CSV I/O.
 
 Period label grammar: annual ``YYYY``, quarterly ``YYYYQn``, monthly
 ``YYYY-MM``.
@@ -43,6 +43,7 @@ __all__ = [
     "pad_span",
     "align",
     "series_correlation",
+    "read_period_table",
     "read_series_csv",
     "write_series_csv",
 ]
@@ -55,7 +56,10 @@ class Frequency(str, Enum):
 
     @property
     def periods_per_year(self) -> int:
-        return {"monthly": 12, "quarterly": 4, "annual": 1}[self.value]
+        return _PERIODS_PER_YEAR[self]
+
+
+_PERIODS_PER_YEAR = {Frequency.MONTHLY: 12, Frequency.QUARTERLY: 4, Frequency.ANNUAL: 1}
 
 
 class CalendarKind(str, Enum):
@@ -415,7 +419,7 @@ def series_correlation(a: CalendarSeries, b: CalendarSeries) -> float:
 
 
 # ---------------------------------------------------------------------------
-# CSV ingestion / export: two columns `period,value`, header required, UTF-8.
+# CSV ingestion / export: `period,column1,...` tables, header required, UTF-8.
 # ---------------------------------------------------------------------------
 
 
@@ -432,46 +436,56 @@ def csv_rows(path: Path) -> Iterator[Iterator[list[str]]]:
             raise SeriesError(f"{path}: {exc}") from exc
 
 
-def read_series_csv(
-    path: str | Path,
-    calendar: CalendarKind = CalendarKind.GREGORIAN,
-    units: str = "",
-) -> CalendarSeries:
-    """Read a ``period,value`` CSV into a series, inferring the frequency.
+def read_period_table(
+    path: str | Path, columns: tuple[str, ...] | None = None
+) -> tuple[Frequency, PeriodLabel, tuple[str, ...], np.ndarray]:
+    """Read a ``period,column1,...`` CSV: one frequency, each period once, no gaps.
 
-    Every :class:`SeriesError` names the file, and the line where one is at
-    fault.
+    ``columns`` fixes the header after ``period`` (in any case); without it
+    the header names the members, which must be non-empty and distinct.
+    Blank rows are skipped and every other row has the header's width. A
+    cell is a number, or ``nan`` or blank for a missing value; ``inf`` is
+    refused. Returns the frequency, the first period, the column names and
+    a ``(periods, columns)`` float array in period order. Every
+    :class:`SeriesError` names the file, and the line where one is at fault.
     """
     path = Path(path)
-    rows: dict[int, tuple[float, int]] = {}  # period index -> (value, line)
+    rows: dict[int, tuple[int, int]] = {}  # period index -> (row, line)
+    cells: list[float] = []  # row by row, in file order
     freq: Frequency | None = None
     with csv_rows(path) as reader:
-        header = next(reader, None)
-        if header is None or [h.strip().lower() for h in header[:2]] != ["period", "value"]:
-            raise SeriesError(f"{path}: expected header 'period,value'")
+        header = [cell.strip() for cell in next(reader, [])]
+        names = tuple(header[1:]) if columns is None else tuple(h.lower() for h in header[1:])
+        if [h.lower() for h in header[:1]] != ["period"] or not names or columns not in (None, names):
+            shown = ",".join(columns or ("member1", "..."))
+            raise SeriesError(f"{path}: expected header 'period,{shown}'")
+        if "" in names or len(set(names)) != len(names):
+            raise SeriesError(f"{path}: member names must be non-empty and distinct, got {list(names)}")
         for lineno, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
+            if not any(cell.strip() for cell in row):
                 continue
-            if len(row) < 2:
-                raise SeriesError(f"{path}:{lineno}: expected 'period,value'")
+            if len(row) != len(header):
+                raise SeriesError(f"{path}:{lineno}: {len(row)} cells, expected {len(header)}")
             try:
                 label, found = PeriodLabel.parse(row[0], freq)
             except SeriesError as exc:
                 raise SeriesError(f"{path}:{lineno}: {exc}") from exc
             freq = freq or found
-            try:
-                value = float(row[1])
-            except ValueError as exc:
-                raise SeriesError(f"{path}:{lineno}: bad value {row[1]!r}") from exc
-            if math.isinf(value):
-                raise SeriesError(f"{path}:{lineno}: value {row[1]!r} is infinite")
+            for cell in row[1:]:
+                try:
+                    value = float(cell) if cell.strip() else math.nan
+                except ValueError as exc:
+                    raise SeriesError(f"{path}:{lineno}: bad value {cell!r}") from exc
+                if math.isinf(value):
+                    raise SeriesError(f"{path}:{lineno}: value {cell!r} is infinite")
+                cells.append(value)
             index = label.to_index(freq)
             if index in rows:
                 raise SeriesError(
                     f"{path}:{lineno}: duplicate period {label.format(freq)}"
                     f" (first on line {rows[index][1]})"
                 )
-            rows[index] = (value, lineno)
+            rows[index] = (len(rows), lineno)
     if not rows or freq is None:
         raise SeriesError(f"{path}: no data rows")
     first, last = min(rows), max(rows)
@@ -479,14 +493,22 @@ def read_series_csv(
         gap = next(i for i in range(first, last) if i not in rows)
         shown = PeriodLabel.from_index(gap, freq).format(freq)
         raise SeriesError(f"{path}: periods not contiguous (first gap at {shown})")
+    order = [rows[i][0] for i in range(first, last + 1)]
+    table = np.array(cells).reshape(len(rows), len(names))[order]
+    return freq, PeriodLabel.from_index(first, freq), names, table
+
+
+def read_series_csv(
+    path: str | Path,
+    calendar: CalendarKind = CalendarKind.GREGORIAN,
+    units: str = "",
+) -> CalendarSeries:
+    """Read a ``period,value`` CSV into a series (see :func:`read_period_table`);
+    missing values may stand only at the series' edges."""
+    path = Path(path)
+    freq, start, _, table = read_period_table(path, ("value",))
     try:
-        return CalendarSeries(
-            frequency=freq,
-            calendar=calendar,
-            start=PeriodLabel.from_index(first, freq),
-            values=np.array([rows[i][0] for i in range(first, last + 1)]),
-            units=units,
-        )
+        return CalendarSeries(freq, calendar, start, table[:, 0], units)
     except SeriesError as exc:
         raise SeriesError(f"{path}: {exc}") from exc
 

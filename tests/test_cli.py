@@ -819,6 +819,22 @@ def run_quietly(argv):
         ),
         # the intercept too: reduced_form.json kept the control's coefficient under "const"
         ("reduced_form", {"controls": {"const": "dyw.csv"}}, {}, 1, "regressors the command builds: ['const']"),
+        # one growth source, every path of it a file: region_levels used to win over a dangling growth
+        (
+            "reduced_form",
+            {"growth": "gone.csv", "domestic_levels": "dy.csv", "region_levels": "dy.csv"},
+            {},
+            1,
+            "needs 'growth' or both 'domestic_levels' and 'region_levels', got ['growth', 'domestic_levels', 'region_levels']",
+        ),
+        ("reduced_form", {"domestic_levels": "gone.csv"}, {}, 1, "got ['growth', 'domestic_levels']"),
+        ("reduced_form", {"growth": None, "region_levels": "dy.csv"}, {}, 1, "got ['region_levels']"),
+        ("reduced_form", {"growth": None}, {}, 1, "got []"),
+        # a misspelt key used to be ignored: this one ran a grid search instead of the fixed weight
+        ("index", {"wieght": 0.4}, {}, 1, "config section 'index' has unknown keys: ['wieght']"),
+        ("calendar", {"inputs": "x.csv"}, {}, 1, "config section 'calendar' has unknown keys: ['inputs']"),
+        ("model", {"bootstrap": {"replications": 2, "sed": 1}}, {}, 1, "config key 'bootstrap' has unknown keys: ['sed']"),
+        ("reduced_form", {"lags": [1], "controlz": {}}, {}, 1, "has unknown keys: ['controlz', 'lags']"),
     ],
 )
 def test_validate_refuses_what_the_command_refuses(tmp_path, section, edits, top, code, fragment):
@@ -876,6 +892,11 @@ _json_values = st.recursive(
 )
 
 
+# keys the schema lacks, in each section and in the bootstrap object
+_UNKNOWN_KEYS = {section: [(section, "wieght")] for section in _SCHEMA_KEYS}
+_UNKNOWN_KEYS["model"].append(("model", "bootstrap", "sed"))
+
+
 @pytest.fixture(scope="module")
 def fuzz_workspaces(tmp_path_factory):
     return {
@@ -891,7 +912,7 @@ def test_fuzzed_section_fails_cleanly_and_validate_agrees(fuzz_workspaces, secti
     config = root / "fuzzed.json"
 
     # out_dir draws no strings, so that no output can land outside the workspace
-    edit = st.tuples(st.sampled_from(_SCHEMA_KEYS[section] + [("seed",)]), _json_values) | st.tuples(
+    edit = st.tuples(st.sampled_from(_SCHEMA_KEYS[section] + _UNKNOWN_KEYS[section] + [("seed",)]), _json_values) | st.tuples(
         st.just(("out_dir",)), _json_values.filter(lambda value: not isinstance(value, str))
     )
 

@@ -360,6 +360,35 @@ def test_scale_equivariance():
         assert np.allclose(fv.shares[var].sum(axis=1), 1.0, atol=1e-12)
 
 
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    m=st.integers(1, 4),
+    k=st.integers(0, 2),
+    controls_var1=st.booleans(),
+    horizon=st.integers(0, 20),
+    c=st.floats(0.1, 10.0),
+    method=st.sampled_from(["direct", "stacked"]),
+    data=st.data(),
+)
+def test_responses_scale_with_the_shock_size(seed, m, k, controls_var1, horizon, c, method, data):
+    est = random_stable_system(np.random.default_rng(seed), m=m, k=k, controls_var1=controls_var1)
+    shocked = data.draw(st.sampled_from(est.controls), label="shocked control") if k else None
+    base = dyn.irf_all(est, horizon, shocked, method=method)
+    shock = data.draw(st.sampled_from(base.shocks), label="shock")
+    # the innovation variance times c**2: sigma holds variances, s_omega and c_sd deviations
+    if shock == "s":
+        louder = replace(est, s_omega=est.s_omega * c)
+    elif shock in est.controls:
+        louder = replace(est, c_sd=np.where(np.array(est.controls) == shock, c, 1.0) * est.c_sd)
+    else:
+        louder = replace(est, sigma=np.where(np.array(est.variables) == shock, c**2, 1.0) * est.sigma)
+    new = dyn.irf_all(louder, horizon, shocked, method=method)
+    for name in base.shocks:
+        expected = c * base.responses[name] if name == shock else base.responses[name]
+        assert np.allclose(new.responses[name], expected, rtol=1e-13, atol=1e-15), name
+
+
 @pytest.mark.parametrize(
     "call, g_recursions, eigvals",
     [

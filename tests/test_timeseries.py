@@ -137,6 +137,35 @@ def test_conversion_weights_sum_to_one():
         assert np.allclose(out.values, c, rtol=0, atol=1e-12)
 
 
+_CONVERTERS = [
+    (ts.Frequency.ANNUAL, ts.convert_iranian_annual),
+    (ts.Frequency.QUARTERLY, ts.convert_iranian_quarterly),
+    (ts.Frequency.MONTHLY, ts.convert_iranian_monthly),
+]
+_finite = st.floats(-1e3, 1e3, allow_subnormal=False)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(
+    converter=st.sampled_from(_CONVERTERS),
+    xy=st.integers(2, 12).flatmap(lambda n: st.tuples(*[st.lists(_finite, min_size=n, max_size=n)] * 2)),
+    a=st.floats(-10, 10, allow_subnormal=False),
+    b=st.floats(-10, 10, allow_subnormal=False),
+    c=st.floats(-1e6, 1e6, allow_subnormal=False),
+)
+def test_conversion_is_affine(converter, xy, a, b, c):
+    freq, convert = converter
+    x, y = (np.array(v) for v in xy)
+
+    def conv(values):
+        return convert(series(values, freq=freq)).values
+
+    # a few roundings of terms no larger than the combination's scale
+    scale = abs(a) * np.abs(x).max() + abs(b) * np.abs(y).max()
+    assert np.allclose(conv(a * x + b * y), a * conv(x) + b * conv(y), rtol=0, atol=1e-14 * scale + 1e-300)
+    assert np.allclose(conv(np.full(len(x), c)), c, rtol=1e-15, atol=0)
+
+
 def test_conversion_errors():
     with pytest.raises(SeriesError):
         ts.convert_iranian_annual(series([1.0]))
@@ -347,22 +376,92 @@ def test_csv_errors_after_the_rows_name_the_file(tmp_path, body, message):
         ts.read_series_csv(p)
 
 
+@pytest.mark.parametrize(
+    "reader, body, message",
+    [
+        # the same rules in every format
+        (intensity.read_flows_csv, "period,additions,removals\n2006Q1,inf,0\n", ":2: value 'inf' is infinite"),
+        (intensity.read_flows_csv, "period,additions,removals\n2006Q1,1,\n2006Q2,1,0\n",
+         ": entity flow counts must be finite"),
+        (intensity.read_flows_csv, "period,additions,removals\n2006Q1,1,0\n2006Q1,2,0\n2006Q2,1,0\n",
+         ":3: duplicate period 2006Q1 (first on line 2)"),
+        (factors.read_wide_panel_csv, "period,a,b\n2006Q1,1,2\n2006Q1,3,4\n2006Q2,1,2\n",
+         ":3: duplicate period 2006Q1 (first on line 2)"),
+        (intensity.read_flows_csv, "period,additions,removals\n2006Q1,x,0\n", ":2: bad value 'x'"),
+        (factors.read_wide_panel_csv, "period,a,b\n2006Q1,1,inf\n2006Q2,3,4\n", ":2: value 'inf' is infinite"),
+        (factors.read_wide_panel_csv, "period,a,a\n2006Q1,1,2\n",
+         ": member names must be non-empty and distinct, got ['a', 'a']"),
+        (factors.read_wide_panel_csv, "period,a,\n2006Q1,1,2\n",
+         ": member names must be non-empty and distinct, got ['a', '']"),
+        (ts.read_series_csv, "period,value\n1989,1\n1990,2,3\n", ":3: 3 cells, expected 2"),
+        (intensity.read_flows_csv, "period,additions,removals\n2006Q1,1,0,7\n", ":2: 4 cells, expected 3"),
+        (factors.read_wide_panel_csv, "period,a,b\n2006Q1,1,2,3\n", ":2: 4 cells, expected 3"),
+        (factors.read_wide_panel_csv, "period,a,b\n2006Q1,1,2\n2006Q2,1\n", ":3: 2 cells, expected 3"),
+        (factors.read_wide_panel_csv, "period,a,b\n2006Q1,1,2\n2006Q2,,3\n2006Q3,1,4\n",
+         ": member 'a': missing markers are permitted only at the edges"),
+        (ts.read_series_csv, "period,value,x\n1989,1,2\n", ": expected header 'period,value'"),
+    ],
+    ids=[
+        "flows-inf", "flows-blank", "flows-repeat", "wide-repeat", "flows-bad-number", "wide-inf",
+        "wide-repeated-member", "wide-empty-member", "series-long-row", "flows-long-row", "wide-long-row",
+        "wide-short-row", "wide-interior-blank", "series-extra-column",
+    ],
+)
+def test_period_tables_share_one_set_of_rules(tmp_path, reader, body, message):
+    p = tmp_path / "table.csv"
+    p.write_text(body, encoding="utf-8")
+    with pytest.raises(SeriesError) as info:
+        reader(p)
+    assert str(info.value) == f"{p}{message}"
+
+
+def test_blank_edge_cells_are_missing_values(tmp_path):
+    p = tmp_path / "edges.csv"
+    p.write_text("period,value\n1989,\n1990,1.5\n1991, \n", encoding="utf-8")
+    s = ts.read_series_csv(p)
+    assert s.start == ts.PeriodLabel(1989) and np.array_equal(s.values, [np.nan, 1.5, np.nan], equal_nan=True)
+    p.write_text("PERIOD , Value\n1990,1.5\n", encoding="utf-8")
+    assert ts.read_series_csv(p).values.tolist() == [1.5]
+
+
+def test_read_period_table_orders_rows_and_names_members(tmp_path):
+    p = tmp_path / "wide.csv"
+    p.write_text(" Period ,US, uk\n2000-02,2,\n\n2000-01,1,nan\n2000-03,3,6\n", encoding="utf-8")
+    freq, start, members, table = ts.read_period_table(p)
+    assert (freq, start, members) == (ts.Frequency.MONTHLY, ts.PeriodLabel(2000, 1), ("US", "uk"))
+    assert np.array_equal(table, [[1, np.nan], [2, np.nan], [3, 6]], equal_nan=True)
+
+
 _LABELS = {
     "annual": ["1990", "1991", "1992", "1993", "1994", "1995"],
     "quarterly": ["1990Q3", "1990Q4", "1991Q1", "1991Q2", "1991Q3", "1991Q4"],
     "monthly": ["1990-11", "1990-12", "1991-01", "1991-02", "1991-03", "1991-04"],
 }
 _BAD_LABELS = ["", "19x0", "1990Q5", "1990-13", "1990-1", "Q1", "1234567"]
-_VALUES = ["1.5", "-2", " 3 ", "0", "1e-3", "nan", "NaN"]
-_BAD_VALUES = ["", "inf", "-inf", "1e999", "abc", "1,5", "0x10"]
+_VALUES = ["1.5", "-2", " 3 ", "0", "1e-3", "nan", "NaN", ""]
+_BAD_VALUES = ["inf", "-inf", "1e999", "abc", "1,5", "0x10"]
+_READERS = [
+    (ts.read_series_csv, ("value",), ts.CalendarSeries),
+    (intensity.read_flows_csv, ("additions", "removals"), intensity.EntityFlowSeries),
+    (factors.read_wide_panel_csv, ("us", "uk"), dict),
+]
 
 
 @st.composite
-def series_files(draw):
-    """Series CSV text: mostly good rows of one frequency, so that gaps,
-    repeats and NaN runs occur, among bad and mixed-frequency labels, bad
-    values, blank and short rows, stray columns, quoting and noise."""
-    header = draw(st.sampled_from(["period,value"] * 12 + ["Period, Value", "period,value,x", "value,period", ""]))
+def period_files(draw, columns):
+    """``period,<columns>`` CSV text: mostly good rows of one frequency, so
+    that gaps, repeats and NaN runs occur, among bad and mixed-frequency
+    labels, bad values, blank, short and long rows, bad headers, quoting and
+    noise."""
+    good = ",".join(["period", *columns])
+    header = draw(st.sampled_from([good] * 12 + [
+        "Period, " + ", ".join(c.title() for c in columns),
+        good + ",x",
+        ",".join(reversed(["period", *columns])),
+        ",".join(["period", *[columns[0]] * len(columns)]),
+        "period",
+        "",
+    ]))
     freq = draw(st.sampled_from(sorted(_LABELS)))
     good_label = st.sampled_from(_LABELS[freq])
     any_label = st.sampled_from([l for labels in _LABELS.values() for l in labels] + _BAD_LABELS)
@@ -375,31 +474,34 @@ def series_files(draw):
         if shape == "noise":
             lines.append(draw(st.text(string.printable, max_size=12)))
             continue
-        cells = [
-            draw(st.sampled_from([good_label] * 12 + [any_label]).flatmap(lambda s: s)),
-            draw(st.sampled_from(_VALUES * 6 + _BAD_VALUES)),
-        ]
+        cells = [draw(st.sampled_from([good_label] * 12 + [any_label]).flatmap(lambda s: s))]
+        cells += [draw(st.sampled_from(_VALUES * 6 + _BAD_VALUES)) for _ in columns]
         if shape == "short":
-            cells = cells[:1]
+            cells = cells[:-1]
         elif shape == "long":
             cells.append(draw(st.sampled_from(["", "x", "1"])))
         lines.append(",".join(f'"{c}"' if draw(st.booleans()) else c for c in cells))
     return "\n".join(lines) + draw(st.sampled_from(["\n", "", "\r\n"]))
 
 
-@settings(derandomize=True, database=None, max_examples=300, deadline=None)
-@given(text=series_files())
-def test_read_series_csv_returns_a_series_or_names_the_file(text):
+@settings(derandomize=True, database=None, max_examples=600, deadline=None)
+@given(data=st.data())
+def test_period_csv_readers_return_their_type_or_name_the_file(data):
+    reader, columns, kind = data.draw(st.sampled_from(_READERS), label="reader")
+    text = data.draw(period_files(columns), label="text")
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "series.csv"
+        path = Path(tmp) / "table.csv"
         path.write_text(text, encoding="utf-8", newline="")
         try:
-            series = ts.read_series_csv(path)
+            result = reader(path)
         except SeriesError as exc:
             assert str(exc).startswith(f"{path}:"), str(exc)
             return
-    assert isinstance(series, ts.CalendarSeries)
-    assert np.isfinite(series.values).any()
+    assert isinstance(result, kind)
+    if kind is intensity.EntityFlowSeries:
+        assert np.isfinite(result.additions).all() and np.isfinite(result.removals).all()
+    for series in [result] if kind is ts.CalendarSeries else result.values() if kind is dict else []:
+        assert np.isfinite(series.values).any()
 
 
 @pytest.mark.parametrize(
