@@ -4,11 +4,12 @@ Each replication resamples the estimated structural residuals equation by
 equation (independently by default, jointly by row behind a flag), holds the
 first observations fixed, simulates the stacked system forward over the
 original sample span, re-estimates the model on the simulated panel, and
-recomputes the impulse responses.  Replications run in chunks: one chunk's
-panels are simulated in one time loop, re-estimated together
-(:func:`~newsvar.svar.estimate_svar_stack`) and their responses computed in
-one batched recursion.  Bands are pointwise empirical quantiles across
-replications.
+recomputes the impulse responses.  Everything it needs comes with the
+estimate: the residuals, the initial rows and the spec.  Replications run in
+chunks: one chunk's panels are simulated in one time loop, re-estimated
+together (:func:`~newsvar.svar.estimate_svar_stack`) and their responses
+computed in one batched recursion.  Bands are pointwise empirical quantiles
+across replications.
 """
 
 from __future__ import annotations
@@ -21,9 +22,8 @@ from typing import Mapping
 import numpy as np
 
 from .dynamics import _shock_columns, build_stacked, stacked_responses
-from .errors import BootstrapError, ModelSpecError, SampleError
-from .svar import aligned_matrix, estimate_svar_stack, SvarEstimate
-from .timeseries import CalendarSeries
+from .errors import BootstrapError, ModelSpecError
+from .svar import estimate_svar_stack, SvarEstimate
 
 __all__ = ["BootstrapBands", "bootstrap_irf", "write_bands_metadata"]
 
@@ -59,7 +59,6 @@ class BootstrapBands:
 
 def bootstrap_irf(
     est: SvarEstimate,
-    data: Mapping[str, CalendarSeries],
     horizon: int = 24,
     replications: int = 1000,
     quantiles: tuple[float, float] = (0.05, 0.95),
@@ -70,9 +69,9 @@ def bootstrap_irf(
     """Bootstrap confidence bands for all shock responses.
 
     Args:
-        est: point estimate whose residuals and matrices seed the scheme;
-            replications are re-estimated with its spec.
-        data: the panel the estimate was fit on (anchors initial conditions).
+        est: point estimate fit from data; its residuals, initial rows and
+            matrices seed the scheme, and replications are re-estimated with
+            its spec.
         horizon: IRF horizon for the bands.
         replications: number of bootstrap samples.
         quantiles: (lower, upper) band quantiles; the point IRF need not lie
@@ -84,6 +83,7 @@ def bootstrap_irf(
         shocked_control: which control carries the global shock.
 
     Raises:
+        ModelSpecError: the estimate carries no residuals or initial rows.
         BootstrapError: more than 5 per cent of replications failed to
             re-estimate (also a RuntimeError).
     """
@@ -91,40 +91,15 @@ def bootstrap_irf(
         raise ValueError("quantiles must satisfy 0 <= lo < hi <= 1")
     if replications < 1:
         raise ValueError("replications must be positive")
-    Z, _, _ = aligned_matrix(est.spec, data)
-    return _bootstrap_from_matrix(
-        est,
-        Z,
-        horizon=horizon,
-        replications=replications,
-        quantiles=quantiles,
-        seed=seed,
-        joint_resampling=joint_resampling,
-        shocked_control=shocked_control,
-    )
-
-
-def _bootstrap_from_matrix(
-    est: SvarEstimate,
-    Z: np.ndarray,
-    horizon: int,
-    replications: int,
-    quantiles: tuple[float, float],
-    seed: int,
-    joint_resampling: bool,
-    shocked_control: str | None,
-) -> BootstrapBands:
+    U = est.residuals
+    if U is None or est.initial is None:
+        raise ModelSpecError("estimate carries no residuals; re-estimate from data")
     spec = est.spec
     system = build_stacked(est)
     n_state = system.Psi0.shape[0]
-    N = Z.shape[0]
+    n_obs = U.shape[0]
     M = spec.max_lag
-    n_obs = N - M
-    U = est.residuals
-    if U is None:
-        raise ModelSpecError("estimate carries no residuals; re-estimate from data")
-    if U.shape[0] != n_obs:
-        raise SampleError("residual blocks do not align with the estimation sample")
+    N = n_obs + M
     P0inv = np.linalg.inv(system.Psi0)
     # one-step form: z_t = c + B1 z_{t-1} + B2 z_{t-2} + P0inv u_t
     B1T = (P0inv @ system.Psi1).T
@@ -132,7 +107,7 @@ def _bootstrap_from_matrix(
     c = P0inv @ system.intercept
     shocks, shock_cols = _shock_columns(est, shocked_control)
     m = est.m
-    widest = max(1 + len(spec.equation_regressors(eq)) for eq in spec.ordering)
+    widest = 1 + max(len(terms) for terms in spec._terms)
     chunk = max(1, CHUNK_DESIGN_BYTES // (8 * n_obs * widest))
 
     draws = np.empty((replications, len(shocks), horizon + 1, m))
@@ -145,16 +120,13 @@ def _bootstrap_from_matrix(
         rows = np.empty((n_obs, C, n_state), dtype=np.intp)
         for i in range(C):
             rng = np.random.default_rng(seed + first + i)
-            if joint_resampling:
-                rows[:, i, :] = rng.integers(0, n_obs, n_obs)[:, None]
-            else:
-                for e in range(n_state):
-                    rows[:, i, e] = rng.integers(0, n_obs, n_obs)
+            # one call draws the same stream as one call per equation in turn
+            rows[:, i, :] = rng.integers(0, n_obs, (1 if joint_resampling else n_state, n_obs)).T
         u = U[rows, np.arange(n_state)]
         shifted = (u.reshape(-1, n_state) @ P0inv.T + c).reshape(u.shape)
         # time-major panels, so each step updates one contiguous (C, n_state) block
         sim = np.empty((N, C, n_state))
-        sim[:M] = Z[:M, None, :]
+        sim[:M] = est.initial[:, None, :]
         for t in range(M, N):
             np.matmul(sim[t - 1], B1T, out=sim[t])
             sim[t] += shifted[t - M]

@@ -426,7 +426,8 @@ def _model_settings(config: PipelineConfig) -> ModelSettings:
     if method not in ("direct", "stacked", "both"):
         raise UsageError(f"method must be direct, stacked, or both; got {method!r}")
     shocked = section.get("shocked_control")
-    shocked = str(shocked) if shocked is not None else None
+    if shocked is not None and not isinstance(shocked, str):
+        raise UsageError(f"config key 'shocked_control' must be a string, got {shocked!r}")
     boot_cfg = section.get("bootstrap")
     if boot_cfg is not None:
         if not isinstance(boot_cfg, dict):
@@ -484,7 +485,6 @@ def cmd_dynamics(config: PipelineConfig) -> int:
     if boot_cfg is not None:
         bands = boot.bootstrap_irf(
             est,
-            data,
             horizon=horizon,
             replications=boot_cfg.replications,
             quantiles=boot_cfg.quantiles,

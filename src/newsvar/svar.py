@@ -295,14 +295,17 @@ class SvarEstimate(_System):
     The exogenous numbers are 0-d arrays.  Estimates fit from data also
     carry the equation ``fits``, the ``residuals`` (estimation sample x
     (m+1+k): equations, intervention, controls) that the bootstrap
-    resamples, the control VAR(1) innovation covariance ``c_omega`` when
-    ``controls_var1`` is set, ``nobs`` and ``sample_start``.
+    resamples, the ``initial`` rows (the first ``spec.max_lag`` rows of the
+    aligned panel, same columns) that it holds fixed, the control VAR(1)
+    innovation covariance ``c_omega`` when ``controls_var1`` is set,
+    ``nobs`` and ``sample_start``.
     """
 
     controls_var1: bool = False
     c_omega: np.ndarray | None = None
     fits: tuple[RegressionFit, ...] | None = None
     residuals: np.ndarray | None = None
+    initial: np.ndarray | None = None
     nobs: int = 0
     sample_start: PeriodLabel | None = None
 
@@ -543,6 +546,7 @@ def estimate_svar_arrays(
         c_omega=v.T @ v / (len(v) - v.shape[1] - 1) if var1 else None,
         fits=fits,
         residuals=np.column_stack([*(fit.residuals for fit in fits), exogenous[-nobs:]]),
+        initial=Z[:M].copy(),
         nobs=nobs,
     )
 

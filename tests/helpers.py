@@ -306,8 +306,10 @@ def bootstrap_reference(
 ) -> BootstrapBands:
     """The bootstrap one replication at a time, as a reference for the chunked one.
 
-    Same arguments and draws as ``newsvar.bootstrap._bootstrap_from_matrix``:
-    each replication simulates its panel step by step, re-estimates it with
+    Same draws as ``newsvar.bootstrap.bootstrap_irf``, made by one
+    generator call per equation, with the initial rows taken from the
+    aligned panel ``Z`` rather than from the estimate: each replication
+    simulates its panel step by step, re-estimates it with
     :func:`lstsq_reference` and recomputes the stacked responses with
     ``irf_all``; a replication the reference cannot estimate is dropped.
     """

@@ -16,7 +16,7 @@ from newsvar import intensity as ix
 from newsvar import regression as reg
 from newsvar import svar as sv
 from newsvar import timeseries as ts
-from newsvar.bootstrap import _bootstrap_from_matrix
+from newsvar.bootstrap import bootstrap_irf
 from newsvar.errors import NewsvarError
 
 
@@ -293,8 +293,8 @@ def test_criterion_09_bootstrap_determinism_and_coverage():
         joint_resampling=False,
         shocked_control=None,
     )
-    a = _bootstrap_from_matrix(est0, Z0, **kwargs)
-    b = _bootstrap_from_matrix(est0, Z0, **kwargs)
+    a = bootstrap_irf(est0, **kwargs)
+    b = bootstrap_irf(est0, **kwargs)
     deterministic = all(
         np.array_equal(a.lower[s], b.lower[s]) and np.array_equal(a.upper[s], b.upper[s])
         for s in a.shocks
@@ -307,9 +307,8 @@ def test_criterion_09_bootstrap_determinism_and_coverage():
         Z = simulate_panel(truth, T, np.random.default_rng(5000 + trial))
         try:
             est = sv.estimate_svar_arrays(truth.spec, Z)
-            bands = _bootstrap_from_matrix(
+            bands = bootstrap_irf(
                 est,
-                Z,
                 horizon=horizon,
                 replications=inner,
                 quantiles=(0.05, 0.95),

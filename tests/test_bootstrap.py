@@ -22,33 +22,25 @@ def fitted_system(seed=0, m=2, k=1, T=300):
     truth = random_stable_system(rng, m=m, k=k, radius=0.5)
     Z = simulate_panel(truth, T, rng)
     est = sv.estimate_svar_arrays(truth.spec, Z)
-    names = truth.variables + ("s",) + truth.controls
-    start = ts.PeriodLabel(1989, 1)
-    panel = {
-        name: ts.CalendarSeries(
-            ts.Frequency.QUARTERLY, ts.CalendarKind.GREGORIAN, start, Z[:, j]
-        )
-        for j, name in enumerate(names)
-    }
-    return truth, est, Z, panel
+    return truth, est, Z
 
 
 def test_same_seed_is_bit_identical():
-    _, est, _, panel = fitted_system(seed=1)
-    a = bs.bootstrap_irf(est, panel, horizon=6, replications=30, seed=11)
-    b = bs.bootstrap_irf(est, panel, horizon=6, replications=30, seed=11)
+    _, est, _ = fitted_system(seed=1)
+    a = bs.bootstrap_irf(est, horizon=6, replications=30, seed=11)
+    b = bs.bootstrap_irf(est, horizon=6, replications=30, seed=11)
     for shock in a.shocks:
         assert np.array_equal(a.lower[shock], b.lower[shock])
         assert np.array_equal(a.upper[shock], b.upper[shock])
-    c = bs.bootstrap_irf(est, panel, horizon=6, replications=30, seed=12)
+    c = bs.bootstrap_irf(est, horizon=6, replications=30, seed=12)
     assert any(
         not np.array_equal(a.lower[shock], c.lower[shock]) for shock in a.shocks
     )
 
 
 def test_bands_are_ordered_and_contain_median():
-    _, est, _, panel = fitted_system(seed=2)
-    bands = bs.bootstrap_irf(est, panel, horizon=8, replications=60, seed=3)
+    _, est, _ = fitted_system(seed=2)
+    bands = bs.bootstrap_irf(est, horizon=8, replications=60, seed=3)
     assert bands.replications == 60
     assert bands.dropped == 0
     for shock in bands.shocks:
@@ -73,9 +65,8 @@ def test_vanishing_residual_variance_collapses_bands_to_point():
     Z = Z[2:]
     est = sv.estimate_svar_arrays(truth.spec, Z)
     point = dyn.irf_all(est, 6, method="stacked")
-    bands = bs._bootstrap_from_matrix(
+    bands = bs.bootstrap_irf(
         est,
-        Z,
         horizon=6,
         replications=25,
         quantiles=(0.05, 0.95),
@@ -89,8 +80,8 @@ def test_vanishing_residual_variance_collapses_bands_to_point():
         assert np.allclose(bands.lower[shock], point.responses[shock], atol=1e-6)
 
 
-def test_replications_reuse_sample_span_and_anchors(monkeypatch):
-    truth, est, Z, panel = fitted_system(seed=6, T=120)
+def capture_panels(monkeypatch):
+    """The simulated panels the bootstrap re-estimates, in order, as it makes them."""
     captured = []
     original = bs.estimate_svar_stack
 
@@ -99,7 +90,13 @@ def test_replications_reuse_sample_span_and_anchors(monkeypatch):
         return original(spec, sims, controls_var1=controls_var1)
 
     monkeypatch.setattr(bs, "estimate_svar_stack", spy)
-    bs.bootstrap_irf(est, panel, horizon=4, replications=3, seed=7)
+    return captured
+
+
+def test_replications_reuse_sample_span_and_anchors(monkeypatch):
+    truth, est, Z = fitted_system(seed=6, T=120)
+    captured = capture_panels(monkeypatch)
+    bs.bootstrap_irf(est, horizon=4, replications=3, seed=7)
     assert len(captured) == 3
     for sim in captured:
         assert sim.shape == Z.shape
@@ -107,11 +104,51 @@ def test_replications_reuse_sample_span_and_anchors(monkeypatch):
         assert not np.array_equal(sim[2:], Z[2:])
 
 
+def test_estimate_carries_the_initial_rows_of_its_aligned_sample(monkeypatch):
+    # staggered spans: the intervention starts three quarters before the
+    # sample and a control ends two after it, so the first rows of each
+    # series are not the first rows of the sample
+    rng = np.random.default_rng(16)
+    truth = random_stable_system(rng, m=2, k=1, radius=0.5)
+    Z = simulate_panel(truth, 130, rng)
+    names = truth.variables + ("s",) + truth.controls
+    spans = {"s": (0, 125), "g0": (3, 130)}  # the others cover rows 3..124
+    quarterly = ts.Frequency.QUARTERLY
+    data = {}
+    for j, name in enumerate(names):
+        first, end = spans.get(name, (3, 125))
+        start = ts.PeriodLabel(1989, 1).shift(first, quarterly)
+        data[name] = ts.CalendarSeries(quarterly, ts.CalendarKind.GREGORIAN, start, Z[first:end, j])
+    est = sv.estimate_svar(truth.spec, data)
+    aligned, _, _ = sv.aligned_matrix(truth.spec, data)
+    M = truth.spec.max_lag
+    assert aligned.shape == (122, len(names))
+    assert np.array_equal(est.initial, aligned[:M])
+    assert not np.array_equal(est.initial, Z[:M])
+    captured = capture_panels(monkeypatch)
+    bs.bootstrap_irf(est, horizon=4, replications=3, seed=7)
+    assert len(captured) == 3
+    for sim in captured:
+        assert sim.shape == aligned.shape
+        assert np.array_equal(sim[:M], aligned[:M])
+
+
+@pytest.mark.parametrize("n_obs, n_state", [(1, 1), (7, 3), (125, 6), (398, 9)])
+def test_one_draw_call_matches_one_call_per_equation(n_obs, n_state):
+    # the bootstrap draws each replication's indices in one call; on the
+    # numpy this package runs on, that is the stream of n_state calls in turn
+    for seed in (0, 1, 12345):
+        one = np.random.default_rng(seed).integers(0, n_obs, (n_state, n_obs)).T
+        rng = np.random.default_rng(seed)
+        each = np.column_stack([rng.integers(0, n_obs, n_obs) for _ in range(n_state)])
+        assert np.array_equal(one, each)
+
+
 def test_joint_resampling_preserves_cross_equation_dependence():
     # two independent runs of the same scheme differ; what matters is that
     # joint resampling keeps residual rows together while separate resampling
     # scrambles them, which shows up in the simulated cross correlations
-    truth, est, Z, panel = fitted_system(seed=8, T=400)
+    truth, est, Z = fitted_system(seed=8, T=400)
     U = est.residuals
     rng = np.random.default_rng(9)
     rows = rng.integers(0, U.shape[0], U.shape[0])
@@ -137,18 +174,12 @@ def test_joint_resampling_preserves_cross_equation_dependence():
 def test_bootstrap_requires_residuals():
     rng = np.random.default_rng(10)
     synthetic = random_stable_system(rng, m=2, k=1)
-    panel_like = {}
     with pytest.raises(ModelSpecError, match="residuals"):
-        bs._bootstrap_from_matrix(
-            synthetic,
-            np.zeros((50, 4)),
-            horizon=4,
-            replications=5,
-            quantiles=(0.05, 0.95),
-            seed=0,
-            joint_resampling=False,
-            shocked_control=None,
-        )
+        bs.bootstrap_irf(synthetic, horizon=4, replications=5, seed=0)
+    # an estimate fit from data, stripped of the rows the replications start from
+    _, est, _ = fitted_system(seed=10, T=80)
+    with pytest.raises(ModelSpecError, match="residuals"):
+        bs.bootstrap_irf(replace(est, initial=None), horizon=4, replications=5, seed=0)
 
 
 def failing_estimator(fails):
@@ -169,10 +200,10 @@ def failing_estimator(fails):
 
 
 def test_bootstrap_aborts_when_too_many_replications_fail(monkeypatch):
-    truth, est, Z, panel = fitted_system(seed=12, T=120)
+    truth, est, Z = fitted_system(seed=12, T=120)
     monkeypatch.setattr(bs, "estimate_svar_stack", failing_estimator(lambda n: n % 2 == 0))
     with pytest.raises(RuntimeError, match="failed to re-estimate") as info:
-        bs.bootstrap_irf(est, panel, horizon=4, replications=40, seed=1)
+        bs.bootstrap_irf(est, horizon=4, replications=40, seed=1)
     # a data/model error too, so the command line exits 2; the count is the
     # one at which the 5% rule tripped
     assert isinstance(info.value, BootstrapError)
@@ -180,17 +211,17 @@ def test_bootstrap_aborts_when_too_many_replications_fail(monkeypatch):
 
 
 def test_bootstrap_counts_isolated_drops(monkeypatch):
-    truth, est, Z, panel = fitted_system(seed=13, T=120)
+    truth, est, Z = fitted_system(seed=13, T=120)
     monkeypatch.setattr(bs, "estimate_svar_stack", failing_estimator(lambda n: n == 1))
-    bands = bs.bootstrap_irf(est, panel, horizon=4, replications=40, seed=1)
+    bands = bs.bootstrap_irf(est, horizon=4, replications=40, seed=1)
     assert bands.dropped == 1
     assert bands.replications == 39
     assert bands.requested == 40
 
 
 def test_bootstrap_metadata_export(tmp_path):
-    _, est, _, panel = fitted_system(seed=11, T=150)
-    bands = bs.bootstrap_irf(est, panel, horizon=4, replications=10, seed=13)
+    _, est, _ = fitted_system(seed=11, T=150)
+    bands = bs.bootstrap_irf(est, horizon=4, replications=10, seed=13)
     path = tmp_path / "meta.json"
     bs.write_bands_metadata(bands, path)
     text = path.read_text(encoding="utf-8")
@@ -236,7 +267,7 @@ def test_chunked_bootstrap_matches_one_at_a_time_reference(case):
         joint_resampling=joint,
         shocked_control=shocked,
     )
-    batched = bs._bootstrap_from_matrix(est, Z, **kwargs)
+    batched = bs.bootstrap_irf(est, **kwargs)
     reference = bootstrap_reference(est, Z, **kwargs)
     assert batched.shocks == reference.shocks
     assert (batched.replications, batched.dropped) == (reference.replications, reference.dropped)
@@ -263,7 +294,7 @@ def test_chained_bootstrap_bands_match_reference_to_rounding():
         joint_resampling=False,
         shocked_control=None,
     )
-    chained = bs._bootstrap_from_matrix(est, Z, **kwargs)
+    chained = bs.bootstrap_irf(est, **kwargs)
     reference = bootstrap_reference(est, Z, **kwargs)
     assert chained.replications == reference.replications == 40
     for shock in chained.shocks:
@@ -275,7 +306,7 @@ def test_chained_bootstrap_bands_match_reference_to_rounding():
 
 def test_chunked_bootstrap_matches_reference_across_chunks(monkeypatch):
     # several chunks, the last one partial, give the same bands as one chunk
-    _, est, Z, _ = fitted_system(seed=14, T=100)
+    _, est, Z = fitted_system(seed=14, T=100)
     kwargs = dict(
         horizon=5,
         replications=23,
@@ -286,10 +317,10 @@ def test_chunked_bootstrap_matches_reference_across_chunks(monkeypatch):
     )
     reference = bootstrap_reference(est, Z, **kwargs)
     monkeypatch.setattr(bs, "CHUNK_DESIGN_BYTES", 1)  # one replication per chunk
-    single = bs._bootstrap_from_matrix(est, Z, **kwargs)
+    single = bs.bootstrap_irf(est, **kwargs)
     widest = 8 * (Z.shape[0] - 2) * 9
     monkeypatch.setattr(bs, "CHUNK_DESIGN_BYTES", 5 * widest)  # chunks of 5, then 3
-    chunked = bs._bootstrap_from_matrix(est, Z, **kwargs)
+    chunked = bs.bootstrap_irf(est, **kwargs)
     for bands in (single, chunked):
         assert bands.replications == reference.replications == 23
         for shock in bands.shocks:
@@ -301,7 +332,7 @@ def test_stacked_estimator_flags_the_failures_the_loop_drops():
     # a panel whose intervention is constant cannot be re-estimated: the
     # equation-by-equation reference and the point estimator refuse it, the
     # stacked estimator clears that panel's flag
-    _, est, Z, _ = fitted_system(seed=15, T=80)
+    _, est, Z = fitted_system(seed=15, T=80)
     flat = Z.copy()
     flat[:, est.m] = 0.25
     assert lstsq_reference(est.spec, flat) is None

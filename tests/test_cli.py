@@ -835,6 +835,9 @@ def run_quietly(argv):
         ("calendar", {"inputs": "x.csv"}, {}, 1, "config section 'calendar' has unknown keys: ['inputs']"),
         ("model", {"bootstrap": {"replications": 2, "sed": 1}}, {}, 1, "config key 'bootstrap' has unknown keys: ['sed']"),
         ("reduced_form", {"lags": [1], "controlz": {}}, {}, 1, "has unknown keys: ['controlz', 'lags']"),
+        # a non-string control is a config error, not a control named "5"
+        ("model", {"shocked_control": 5}, {}, 1, "'shocked_control' must be a string, got 5"),
+        ("model", {"shocked_control": ["dyw"]}, {}, 1, "'shocked_control' must be a string, got ['dyw']"),
     ],
 )
 def test_validate_refuses_what_the_command_refuses(tmp_path, section, edits, top, code, fragment):
