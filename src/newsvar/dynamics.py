@@ -23,7 +23,7 @@ from typing import Mapping, NamedTuple
 import numpy as np
 
 from .errors import ModelSpecError, NonstationaryError
-from .svar import SvarEstimate, SvarStack
+from .svar import _companion, SvarEstimate, SvarStack
 
 __all__ = [
     "IrfResult",
@@ -154,29 +154,15 @@ def stacked_responses(
     Returns (..., shocks, horizon+1, m), with the system's leading axes
     first; one-standard-error shocks, from the stacked recursion.
     """
-    Phi1 = np.linalg.solve(system.Psi0, system.Psi1)
-    Phi2 = np.linalg.solve(system.Psi0, system.Psi2)
-    F = g_recursion(Phi1, Phi2, horizon)
-    MA = F @ np.linalg.inv(system.Psi0)[..., None, :, :]  # (..., H+1, n, n)
+    MA = _ma(system.Psi0, system.Psi1, system.Psi2, horizon)  # (..., H+1, n, n)
     cols = np.asarray(shock_cols)
     out = MA[..., :m, cols] * system.scales[..., None, None, cols]  # (..., H+1, m, shocks)
     return np.moveaxis(out, -1, -3)
 
 
-def _stacked_moduli(system: StackedSystem) -> np.ndarray:
-    n = system.Psi0.shape[0]
-    Phi1 = np.linalg.solve(system.Psi0, system.Psi1)
-    Phi2 = np.linalg.solve(system.Psi0, system.Psi2)
-    companion = np.zeros((2 * n, 2 * n))
-    companion[:n, :n] = Phi1
-    companion[:n, n:] = Phi2
-    companion[n:, :n] = np.eye(n)
-    return np.abs(np.linalg.eigvals(companion))
-
-
 def _check_stationary(system: StackedSystem, refuse: bool) -> None:
     """The stationarity verdict: responses warn, variance shares refuse."""
-    moduli = _stacked_moduli(system)
+    moduli = np.abs(_companion(system.Psi0, system.Psi1, system.Psi2).eigenvalues)
     top = float(np.max(moduli))
     if top < 1.0 - _STATIONARITY_TOL:
         return
@@ -194,12 +180,11 @@ def _check_stationary(system: StackedSystem, refuse: bool) -> None:
     )
 
 
-def _domestic_ma(est: SvarEstimate, horizon: int) -> np.ndarray:
-    """G_h A0^{-1} for the domestic block, shape (H+1, m, m)."""
-    Phi1 = np.linalg.solve(est.A0, est.A1)
-    Phi2 = np.linalg.solve(est.A0, est.A2)
-    G = g_recursion(Phi1, Phi2, horizon)
-    return G @ np.linalg.inv(est.A0)
+def _ma(A0: np.ndarray, A1: np.ndarray, A2: np.ndarray, horizon: int) -> np.ndarray:
+    """G_h A0^{-1} of ``A0 y_t = A1 y_{t-1} + A2 y_{t-2} + ...``, shape
+    (..., H+1, n, n) with the leading axes of A0 (..., n, n) first."""
+    G = g_recursion(np.linalg.solve(A0, A1), np.linalg.solve(A0, A2), horizon)
+    return G @ np.linalg.inv(A0)[..., None, :, :]
 
 
 def _direct_ma(est: SvarEstimate, horizon: int, control: str | None) -> np.ndarray:
@@ -223,7 +208,7 @@ def _direct_ma(est: SvarEstimate, horizon: int, control: str | None) -> np.ndarr
         for ell in range(horizon + 1):
             loads[1, ell] = est.Dw @ r_l
             r_l = R @ r_l
-    GA = _domestic_ma(est, horizon)
+    GA = _ma(est.A0, est.A1, est.A2, horizon)
     out = np.zeros((m + len(loads), horizon + 1, m))
     out[:m] = GA.transpose(2, 0, 1)
     for e, load in enumerate(loads, start=m):

@@ -5,7 +5,8 @@ calculations; heteroskedasticity-robust errors sit behind a flag.
 
 Every least-squares fit in the package runs through one kernel,
 :func:`lstsq_chain`: the equation chains, :func:`ols` (a chain of one fit)
-and the exogenous AR(1)/VAR(1) fits (q regressions on one design).  The
+and the exogenous AR(1)/VAR(1) fits (q regressions on one design), and
+:func:`chain_fit` reads the coefficient tables off a chain's QR.  The
 exogenous fits take their SSR from the kernel's R factor, which moves their
 residual standard errors, and through them the point IRFs and FEVDs, by
 rounding only: at most 3.3e-16 absolute on the benchmark's inputs, seeds
@@ -41,6 +42,7 @@ __all__ = [
     "ChainLstsq",
     "lstsq_chain",
     "ols",
+    "chain_fit",
     "BreuschGodfreyResult",
     "breusch_godfrey",
     "ArFit",
@@ -178,8 +180,7 @@ def ols(
     """Ordinary least squares with classical standard errors.
 
     The fit is :func:`lstsq_chain` on ``[X, y]`` with the one fit
-    ``(k, k)``; the coefficient covariance comes from the inverse of its R
-    factor, since ``(X'X)^{-1} = R^{-1} R^{-T}``.
+    ``(k, k)``, read off by :func:`chain_fit` with the columns in order.
 
     Args:
         y: dependent variable, length n.
@@ -231,22 +232,35 @@ def ols(
             "design matrix is rank deficient; dependent columns: "
             + ", ".join(dependent)
         )
-    # the SSR is summed from the residuals in this stacked (1, n, 1) form: the
-    # kernel's SSR from R, or a flat residuals @ residuals, rounds differently
-    # and moves sigma_hat in its last bit
-    stacked = A[:, :, k:] - A[:, :, :k] @ fit.coefficients
+    return chain_fit(A, fit, 0, k, np.arange(k), names, intercept, robust)
+
+
+def chain_fit(
+    A: np.ndarray, chain: ChainLstsq, j: int, column: int, order: np.ndarray,
+    names: tuple[str, ...], intercept: bool = True, robust: bool = False,
+) -> RegressionFit:
+    """The :class:`RegressionFit` of fit j, of column ``column`` on the first
+    ``p_j = len(order)`` columns, from ``chain = lstsq_chain(A, ...)`` on one
+    panel ``A`` (1, n, K).  Coefficient i, named ``names[i]``, is that of
+    chain column ``order[i]``; ``(X'X)^{-1} = L L'`` in that order, with
+    ``L = inv(R[:p_j, :p_j])[order]``."""
+    n, k = A.shape[1], len(order)
+    design = A[0][:, order]
+    # the SSR is summed from these stacked (1, n, 1) residuals of the chain's
+    # column prefix: the kernel's SSR from R, a flat residuals @ residuals or a
+    # report-order design copy rounds differently, moving sigma_hat's last bit
+    stacked = A[:, :, column : column + 1] - A[:, :, :k] @ chain.coefficients[:, :k, j : j + 1]
     ssr = float(np.einsum("cnq,cnq->cq", stacked, stacked)[0, 0])
-    coef = fit.coefficients[0, :, 0]
     residuals = stacked[0, :, 0]
     sigma2 = ssr / (n - k)
-    R_inv = np.linalg.inv(fit.R[0])  # R is triangular: LU needs no pivoting here
+    L = np.linalg.inv(chain.R[0, :k, :k])[order]  # R is triangular: LU needs no pivoting here
     if robust:
-        # (X'X)^{-1} X' diag(e^2) X (X'X)^{-1} = R^{-1} (Q' diag(e^2) Q) R^{-T}
-        # with Q = X R^{-1}
-        scaled = (design @ R_inv) * residuals[:, None]
-        covariance = R_inv @ (scaled.T @ scaled) @ R_inv.T * (n / (n - k))
+        # (X'X)^{-1} X' diag(e^2) X (X'X)^{-1} = L (Q' diag(e^2) Q) L' with Q = X L
+        scaled = (design @ L) * residuals[:, None]
+        covariance = L @ (scaled.T @ scaled) @ L.T * (n / (n - k))
     else:
-        covariance = sigma2 * (R_inv @ R_inv.T)
+        covariance = sigma2 * (L @ L.T)
+    y = A[0, :, column]
     if intercept:
         tss = float(np.sum((y - y.mean()) ** 2))
     else:
@@ -255,7 +269,7 @@ def ols(
     adjusted = 1.0 - (1.0 - r2) * (n - 1) / (n - k)
     return RegressionFit(
         names=names,
-        coefficients=coef,
+        coefficients=chain.coefficients[0, order, j],
         standard_errors=np.sqrt(np.diag(covariance)),
         covariance=covariance,
         residuals=residuals,

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
-from typing import Mapping, NamedTuple
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -24,7 +24,7 @@ from .errors import (
     NewsvarError,
     SampleError,
 )
-from .regression import lstsq_chain, ols, RegressionFit
+from .regression import chain_fit, lstsq_chain, ols, RegressionFit
 from .timeseries import align, CalendarSeries, PeriodLabel
 
 __all__ = [
@@ -41,8 +41,8 @@ __all__ = [
 ]
 
 
-def _lag_name(name: str, lag: int) -> str:
-    return name if lag == 0 else f"{name}.L{lag}"
+def _labels(terms: Sequence[tuple[str, int]]) -> tuple[str, ...]:
+    return tuple(name if lag == 0 else f"{name}.L{lag}" for name, lag in terms)
 
 
 @dataclass(frozen=True)
@@ -130,12 +130,7 @@ class SvarSpec:
 
     @property
     def max_lag(self) -> int:
-        top = 1
-        for eq in self.ordering:
-            top = max(top, self.base_lags(eq))
-            for _, lag_ in self.extra_lags.get(eq, ()):
-                top = max(top, lag_)
-        return top
+        return max(lag_ for terms in self._terms for _, lag_ in terms)
 
     def equation_regressors(self, equation: str) -> list[tuple[str, int]]:
         """Ordered (name, lag) pairs entering this equation, intercept excluded."""
@@ -507,37 +502,27 @@ def estimate_svar_arrays(
 ) -> SvarEstimate:
     """Estimate from an aligned (N, m+1+k) matrix; see :func:`estimate_svar`.
 
-    Every structural and exogenous number is :func:`estimate_svar_stack`'s
-    on a stack of one.  Each equation is also fit by :func:`ols`, for its
-    coefficient table, its residuals and, on a rank-deficient design, the
-    error that names the dependent columns.
+    Every number is :func:`estimate_svar_stack`'s on a stack of one, and each
+    equation's coefficient table and residuals are read off its chain's QR
+    by :func:`~newsvar.regression.chain_fit`.
     """
-    m = spec.m
     names = spec.ordering + (spec.intervention_name,) + spec.controls
     if Z.ndim != 2 or Z.shape[1] != len(names):
         raise ModelSpecError(f"data matrix must have {len(names)} columns")
-    pool, M = _design_pool(spec, Z)
-    fits = tuple(
-        ols(
-            pool[(eq, 0)],
-            np.column_stack([pool[t] for t in terms]) if terms else None,
-            names=tuple(_lag_name(*t) for t in terms),
-        )
-        for eq, terms in zip(spec.ordering, spec._terms)
-    )
-    one = estimate_svar_stack(spec, Z[None], controls_var1=controls_var1)
-    x = Z[:, m:]
+    one, factored = _estimate_stack(spec, Z[None], controls_var1)
     if not one.ok[0]:
-        raise _exogenous_error(x, controls_var1)
+        raise _estimate_error(spec, Z, controls_var1)
     point = one.select(0)
+    fits = tuple(chain_fit(*factored[i], ("const",) + _labels(terms)) for i, terms in enumerate(spec._terms))
     # the exogenous innovations over t = 1..N-1, from the stack's coefficients
+    x = Z[:, spec.m :]
     exogenous = np.column_stack(
         [
             x[1:, 0] - point.s_intercept - point.s_rho * x[:-1, 0],
             x[1:, 1:] - point.c_intercept - x[:-1, 1:] @ point.c_transition.T,
         ]
     )
-    nobs = Z.shape[0] - M
+    nobs = Z.shape[0] - spec.max_lag
     var1 = controls_var1 and len(spec.controls) > 0
     v = exogenous[:, 1:]
     return SvarEstimate(
@@ -546,15 +531,20 @@ def estimate_svar_arrays(
         c_omega=v.T @ v / (len(v) - v.shape[1] - 1) if var1 else None,
         fits=fits,
         residuals=np.column_stack([*(fit.residuals for fit in fits), exogenous[-nobs:]]),
-        initial=Z[:M].copy(),
+        initial=Z[: spec.max_lag].copy(),
         nobs=nobs,
     )
 
 
-def _exogenous_error(x: np.ndarray, controls_var1: bool) -> NewsvarError:
-    """The error for exogenous series ``x`` (N, 1+k) whose fit failed: a
-    non-finite value, a constant series under an AR(1) or a rank-deficient
-    design, checked series by series."""
+def _estimate_error(spec: SvarSpec, Z: np.ndarray, controls_var1: bool) -> NewsvarError:
+    """The error of a failed estimate of ``Z``.  Each equation is refit by
+    :func:`ols` in causal order, so the first that fails raises, naming its
+    dependent columns; then each exogenous series is checked for a non-finite
+    value, a constant series under an AR(1) or a rank-deficient design."""
+    pool, _ = _design_pool(spec, Z)
+    for eq, terms in zip(spec.ordering, spec._terms):
+        ols(pool[(eq, 0)], np.column_stack([pool[t] for t in terms]), names=_labels(terms))
+    x = Z[:, spec.m :]
     for j in range(x.shape[1]):
         if not np.isfinite(x[:, j]).all():
             return DomainError("regression inputs must be finite")
@@ -586,6 +576,12 @@ def estimate_svar_stack(
     AR(1) and the control AR(1)s or VAR(1), one call each.  A
     panel whose fit fails does not raise: its ``ok`` flag is cleared.
     """
+    return _estimate_stack(spec, Z, controls_var1)[0]
+
+
+def _estimate_stack(spec: SvarSpec, Z: np.ndarray, controls_var1: bool) -> tuple[SvarStack, dict]:
+    """:func:`estimate_svar_stack`, with equation i's chain in ``factored[i]``:
+    the :func:`~newsvar.regression.chain_fit` arguments (A, fit, j, column, order)."""
     m, k = spec.m, len(spec.controls)
     names = spec.ordering + (spec.intervention_name,) + spec.controls
     if Z.ndim != 3 or Z.shape[2] != len(names):
@@ -600,11 +596,13 @@ def estimate_svar_stack(
     ok = np.ones(C, dtype=bool)
     sigma = np.empty((C, m))
     coefficients: dict[int, np.ndarray] = {}
+    factored = {}
     for chain in spec._chains:
         A = np.stack([np.ones((C, nobs))] + [pool[t] for t in chain.columns], axis=-1)
         fit = lstsq_chain(A, chain.fits)
         ok &= fit.full_rank
-        for j, (i, (width, _), at) in enumerate(zip(chain.equations, chain.fits, chain.positions)):
+        for j, (i, (width, column), at) in enumerate(zip(chain.equations, chain.fits, chain.positions)):
+            factored[i] = (A, fit, j, column, at)
             coefficients[i] = fit.coefficients[:, at, j]
             sigma[:, i] = fit.ssr[:, j] / (nobs - width)
     A0, A1, A2, gamma0s, gamma1s, Dw, a_q = _structural_blocks(
@@ -647,7 +645,7 @@ def estimate_svar_stack(
         c_intercept=c_intercept,
         c_sd=c_sd,
         ok=ok,
-    )
+    ), factored
 
 
 class ReducedForm(NamedTuple):
@@ -659,20 +657,21 @@ class ReducedForm(NamedTuple):
 
 def reduced_form(est: SvarEstimate) -> ReducedForm:
     """Reduced-form lag matrices and companion eigenvalues of the domestic block."""
-    Phi1 = np.linalg.solve(est.A0, est.A1)
-    Phi2 = np.linalg.solve(est.A0, est.A2)
-    m = est.m
-    companion = np.zeros((2 * m, 2 * m))
-    companion[:m, :m] = Phi1
-    companion[:m, m:] = Phi2
-    companion[m:, :m] = np.eye(m)
+    return _companion(est.A0, est.A1, est.A2)
+
+
+def _companion(A0: np.ndarray, A1: np.ndarray, A2: np.ndarray) -> ReducedForm:
+    """The reduced form of ``A0 y_t = A1 y_{t-1} + A2 y_{t-2} + ...``: its lag
+    matrices and the eigenvalues of its (2n, 2n) companion matrix."""
+    Phi1 = np.linalg.solve(A0, A1)
+    Phi2 = np.linalg.solve(A0, A2)
+    n = A0.shape[0]
+    companion = np.zeros((2 * n, 2 * n))
+    companion[:n, :n] = Phi1
+    companion[:n, n:] = Phi2
+    companion[n:, :n] = np.eye(n)
     eigenvalues = np.linalg.eigvals(companion)
-    return ReducedForm(
-        Phi1=Phi1,
-        Phi2=Phi2,
-        eigenvalues=eigenvalues,
-        stationary=bool(np.max(np.abs(eigenvalues)) < 1.0),
-    )
+    return ReducedForm(Phi1, Phi2, eigenvalues, stationary=bool(np.max(np.abs(eigenvalues)) < 1.0))
 
 
 def estimate_to_json(est: SvarEstimate) -> dict[str, object]:

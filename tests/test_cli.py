@@ -346,6 +346,17 @@ def test_estimate_unknown_control_is_data_error(tmp_path, capsys):
     assert "mystery" in capsys.readouterr().err
 
 
+def test_estimate_rank_deficient_equation_is_data_error(tmp_path, capsys):
+    # v1 is v0 lagged by one, so v0's design holds v0.L2 and v1.L1, the same column
+    _, data_map = model_workspace(tmp_path)
+    v0 = ts.read_series_csv(tmp_path / data_map["v0"]).values
+    write_series(tmp_path / data_map["v1"], quarter_labels(1989, v0.size), np.r_[0.0, v0[:-1]])
+    config = write_config(tmp_path, {"out_dir": "out", "model": {"spec": "spec.json", "data": data_map}})
+    assert cli.main(["estimate", "--config", str(config)]) == 2
+    assert capsys.readouterr().err == "error: design matrix is rank deficient; dependent columns: v1.L1\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_estimate_undecodable_series_file_is_data_error(tmp_path, capsys):
     truth, data_map = model_workspace(tmp_path)
     path = tmp_path / data_map[truth.variables[0]]

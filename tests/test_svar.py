@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from helpers import equation_designs, lstsq_reference, random_stable_system, simulate_panel
 from newsvar import dynamics as dyn
+from newsvar import regression as reg
 from newsvar import svar as sv
 from newsvar import timeseries as ts
 from newsvar.errors import (
@@ -190,8 +191,8 @@ def test_sigma_equals_stored_fit_variances():
     rng = np.random.default_rng(5)
     truth = random_stable_system(rng, m=3, k=1)
     est = sv.estimate_svar_arrays(truth.spec, simulate_panel(truth, 800, rng))
-    # sigma comes from the stacked fit, sigma_hat from the equation's own
-    # QR: the two agree to rounding
+    # sigma comes from the chain kernel's SSR (squares of R's entries),
+    # sigma_hat from the same QR's residuals summed: the two agree to rounding
     for i, fit in enumerate(est.fits):
         assert est.sigma[i] == pytest.approx(fit.sigma_hat**2, rel=1e-14, abs=0.0)
 
@@ -283,6 +284,17 @@ def test_estimate_svar_insufficient_sample():
     Z = simulate_panel(truth, 12, rng)
     with pytest.raises(SampleError):
         sv.estimate_svar_arrays(truth.spec, Z)
+
+
+def test_rank_deficient_equation_names_its_dependent_columns():
+    # b is a lagged by one, so c's design holds b and a.L1, the same column;
+    # a and b fit, and the error names c's dependent column by its label
+    spec = sv.SvarSpec(ordering=("a", "b", "c"), lags=1, intervention=(True, False))
+    Z = np.random.default_rng(0).normal(size=(60, 4))
+    Z[1:, 1] = Z[:-1, 0]
+    with pytest.raises(CollinearityError) as excinfo:
+        sv.estimate_svar_arrays(spec, Z)
+    assert str(excinfo.value) == "design matrix is rank deficient; dependent columns: a.L1"
 
 
 def test_controls_var1_mode():
@@ -476,6 +488,16 @@ def test_stacked_estimate_matches_equation_by_equation(problem):
             want = getattr(ref, name)
             scale = max(1.0, float(np.abs(want).max(initial=0.0)))
             assert np.max(np.abs(getattr(got, name) - want), initial=0.0) <= tol * scale, (c, name)
+        # each equation's table, read off its chain, against ols on its own design
+        for i, (X, fit) in enumerate(zip(equation_designs(spec, Z[c]), est.fits)):
+            terms = spec.equation_regressors(spec.ordering[i])
+            labels = [name if lag_ == 0 else f"{name}.L{lag_}" for name, lag_ in terms]
+            want = reg.ols(Z[c, spec.max_lag :, i], X[:, 1:], names=labels)
+            assert fit.names == want.names, (c, i)
+            for name in ("coefficients", "standard_errors", "covariance", "residuals", "sigma_hat"):
+                value = np.asarray(getattr(want, name))
+                scale = max(1.0, float(np.abs(value).max()))
+                assert np.max(np.abs(getattr(fit, name) - value)) <= tol * scale, (c, i, name)
 
 
 @pytest.mark.parametrize(
@@ -503,20 +525,26 @@ def test_stacked_estimate_matches_equation_by_equation(problem):
     ],
 )
 def test_stacked_estimate_factorizes_once_per_chain(monkeypatch, spec_json, controls_var1, chains, exogenous):
+    # the stack, and the point estimate on a stack of one, run one QR and one
+    # rank SVD per chain and per exogenous fit; the point estimate reads its
+    # equation tables off those QRs and calls no ols
     spec = sv.SvarSpec.from_json(spec_json)
     Z = np.random.default_rng(0).normal(size=(3, 60, spec.m + 1 + len(spec.controls)))
-    calls = {"qr": 0, "svd": 0}
-    for name in calls:
-        real = getattr(np.linalg, name)
+    calls = {"qr": 0, "svd": 0, "ols": 0}
+    for owner, name in ((np.linalg, "qr"), (np.linalg, "svd"), (reg, "ols"), (sv, "ols")):
+        real = getattr(owner, name)
 
         def counted(*args, _name=name, _real=real, **kwargs):
             calls[_name] += 1
             return _real(*args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, name, counted)
+        monkeypatch.setattr(owner, name, counted)
     stack = sv.estimate_svar_stack(spec, Z, controls_var1=controls_var1)
     assert stack.ok.all()
-    assert calls == {"qr": chains + exogenous, "svd": chains + exogenous}
+    assert calls == {"qr": chains + exogenous, "svd": chains + exogenous, "ols": 0}
+    calls.update(qr=0, svd=0)
+    sv.estimate_svar_arrays(spec, Z[0], controls_var1=controls_var1)
+    assert calls == {"qr": chains + exogenous, "svd": chains + exogenous, "ols": 0}
 
 
 def _numbers(payload):
