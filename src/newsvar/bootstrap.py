@@ -6,10 +6,11 @@ first observations fixed, simulates the stacked system forward over the
 original sample span, re-estimates the model on the simulated panel, and
 recomputes the impulse responses.  Everything it needs comes with the
 estimate: the residuals, the initial rows and the spec.  Replications run in
-chunks: one chunk's panels are simulated in one time loop, re-estimated
-together (:func:`~newsvar.svar.estimate_svar_stack`) and their responses
-computed in one batched recursion.  Bands are pointwise empirical quantiles
-across replications.
+blocks of whole chunks.  A block's panels are simulated in one time loop,
+into buffers reused by every block; then each chunk of the block is
+re-estimated together (:func:`~newsvar.svar.estimate_svar_stack`) and its
+responses computed in one batched recursion.  Bands are pointwise empirical
+quantiles across replications.
 """
 
 from __future__ import annotations
@@ -27,12 +28,16 @@ from .svar import estimate_svar_stack, SvarEstimate
 
 __all__ = ["BootstrapBands", "bootstrap_irf", "write_bands_metadata"]
 
-# Bytes one chunk's widest equation design may take.  The chunk's panels,
-# QR factors and response arrays grow with it, so this bounds the memory a
-# chunk adds (about 1 MB at 4 equations and 125 periods, where it allows 47
-# replications); chunks of more than a few replications amortize the
-# per-step cost of the simulation loop.
+# Chunks are for estimation, blocks for simulation.  Bytes one chunk's widest
+# equation design may take: the chunk's QR factors and response arrays grow
+# with it, so this bounds the memory re-estimation adds (about 1 MB at 4
+# equations and 125 periods, where it allows 47 replications).
 CHUNK_DESIGN_BYTES = 1 << 19
+# Bytes one block's simulated panels may take (a shock buffer of the same
+# size comes with them); a block holds at least one chunk.  Long blocks
+# amortize the per-step cost of the simulation loop, which chunks sized by
+# the design would run many times over when the designs are wide.
+BLOCK_PANEL_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -109,49 +114,53 @@ def bootstrap_irf(
     m = est.m
     widest = 1 + max(len(terms) for terms in spec._terms)
     chunk = max(1, CHUNK_DESIGN_BYTES // (8 * n_obs * widest))
+    block = min(replications, chunk * max(1, BLOCK_PANEL_BYTES // (8 * N * n_state * chunk)))
+    # time-major panels, so each step updates one contiguous (block, n_state)
+    # slab; rows M.. hold the shifted shocks c + P0inv u_t until simulated
+    sim = np.empty((N, block, n_state))
+    sim[:M] = est.initial[:, None, :]
+    shock = np.empty((n_obs, block, n_state))  # the draws, then per-step products
+    equations = np.arange(n_state)
 
     draws = np.empty((replications, len(shocks), horizon + 1, m))
     dropped = 0
     kept = 0
-    for first in range(0, replications, chunk):
-        C = min(chunk, replications - first)
-        # resample indices (period, replication, equation), each replication
-        # drawing from its own generator in the order of the one-at-a-time loop
-        rows = np.empty((n_obs, C, n_state), dtype=np.intp)
-        for i in range(C):
-            rng = np.random.default_rng(seed + first + i)
+    for start in range(0, replications, block):
+        B = min(block, replications - start)
+        for i in range(B):
+            rng = np.random.default_rng(seed + start + i)
             # one call draws the same stream as one call per equation in turn
-            rows[:, i, :] = rng.integers(0, n_obs, (1 if joint_resampling else n_state, n_obs)).T
-        u = U[rows, np.arange(n_state)]
-        shifted = (u.reshape(-1, n_state) @ P0inv.T + c).reshape(u.shape)
-        # time-major panels, so each step updates one contiguous (C, n_state) block
-        sim = np.empty((N, C, n_state))
-        sim[:M] = est.initial[:, None, :]
+            rows = rng.integers(0, n_obs, (1 if joint_resampling else n_state, n_obs)).T
+            shock[:, i] = U[rows, equations]
+        # through a block-sized temporary, not out=: with glibc, freeing it
+        # lifts malloc's mmap and trim thresholds above the estimator's
+        # workspace, which is otherwise returned to the system and faulted
+        # back in every chunk (about 20x the page faults at 9 states, 400 periods)
+        np.add(shock[:, :B] @ P0inv.T, c, out=sim[M:, :B])
         for t in range(M, N):
-            np.matmul(sim[t - 1], B1T, out=sim[t])
-            sim[t] += shifted[t - M]
+            step = shock[t - M, :B]
+            np.matmul(sim[t - 1, :B], B1T, out=step)
+            sim[t, :B] += step
             if M >= 2:
-                sim[t] += sim[t - 2] @ B2T
-        del rows, u, shifted  # free before the estimator's workspace is allocated
-        stack = estimate_svar_stack(spec, sim.transpose(1, 0, 2), controls_var1=est.controls_var1)
-        for _ in range(int(np.count_nonzero(~stack.ok))):
-            dropped += 1
-            if dropped > 0.05 * replications:
-                raise BootstrapError(
-                    f"bootstrap aborted: {dropped} of {replications} replications "
-                    "failed to re-estimate"
-                )
-        good = stack.select(stack.ok)
-        draws[kept : kept + good.ok.size] = stacked_responses(
-            build_stacked(good), horizon, shock_cols, m
-        )
-        kept += good.ok.size
+                np.matmul(sim[t - 2, :B], B2T, out=step)
+                sim[t, :B] += step
+        for first in range(0, B, chunk):
+            panels = sim[:, first : min(first + chunk, B)].transpose(1, 0, 2)
+            stack = estimate_svar_stack(spec, panels, controls_var1=est.controls_var1)
+            for _ in range(int(np.count_nonzero(~stack.ok))):
+                dropped += 1
+                if dropped > 0.05 * replications:
+                    raise BootstrapError(
+                        f"bootstrap aborted: {dropped} of {replications} replications "
+                        "failed to re-estimate"
+                    )
+            good = stack.select(stack.ok)
+            draws[kept : kept + good.ok.size] = stacked_responses(
+                build_stacked(good), horizon, shock_cols, m
+            )
+            kept += good.ok.size
 
-    # one partition of the draws serves all three quantiles; partitioned in
-    # place, since the draws are not read again
-    lower, upper, median = np.quantile(
-        draws[:kept], [*quantiles, 0.5], axis=0, overwrite_input=True
-    )
+    lower, upper, median = _quantiles(draws[:kept], [*quantiles, 0.5])
     return BootstrapBands(
         replications=kept,
         requested=replications,
@@ -166,6 +175,25 @@ def bootstrap_irf(
         median={s: median[i] for i, s in enumerate(shocks)},
         joint_resampling=joint_resampling,
     )
+
+
+def _quantiles(x: np.ndarray, qs: list[float]) -> np.ndarray:
+    """``np.quantile(x, qs, axis=0, overwrite_input=True)`` bit for bit (linear
+    method), without the ``numpy.ma`` import numpy's version makes; one
+    partition of ``x``, in place, serves every quantile."""
+    n = x.shape[0]
+    points = []
+    for q in qs:
+        v = (n - 1) * q
+        i = int(v) if v < n - 1 else -1  # as numpy, whose weight at the top is v + 1
+        points.append((i, i + 1 if i >= 0 else -1, v - i))
+    x.partition(sorted({0, n - 1, *(j % n for i, k, _ in points for j in (i, k))}), axis=0)
+    out = np.stack([
+        x[k] - (x[k] - x[i]) * (1 - t) if t >= 0.5 else x[i] + (x[k] - x[i]) * t
+        for i, k, t in points
+    ])
+    np.copyto(out, x[-1], where=np.isnan(x[-1]))  # NaN sorts last and marks its slice
+    return out
 
 
 def write_bands_metadata(bands: BootstrapBands, path: str | Path) -> None:

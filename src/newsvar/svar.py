@@ -589,9 +589,6 @@ def _estimate_stack(spec: SvarSpec, Z: np.ndarray, controls_var1: bool) -> tuple
     C, N = Z.shape[:2]
     pool, M = _design_pool(spec, Z)
     nobs = N - M
-    width = max(2, k + 1) if controls_var1 else 2
-    if N - 1 <= width:
-        raise SampleError(f"exogenous processes need more than {width + 1} observations, got {N}")
 
     ok = np.ones(C, dtype=bool)
     sigma = np.empty((C, m))

@@ -2,6 +2,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     bootstrap_reference,
@@ -210,6 +212,18 @@ def test_bootstrap_aborts_when_too_many_replications_fail(monkeypatch):
     assert "aborted: 3 of 40" in str(info.value)
 
 
+def test_bootstrap_aborts_at_the_same_count_inside_a_block(monkeypatch):
+    # chunks of 4 in blocks of 12: the rule trips in the second chunk of the
+    # first block, after the whole block was simulated
+    truth, est, Z = fitted_system(seed=12, T=120)
+    widest = 8 * (Z.shape[0] - 2) * 9
+    monkeypatch.setattr(bs, "CHUNK_DESIGN_BYTES", 4 * widest)
+    monkeypatch.setattr(bs, "BLOCK_PANEL_BYTES", 12 * 8 * Z.size)
+    monkeypatch.setattr(bs, "estimate_svar_stack", failing_estimator(lambda n: n % 2 == 0))
+    with pytest.raises(BootstrapError, match="aborted: 3 of 40"):
+        bs.bootstrap_irf(est, horizon=4, replications=40, seed=1)
+
+
 def test_bootstrap_counts_isolated_drops(monkeypatch):
     truth, est, Z = fitted_system(seed=13, T=120)
     monkeypatch.setattr(bs, "estimate_svar_stack", failing_estimator(lambda n: n == 1))
@@ -326,6 +340,86 @@ def test_chunked_bootstrap_matches_reference_across_chunks(monkeypatch):
         for shock in bands.shocks:
             assert np.max(np.abs(bands.lower[shock] - reference.lower[shock])) <= 1e-12
             assert np.max(np.abs(bands.upper[shock] - reference.upper[shock])) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "block_bytes",
+    [
+        1,  # a block of one chunk: blocks of 5, 5, 5, 5, 3
+        10 * 8 * 100 * 4,  # blocks of two chunks: 10, 10, 3, the last chunk of 3
+        1 << 30,  # one block of all 23
+    ],
+)
+def test_block_boundaries_do_not_move_a_bit(monkeypatch, block_bytes):
+    # the panels are simulated block by block into reused buffers, and
+    # estimated chunk by chunk out of them; where the blocks end moves nothing
+    _, est, Z = fitted_system(seed=14, T=100)
+    kwargs = dict(
+        horizon=5,
+        replications=23,
+        quantiles=(0.05, 0.95),
+        seed=9,
+        joint_resampling=False,
+        shocked_control=None,
+    )
+    reference = bootstrap_reference(est, Z, **kwargs)
+    widest = 8 * (Z.shape[0] - 2) * 9
+    monkeypatch.setattr(bs, "CHUNK_DESIGN_BYTES", 5 * widest)  # chunks of 5
+    unblocked = bs.bootstrap_irf(est, **kwargs)  # the default budget holds all 23
+    monkeypatch.setattr(bs, "BLOCK_PANEL_BYTES", block_bytes)
+    captured = capture_panels(monkeypatch)
+    blocked = bs.bootstrap_irf(est, **kwargs)
+    assert (blocked.replications, blocked.dropped) == (unblocked.replications, unblocked.dropped)
+    assert blocked.replications == reference.replications == 23
+    for shock in blocked.shocks:
+        for name in ("lower", "upper", "median"):
+            got = getattr(blocked, name)[shock]
+            assert np.array_equal(got, getattr(unblocked, name)[shock]), (shock, name)
+            assert np.max(np.abs(got - getattr(reference, name)[shock])) <= 1e-12, (shock, name)
+    # a reused buffer never leaks the previous block's rows into a panel
+    assert len(captured) == 23
+    for sim in captured:
+        assert np.array_equal(sim[: est.spec.max_lag], est.initial)
+
+
+def test_blocks_reuse_one_set_of_buffers(monkeypatch):
+    _, est, Z = fitted_system(seed=14, T=100)
+    widest = 8 * (Z.shape[0] - 2) * 9
+    monkeypatch.setattr(bs, "CHUNK_DESIGN_BYTES", 4 * widest)
+    monkeypatch.setattr(bs, "BLOCK_PANEL_BYTES", 1)  # blocks of one chunk of 4
+    handed = []
+    original = bs.estimate_svar_stack
+
+    def spy(spec, sims, controls_var1=False):
+        handed.append(sims)
+        return original(spec, sims, controls_var1=controls_var1)
+
+    monkeypatch.setattr(bs, "estimate_svar_stack", spy)
+    bs.bootstrap_irf(est, horizon=4, replications=14, seed=2)
+    assert [len(sims) for sims in handed] == [4, 4, 4, 2]
+    for later in handed[1:]:
+        assert np.shares_memory(handed[0], later)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    shape=st.tuples(st.integers(1, 40), st.integers(1, 3)),
+    seed=st.integers(0, 2**32 - 1),
+    scale=st.sampled_from([1e-3, 1.0, 1e6]),
+    specials=st.lists(
+        st.tuples(st.integers(0, 119), st.sampled_from([0.0, -0.0, 1.5, np.nan, np.inf])),
+        max_size=4,
+    ),
+    qs=st.lists(st.sampled_from([0.0, 1.0, 0.5]) | st.floats(0, 1), min_size=1, max_size=3),
+)
+def test_band_quantiles_equal_numpy_quantile_exactly(shape, seed, scale, specials, qs):
+    x = np.random.default_rng(seed).normal(size=shape) * scale
+    for position, value in specials:
+        x.flat[position % x.size] = value
+    with np.errstate(invalid="ignore"):  # inf - inf, in both
+        want = np.quantile(x.copy(), qs, axis=0)
+        got = bs._quantiles(x, qs)
+    assert np.array_equal(got, want, equal_nan=True)
 
 
 def test_stacked_estimator_flags_the_failures_the_loop_drops():

@@ -588,27 +588,35 @@ def test_malformed_spec_field_is_model_error(tmp_path, capsys, field, value):
     assert not (tmp_path / "out").exists()
 
 
-_SCIPY_PROBE = """
+_LOAD_PROBE = """
 import json, sys
-loaded = lambda: sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+root = sys.argv[1]
+loaded = lambda: sorted(m for m in sys.modules if m == root or m.startswith(root + "."))
 from newsvar import cli
 report = {"import": loaded()}
-for command, config in zip(("build-index", "dynamics"), sys.argv[1:]):
+for command, config in zip(sys.argv[2::2], sys.argv[3::2]):
     report[command] = [cli.main([command, "--config", config]), loaded()]
 print(json.dumps(report))
 """
 
 
-def test_dynamics_and_build_index_never_load_scipy(index_workspace, tmp_path_factory):
-    # structural guard on start-up cost: scipy belongs to estimate,
-    # reduced-form and the collinearity report only
-    index_config = write_config(
-        index_workspace,
-        {"index": {"on_counts": "on.csv", "off_counts": "off.csv", "output_growth": "dy.csv"}},
+def modules_loaded(root, commands):
+    """The modules under ``root`` loaded after import and after each (command, config), in one interpreter."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    argv = [str(a) for pair in commands for a in pair]
+    run = subprocess.run(
+        [sys.executable, "-c", _LOAD_PROBE, root, *argv],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
     )
+    return json.loads(run.stdout), run.stderr
+
+
+@pytest.fixture(scope="module")
+def bands_config(tmp_path_factory):
     model_dir = tmp_path_factory.mktemp("model")
     _, data_map = model_workspace(model_dir, T=120)
-    model_config = write_config(
+    return write_config(
         model_dir,
         {
             "model": {
@@ -620,14 +628,24 @@ def test_dynamics_and_build_index_never_load_scipy(index_workspace, tmp_path_fac
             }
         },
     )
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    run = subprocess.run(
-        [sys.executable, "-c", _SCIPY_PROBE, str(index_config), str(model_config)],
-        env=env, capture_output=True, text=True, timeout=120, check=True,
+
+
+def test_dynamics_and_build_index_never_load_scipy(index_workspace, bands_config):
+    # structural guard on start-up cost: scipy belongs to estimate,
+    # reduced-form and the collinearity report only
+    index_config = write_config(
+        index_workspace,
+        {"index": {"on_counts": "on.csv", "off_counts": "off.csv", "output_growth": "dy.csv"}},
     )
-    report = json.loads(run.stdout)
-    assert report == {"import": [], "build-index": [0, []], "dynamics": [0, []]}, run.stderr
+    report, stderr = modules_loaded("scipy", [("build-index", index_config), ("dynamics", bands_config)])
+    assert report == {"import": [], "build-index": [0, []], "dynamics": [0, []]}, stderr
+
+
+def test_dynamics_never_loads_numpy_ma(bands_config):
+    # the band quantiles must not go through np.quantile, whose np.unique
+    # imports numpy.ma on every bootstrap run
+    report, stderr = modules_loaded("numpy.ma", [("dynamics", bands_config)])
+    assert report == {"import": [], "dynamics": [0, []]}, stderr
 
 
 # ---------------------------------------------------------------------------

@@ -286,6 +286,22 @@ def test_estimate_svar_insufficient_sample():
         sv.estimate_svar_arrays(truth.spec, Z)
 
 
+def test_shortest_accepted_panel_fits_the_exogenous_processes():
+    # with base lags of at least 1 every equation holds m + k terms or more,
+    # so the sample the equations need also covers the control VAR(1): the
+    # shortest panel the equations accept (one more row than regressors
+    # after the lag) fits without a separate exogenous sample check
+    spec = sv.SvarSpec(ordering=("a",), lags=1, intervention=(False, False), controls=("g0", "g1", "g2"))
+    assert spec.equation_regressors("a") == [("a", 1), ("g0", 0), ("g1", 0), ("g2", 0)]
+    Z = np.random.default_rng(3).normal(size=(7, 5))
+    with pytest.raises(SampleError):
+        sv.estimate_svar_arrays(spec, Z[:-1], controls_var1=True)
+    stack = sv.estimate_svar_stack(spec, Z[None], controls_var1=True)
+    assert stack.ok.tolist() == [True]
+    est = sv.estimate_svar_arrays(spec, Z, controls_var1=True)
+    assert est.c_transition.shape == (3, 3)
+
+
 def test_rank_deficient_equation_names_its_dependent_columns():
     # b is a lagged by one, so c's design holds b and a.L1, the same column;
     # a and b fit, and the error names c's dependent column by its label
