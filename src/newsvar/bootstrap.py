@@ -99,6 +99,11 @@ def bootstrap_irf(
     U = est.residuals
     if U is None or est.initial is None:
         raise ModelSpecError("estimate carries no residuals; re-estimate from data")
+    # with glibc, freeing this untouched buffer lifts malloc's mmap and trim
+    # thresholds to its size, so the estimator's per-chunk workspace (its
+    # designs and QR copies, about 0.5 MB each) stays mapped between chunks
+    # instead of being returned to the system and faulted back in every chunk
+    np.empty(4 * CHUNK_DESIGN_BYTES, dtype=np.uint8)
     spec = est.spec
     system = build_stacked(est)
     n_state = system.Psi0.shape[0]
@@ -132,11 +137,8 @@ def bootstrap_irf(
             # one call draws the same stream as one call per equation in turn
             rows = rng.integers(0, n_obs, (1 if joint_resampling else n_state, n_obs)).T
             shock[:, i] = U[rows, equations]
-        # through a block-sized temporary, not out=: with glibc, freeing it
-        # lifts malloc's mmap and trim thresholds above the estimator's
-        # workspace, which is otherwise returned to the system and faulted
-        # back in every chunk (about 20x the page faults at 9 states, 400 periods)
-        np.add(shock[:, :B] @ P0inv.T, c, out=sim[M:, :B])
+        np.matmul(shock[:, :B], P0inv.T, out=sim[M:, :B])
+        sim[M:, :B] += c
         for t in range(M, N):
             step = shock[t - M, :B]
             np.matmul(sim[t - 1, :B], B1T, out=step)

@@ -10,7 +10,9 @@ and the exogenous AR(1)/VAR(1) fits (q regressions on one design), and
 exogenous fits take their SSR from the kernel's R factor, which moves their
 residual standard errors, and through them the point IRFs and FEVDs, by
 rounding only: at most 3.3e-16 absolute on the benchmark's inputs, seeds
-11 and 13, against a sum of squared residuals.
+11 and 13, against a sum of squared residuals.  The kernel's rank verdict
+is :func:`numpy.linalg.matrix_rank`'s, certified from R and R^-1 where the
+design is well conditioned; only the uncertified slices take an SVD.
 
 scipy is imported inside the few functions that need it (p-values and the
 collinearity report), so loading the package costs numpy alone.
@@ -129,6 +131,12 @@ def lstsq_chain(A: np.ndarray, fits: Sequence[tuple[int, int]]) -> ChainLstsq:
     above ``S.max() * max(n, P) * eps``.  Singular values interlace under
     column deletion, so a full-rank verdict there holds for every prefix.
     A panel with a non-finite value counts as rank 0.
+
+    Most slices are certified full rank without an SVD: ``S.max <= |R|_F``
+    and ``S.min >= 1 / |R^-1|_F``, so where R's diagonal has no zero and
+    ``|R|_F |R^-1|_F max(n, P) eps <= 1e-3`` every S clears the rule's
+    threshold with a 1e3 margin for rounding.  Only the other slices take
+    the SVD, so the verdict is the rule's on every slice.
     """
     A = np.asarray(A, dtype=float)
     C, n, K = A.shape
@@ -143,9 +151,19 @@ def lstsq_chain(A: np.ndarray, fits: Sequence[tuple[int, int]]) -> ChainLstsq:
     # Householder reflections give R without ever forming Q
     R = np.linalg.qr(A, mode="r")
     RP = R[:, :P, :P]
-    S = np.linalg.svd(RP, compute_uv=False)
-    tol = S.max(axis=-1, keepdims=True) * max(n, P) * np.finfo(float).eps
-    rank = np.count_nonzero(S > tol, axis=-1)
+    eps = np.finfo(float).eps
+    # a zero on R's diagonal (a zeroed non-finite panel among them) has no
+    # inverse; those slices invert I in its place and go to the SVD below
+    invertible = np.diagonal(RP, axis1=1, axis2=2).all(axis=1)
+    Rinv = np.linalg.inv(RP if invertible.all() else np.where(invertible[:, None, None], RP, np.eye(P)))
+    # |R|_F^2 |R^-1|_F^2; inf or NaN fails the certificate
+    norms = np.einsum("cij,cij->c", RP, RP) * np.einsum("cij,cij->c", Rinv, Rinv)
+    uncertified = ~(invertible & (norms <= (1e-3 / (max(n, P) * eps)) ** 2))
+    rank = np.full(C, P)
+    if uncertified.any():
+        S = np.linalg.svd(RP[uncertified], compute_uv=False)
+        tol = S.max(axis=-1, keepdims=True) * max(n, P) * eps
+        rank[uncertified] = np.count_nonzero(S > tol, axis=-1)
     full = rank == P
     all_full = full.all()
     # R is upper triangular, so the LU solve below is plain back substitution

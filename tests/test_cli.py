@@ -1,9 +1,11 @@
 import contextlib
 import copy
 import csv
+import importlib.util
 import io
 import json
 import os
+import platform
 import shutil
 import subprocess
 import sys
@@ -600,15 +602,19 @@ print(json.dumps(report))
 """
 
 
-def modules_loaded(root, commands):
-    """The modules under ``root`` loaded after import and after each (command, config), in one interpreter."""
+def run_python(code, *argv):
+    """``python -c code argv...`` in a fresh interpreter that imports this package."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    argv = [str(a) for pair in commands for a in pair]
-    run = subprocess.run(
-        [sys.executable, "-c", _LOAD_PROBE, root, *argv],
+    return subprocess.run(
+        [sys.executable, "-c", code, *map(str, argv)],
         env=env, capture_output=True, text=True, timeout=120, check=True,
     )
+
+
+def modules_loaded(root, commands):
+    """The modules under ``root`` loaded after import and after each (command, config), in one interpreter."""
+    run = run_python(_LOAD_PROBE, root, *[a for pair in commands for a in pair])
     return json.loads(run.stdout), run.stderr
 
 
@@ -646,6 +652,33 @@ def test_dynamics_never_loads_numpy_ma(bands_config):
     # imports numpy.ma on every bootstrap run
     report, stderr = modules_loaded("numpy.ma", [("dynamics", bands_config)])
     assert report == {"import": [], "dynamics": [0, []]}, stderr
+
+
+_FAULT_PROBE = """
+import resource, sys
+from newsvar import cli
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+rc = cli.main(sys.argv[1:])
+print(rc, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="counts glibc malloc's page faults")
+def test_paper_bands_dynamics_keeps_the_estimator_workspace_mapped(tmp_path, monkeypatch):
+    # glibc returns freed blocks above its mmap threshold to the system; if the
+    # bootstrap's estimator workspace is among them it is faulted back in every
+    # chunk, about 10k minor faults per paper_bands run instead of under 2k
+    spec = importlib.util.spec_from_file_location(
+        "bench_gen", Path(__file__).resolve().parents[1] / "bench" / "gen.py"
+    )
+    gen = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, gen)  # its dataclasses look themselves up there
+    spec.loader.exec_module(gen)
+    inputs = gen.generate("paper_bands", 11, tmp_path / "inputs")
+    run = run_python(_FAULT_PROBE, *inputs.argv_head, "--out", tmp_path / "out")
+    rc, faults = map(int, run.stdout.split())
+    assert rc == 0, run.stderr
+    assert faults < 5000
 
 
 # ---------------------------------------------------------------------------

@@ -174,6 +174,51 @@ def test_lstsq_chain_rank_mask_matches_matrix_rank(problem, data):
 
 
 @st.composite
+def mixed_stacks(draw):
+    """(X, Y, kinds): a (C, n, k) stack whose slices are clean, near-collinear
+    (``factor * source + delta * noise``, delta 1e-6 to 1e-16 of the column
+    scale), with an all-zero column, or holding a NaN or inf."""
+    k = draw(st.integers(2, 6))
+    n = draw(st.integers(k + 1, 40))
+    kinds = draw(st.lists(st.sampled_from(["clean", "near", "zero", "nonfinite"]), min_size=2, max_size=5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X, Y = rng.normal(size=(len(kinds), n, k)), rng.normal(size=(len(kinds), n, 2))
+    for c, kind in enumerate(kinds):
+        target, source = rng.permutation(k)[:2]
+        if kind == "near":
+            column = draw(st.sampled_from([2.0, -0.5, 8.0]), label="factor") * X[c, :, source]
+            delta = 10.0 ** -rng.uniform(6, 16)
+            X[c, :, target] = column + delta * np.abs(column).max() * rng.normal(size=n)
+        elif kind == "zero":
+            X[c, :, target] = 0.0
+        elif kind == "nonfinite":
+            panel = draw(st.sampled_from([X, Y]), label="X or Y")
+            panel[c, rng.integers(n), 0] = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    return X, Y, kinds
+
+
+@KERNEL_PROPERTY
+@given(mixed_stacks())
+def test_lstsq_chain_certified_verdicts_match_the_svd_rule_and_the_batch_moves_no_bit(problem):
+    # slices near the rank threshold must fail the SVD-free certificate and
+    # take matrix_rank's rule; the rule is applied to the kernel's R with
+    # max(n, k) * eps, as for the design itself
+    X, Y, kinds = problem
+    C, n, k = X.shape
+    A, fits = stack_as_chain(X, Y)
+    fit = reg.lstsq_chain(A, fits)
+    for c, kind in enumerate(kinds):
+        if kind == "nonfinite":
+            assert fit.rank[c] == 0
+        else:
+            assert fit.rank[c] == np.linalg.matrix_rank(fit.R[c], rtol=max(n, k) * np.finfo(float).eps)
+        alone = reg.lstsq_chain(A[c : c + 1], fits)
+        assert alone.rank[0] == fit.rank[c]
+        assert np.array_equal(alone.coefficients[0], fit.coefficients[c], equal_nan=True)
+        assert np.array_equal(alone.ssr[0], fit.ssr[c], equal_nan=True)
+
+
+@st.composite
 def chain_problems(draw):
     """(A, fits): a (C, n, K) stack with nested fits (p_j, c_j), P = max p_j
     <= n but K often above n, and several dependent columns per width."""

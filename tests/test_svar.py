@@ -517,16 +517,20 @@ def test_stacked_estimate_matches_equation_by_equation(problem):
 
 
 @pytest.mark.parametrize(
-    "spec_json, controls_var1, chains, exogenous",
+    "spec_json, controls_var1, chains, exogenous, planted",
     [
-        # the stress_bands shape: one chain of six equations; s AR(1), control VAR(1)
+        # the stress_bands shape: one chain of six equations; s AR(1), control
+        # VAR(1).  Planted q6 = q5 gives the chain equal lag columns and leaves
+        # the exogenous fits alone
         (
             {"ordering": [f"q{i}" for i in range(1, 7)], "lags": 2, "controls": ["g1", "g2"]},
             True,
             1,
             2,
+            (5, 4, 0),
         ),
-        # the paper_bands shape: chains [de, dm, dp] and [dy]; one stacked AR(1) fit
+        # the paper_bands shape: chains [de, dm, dp] and [dy]; one stacked AR(1)
+        # fit.  Planted dyw_t = dp_{t-2} copies dp.L2, which only dp's design holds
         (
             {
                 "ordering": ["de", "dm", "dp", "dy"],
@@ -537,30 +541,51 @@ def test_stacked_estimate_matches_equation_by_equation(problem):
             False,
             2,
             1,
+            (5, 2, 2),
         ),
     ],
 )
-def test_stacked_estimate_factorizes_once_per_chain(monkeypatch, spec_json, controls_var1, chains, exogenous):
-    # the stack, and the point estimate on a stack of one, run one QR and one
-    # rank SVD per chain and per exogenous fit; the point estimate reads its
-    # equation tables off those QRs and calls no ols
+def test_stacked_estimate_factorizes_once_per_chain(
+    monkeypatch, spec_json, controls_var1, chains, exogenous, planted
+):
+    # the stack, and the point estimate on a stack of one, run one QR per chain
+    # and per exogenous fit and, where every design is certified full rank from
+    # its R, no SVD; the point estimate reads its equation tables off those QRs
+    # and calls no ols
     spec = sv.SvarSpec.from_json(spec_json)
     Z = np.random.default_rng(0).normal(size=(3, 60, spec.m + 1 + len(spec.controls)))
     calls = {"qr": 0, "svd": 0, "ols": 0}
+    svd_inputs = []
+    real_svd = np.linalg.svd
     for owner, name in ((np.linalg, "qr"), (np.linalg, "svd"), (reg, "ols"), (sv, "ols")):
         real = getattr(owner, name)
 
         def counted(*args, _name=name, _real=real, **kwargs):
             calls[_name] += 1
+            if _name == "svd":
+                svd_inputs.append(np.array(args[0]))
             return _real(*args, **kwargs)
 
         monkeypatch.setattr(owner, name, counted)
     stack = sv.estimate_svar_stack(spec, Z, controls_var1=controls_var1)
     assert stack.ok.all()
-    assert calls == {"qr": chains + exogenous, "svd": chains + exogenous, "ols": 0}
-    calls.update(qr=0, svd=0)
+    assert calls == {"qr": chains + exogenous, "svd": 0, "ols": 0}
+    calls.update(qr=0)
     sv.estimate_svar_arrays(spec, Z[0], controls_var1=controls_var1)
-    assert calls == {"qr": chains + exogenous, "svd": chains + exogenous, "ols": 0}
+    assert calls == {"qr": chains + exogenous, "svd": 0, "ols": 0}
+
+    # slice 1 of 3 planted rank-deficient in one chain: the SVD runs once, on
+    # that slice's R of that chain alone
+    target, source, shift = planted
+    Z[1, shift:, target] = Z[1, : Z.shape[1] - shift, source]
+    calls.update(qr=0)
+    stack = sv.estimate_svar_stack(spec, Z, controls_var1=controls_var1)
+    assert stack.ok.tolist() == [True, False, True]
+    assert calls == {"qr": chains + exogenous, "svd": 1, "ols": 0}
+    (R,) = svd_inputs
+    assert R.shape[0] == 1
+    S = real_svd(R[0], compute_uv=False)
+    assert S[-1] < 1e-10 * S[0]
 
 
 def _numbers(payload):
