@@ -393,6 +393,12 @@ def sdn_index(flows: EntityFlowSeries, w: float = 0.4) -> IntensityIndex:
 # rows turned into integer columns at a time; the reader holds one block of
 # parsed rows, not the file
 _BLOCK_ROWS = 16_384
+# bytes read at a time on the byte path, cut back to the last line end; a
+# block's index arrays take a few times its size, and at this size the
+# reader's peak memory stays below the csv path's
+_BLOCK_BYTES = 1 << 17
+# the low k bytes of a little-endian 8-byte word, for k = 0..8
+_LOW_BYTES = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)
 
 
 def read_counts_csv(path: str | Path) -> ArticleCountPanel:
@@ -402,32 +408,34 @@ def read_counts_csv(path: str | Path) -> ArticleCountPanel:
     :class:`SeriesError` naming the first failing line: a short row, a bad
     date, an empty outlet, a bad, negative or over-64-bit count, or a second
     row for one outlet-day, checked in that order within a row.
+
+    The file is parsed on its bytes, block by block, while every line is a
+    plain row (see :func:`_plain_block`).  From the first block that is
+    not, the rest of the file goes through ``csv`` in blocks of rows, which
+    reads every row that the byte path does not and reports every error.
     """
     path = Path(path)
     days: dict[str, int] = {}  # date cell -> day ordinal, 0 when unparseable
     cells_to_code: dict[str, int] = {}  # outlet cell -> outlet code, -1 when blank
     codes: dict[str, int] = {}  # outlet name -> code, in order of appearance
     blocks: list[tuple[np.ndarray, ...]] = []
-    with csv_rows(path) as reader:
-        header = next(reader, None)
-        if header is None or [h.strip().lower() for h in header[:3]] != [
-            "date",
-            "outlet",
-            "count",
-        ]:
-            raise SeriesError(f"{path}: expected header 'date,outlet,count'")
-        first_line = 2
-        while rows := list(islice(reader, _BLOCK_ROWS)):
-            block, failure = _parse_block(rows, first_line, days, cells_to_code, codes)
-            blocks.append(block)
-            if failure is not None:
-                lineno, row = failure
-                # a repeated outlet-day on an earlier line fails first
-                line, day, code, _ = (np.concatenate(column) for column in zip(*blocks))
-                earlier = line < lineno
-                _check_repeats(path, line[earlier], day[earlier], code[earlier], codes)
-                raise SeriesError(f"{path}:{lineno}: {_row_error(row)}")
-            first_line += len(rows)
+    start, first_line = _read_plain_blocks(path, blocks, days, cells_to_code, codes)
+    if start is not None:
+        with csv_rows(path, start) as reader:
+            if first_line == 1:
+                _check_header(path, next(reader, None))
+                first_line = 2
+            while rows := list(islice(reader, _BLOCK_ROWS)):
+                block, failure = _parse_block(rows, first_line, days, cells_to_code, codes)
+                blocks.append(block)
+                if failure is not None:
+                    lineno, row = failure
+                    # a repeated outlet-day on an earlier line fails first
+                    line, day, code, _ = (np.concatenate(column) for column in zip(*blocks))
+                    earlier = line < lineno
+                    _check_repeats(path, line[earlier], day[earlier], code[earlier], codes)
+                    raise SeriesError(f"{path}:{lineno}: {_row_error(row)}")
+                first_line += len(rows)
     if not sum(len(block[0]) for block in blocks):
         raise SeriesError(f"{path}: no data rows")
     line, day, code, count = (np.concatenate(column) for column in zip(*blocks))
@@ -439,6 +447,127 @@ def read_counts_csv(path: str | Path) -> ArticleCountPanel:
     rank = np.empty(len(outlets), dtype=np.int64)
     rank[[codes[name] for name in outlets]] = np.arange(len(outlets))
     return ArticleCountPanel(outlets=outlets, day=day, outlet=rank[code], count=count)
+
+
+def _check_header(path: Path, header: list[str] | None) -> None:
+    if header is None or [h.strip().lower() for h in header[:3]] != [
+        "date",
+        "outlet",
+        "count",
+    ]:
+        raise SeriesError(f"{path}: expected header 'date,outlet,count'")
+
+
+def _read_plain_blocks(
+    path: Path,
+    blocks: list[tuple[np.ndarray, ...]],
+    days: dict[str, int],
+    cells_to_code: dict[str, int],
+    codes: dict[str, int],
+) -> tuple[int | None, int]:
+    """Append the columns of the file's leading plain blocks to ``blocks``.
+
+    Returns the byte offset and line number of the first line left for
+    ``csv`` (offset 0 and line 1 when the header is not a plain line), or
+    ``None`` and the line after the last when every line was read.
+    """
+    with path.open("rb") as raw:
+        header = raw.readline()
+        if not (header.endswith(b"\n") and _plain_bytes(header)):
+            return 0, 1
+        _check_header(path, header[:-1].decode("ascii").split(","))
+        start, first_line = len(header), 2
+        data = raw.read(_BLOCK_BYTES)
+        while data:
+            end = data.rfind(b"\n") + 1
+            block = _plain_block(data[:end], first_line, days, cells_to_code, codes) if end else None
+            if block is None:
+                return start, first_line
+            blocks.append(block)
+            start, first_line = start + end, first_line + len(block[0])
+            data = data[end:] + raw.read(_BLOCK_BYTES)
+    return None, first_line
+
+
+def _plain_block(
+    data: bytes,
+    first_line: int,
+    days: dict[str, int],
+    cells_to_code: dict[str, int],
+    codes: dict[str, int],
+) -> tuple[np.ndarray, ...] | None:
+    """Columns (line, day, outlet code, count) of whole lines of bytes, or
+    ``None`` unless every line is a plain, valid row.
+
+    A plain row is ASCII with no NUL, quote or CR, and has exactly two
+    commas, a 10-byte date, a non-empty outlet and a count of 1-18 digits;
+    ``csv`` would split it at its commas.  Its date and outlet cells are
+    looked up as in :func:`_parse_block`, and a bad date or blank outlet
+    makes the block not valid.
+    """
+    if not _plain_bytes(data):
+        return None
+    buf = np.frombuffer(data, dtype=np.uint8)
+    end = np.flatnonzero(buf == ord("\n"))
+    comma = np.flatnonzero(buf == ord(","))
+    if comma.size != 2 * end.size:
+        return None
+    start = np.concatenate(([0], end[:-1] + 1))
+    first, second = comma[0::2], comma[1::2]
+    outlet_width, count_width = second - first - 1, end - second - 1
+    # with two commas a line in all, each line's first comma ends its date
+    # and its second comes before its count, so both lie inside the line
+    if not (
+        (first == start + 10).all()
+        and (outlet_width >= 1).all()
+        and ((count_width >= 1) & (count_width <= 18)).all()
+    ):
+        return None
+    count = np.zeros(end.size, dtype=np.int64)  # 18 digits fit in 63 bits
+    for k in range(int(count_width.max())):
+        digit = buf[end - 1 - k].astype(np.int64) - ord("0")
+        digit[count_width <= k] = 0
+        if not ((0 <= digit) & (digit <= 9)).all():
+            return None
+        count += digit * 10**k
+    # the 8-byte little-endian word at every offset; the zeros past the block
+    # cover the longest outlet's last word
+    padded = np.concatenate((buf, np.zeros(int(outlet_width.max()) + 8, dtype=np.uint8)))
+    words = np.ndarray((padded.size - 7,), dtype="<u8", buffer=padded, strides=(1,))
+    date_at, date_id = _distinct_fields(words, start, np.full(end.size, 10))
+    outlet_at, outlet_id = _distinct_fields(words, first + 1, outlet_width)
+    date_cells = [data[i : i + 10].decode("ascii") for i in start[date_at].tolist()]
+    outlet_bounds = zip((first[outlet_at] + 1).tolist(), second[outlet_at].tolist())
+    outlet_cells = [data[i:j].decode("ascii") for i, j in outlet_bounds]
+    _learn_cells(date_cells, outlet_cells, days, cells_to_code, codes)
+    day = np.array([days[cell] for cell in date_cells], dtype=np.int64)[date_id]
+    code = np.array([cells_to_code[cell] for cell in outlet_cells], dtype=np.int64)[outlet_id]
+    if not day.all() or (code < 0).any():
+        return None
+    return first_line + np.arange(end.size), day, code, count
+
+
+def _plain_bytes(data: bytes) -> bool:
+    """ASCII with no NUL, quote or CR: ``csv`` splits each line at its commas."""
+    return data.isascii() and not any(byte in data for byte in (b"\0", b'"', b"\r"))
+
+
+def _distinct_fields(
+    words: np.ndarray, start: np.ndarray, width: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Row of the first of each distinct byte field, and each field's
+    position among them.
+
+    ``words`` holds the 8-byte word at every offset of NUL-free bytes, so
+    fields compare as the integers of their zero-padded 8-byte pieces.
+    """
+    for offset in range(0, int(width.max()), 8):
+        key = words[start + offset] & _LOW_BYTES[np.clip(width - offset, 0, 8)]
+        if offset:
+            # pairs of (earlier pieces' position, this piece's position)
+            key = ids * start.size + np.unique(key, return_inverse=True)[1]
+        _, first, ids = np.unique(key, return_index=True, return_inverse=True)
+    return first, ids
 
 
 def _parse_block(
@@ -462,14 +591,7 @@ def _parse_block(
     unparsed = np.zeros(0, dtype=bool)
     if cells:
         date_cells, outlet_cells, count_cells = (list(map(itemgetter(i), cells)) for i in range(3))
-        for cell in set(date_cells).difference(days):
-            try:
-                days[cell] = date.fromisoformat(cell.strip()).toordinal()
-            except ValueError:
-                days[cell] = 0
-        for cell in set(outlet_cells).difference(cells_to_code):
-            name = cell.strip()
-            cells_to_code[cell] = codes.setdefault(name, len(codes)) if name else -1
+        _learn_cells(date_cells, outlet_cells, days, cells_to_code, codes)
         day = np.fromiter(map(days.__getitem__, date_cells), dtype=np.int64, count=full.size)
         code = np.fromiter(map(cells_to_code.__getitem__, outlet_cells), dtype=np.int64, count=full.size)
         count, unparsed = _count_column(count_cells)
@@ -484,6 +606,24 @@ def _parse_block(
             break
     ok = ~bad_full
     return (first_line + full[ok], day[ok], code[ok], count[ok]), failure
+
+
+def _learn_cells(
+    date_cells: list[str],
+    outlet_cells: list[str],
+    days: dict[str, int],
+    cells_to_code: dict[str, int],
+    codes: dict[str, int],
+) -> None:
+    """Add the date and outlet cells not yet looked up to the lookup dicts."""
+    for cell in set(date_cells).difference(days):
+        try:
+            days[cell] = date.fromisoformat(cell.strip()).toordinal()
+        except ValueError:
+            days[cell] = 0
+    for cell in set(outlet_cells).difference(cells_to_code):
+        name = cell.strip()
+        cells_to_code[cell] = codes.setdefault(name, len(codes)) if name else -1
 
 
 def _count_column(cells: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:

@@ -12,6 +12,7 @@ Period label grammar: annual ``YYYY``, quarterly ``YYYYQn``, monthly
 from __future__ import annotations
 
 import csv
+import io
 import math
 import re
 from contextlib import contextmanager
@@ -424,16 +425,19 @@ def series_correlation(a: CalendarSeries, b: CalendarSeries) -> float:
 
 
 @contextmanager
-def csv_rows(path: Path) -> Iterator[Iterator[list[str]]]:
-    """A ``csv.reader`` over a UTF-8 file; bytes that do not decode, and
-    what ``csv`` cannot split, raise :class:`SeriesError` naming the file."""
-    with path.open(newline="", encoding="utf-8") as handle:
-        try:
-            yield csv.reader(handle)
-        except UnicodeDecodeError as exc:
-            raise SeriesError(f"{path}: not UTF-8 text ({exc.reason})") from exc
-        except csv.Error as exc:
-            raise SeriesError(f"{path}: {exc}") from exc
+def csv_rows(path: Path, start: int = 0) -> Iterator[Iterator[list[str]]]:
+    """A ``csv.reader`` over a UTF-8 file from byte ``start``, which begins a
+    line; bytes that do not decode, and what ``csv`` cannot split, raise
+    :class:`SeriesError` naming the file."""
+    with path.open("rb") as raw:
+        raw.seek(start)
+        with io.TextIOWrapper(raw, encoding="utf-8", newline="") as handle:
+            try:
+                yield csv.reader(handle)
+            except UnicodeDecodeError as exc:
+                raise SeriesError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+            except csv.Error as exc:
+                raise SeriesError(f"{path}: {exc}") from exc
 
 
 def read_period_table(

@@ -1,3 +1,4 @@
+import re
 import string
 import tempfile
 from datetime import date
@@ -378,6 +379,13 @@ def test_read_counts_csv_errors_carry_line_numbers(tmp_path):
     p.write_text("date,outlet,count\n2000-01-01,a,3\n2000-01-01,a,4\n", encoding="utf-8")
     with pytest.raises(SeriesError, match="duplicate"):
         ix.read_counts_csv(p)
+    for outlet in (" ", ""):
+        p.write_text(f"date,outlet,count\n2000-01-02,{outlet},4\n", encoding="utf-8")
+        with pytest.raises(SeriesError, match=":2: empty outlet"):
+            ix.read_counts_csv(p)
+    p.write_text("date,outlet,count\n2000-01-01,a,3\n2000-01-021,a,4\n", encoding="utf-8")
+    with pytest.raises(SeriesError, match=":3: bad date '2000-01-021'"):
+        ix.read_counts_csv(p)
 
 
 def test_read_counts_csv_rejects_count_beyond_int64(tmp_path):
@@ -391,19 +399,26 @@ def test_read_counts_csv_rejects_count_beyond_int64(tmp_path):
 
 
 # Cells for generated count files.  Good dates span two months in four ISO
-# spellings (padded, basic, week date); bad cells cover impossible and
-# non-ISO dates, blank outlets and non-integer or negative counts.
+# spellings (padded, basic, week date); good outlets and counts include
+# non-ASCII text and counts of 19 or more digits, which ``int`` reads; bad
+# cells cover impossible and non-ISO dates, blank outlets and non-integer
+# or negative counts.
 BAD_DATES = ["2000-13-01", "2001-02-29", "01/02/2000", "", "  "]
-GOOD_OUTLETS = ["a", "b", " a ", "c,d", 'q"x']
+GOOD_OUTLETS = ["a", "b", " a ", "c,d", 'q"x', "café"]
 BAD_OUTLETS = ["", " "]
-GOOD_COUNTS = ["0", "3", " 7 ", "+2", "1_000", "-0", str(2**62)]
+GOOD_COUNTS = ["0", "3", " 7 ", "+2", "1_000", "-0", "\u0663", str(2**62), "0" * 19 + "5"]
 BAD_COUNTS = ["-1", "1.5", "x", "", "1__0"]
+# cells of plain rows, which are read on bytes
+PLAIN_OUTLETS = ["a", "b", " a "]
+PLAIN_COUNTS = ["0", "3", "42"]
 
 
 @st.composite
-def date_cells(draw):
+def date_cells(draw, plain=False):
     day = date.fromordinal(date(2000, 1, 1).toordinal() + draw(st.integers(0, 59)))
     year, week, weekday = day.isocalendar()
+    if plain:
+        return day.isoformat()
     return draw(st.sampled_from(
         [day.isoformat(), f" {day.isoformat()} ", day.strftime("%Y%m%d"), f"{year}-W{week:02d}-{weekday}"]
     ))
@@ -417,13 +432,22 @@ def csv_cell(text: str, quoted: bool) -> str:
 
 @st.composite
 def counts_files(draw):
-    """CSV text in which about half the files are valid."""
-    noisy = draw(st.booleans())
-    shapes = ["row"] * 6 + ["blank", "long"] + (["short"] if noisy else [])
+    """CSV text in which about half the files are valid.
 
-    def cell(good, bad):
+    In half the files most cells are plain and only the cells that need it
+    are quoted, so the first blocks are read on bytes.  A line ends in LF
+    or CRLF, the last line may have no end, and some files start with a
+    byte-order mark.
+    """
+    noisy = draw(st.booleans())
+    plain = draw(st.booleans())
+    shapes = ["row"] * (24 if plain else 6) + ["blank", "long"] + (["short"] if noisy else [])
+
+    def cell(good, bad, plain_good):
         if noisy and draw(st.integers(0, 9)) == 0:
             return draw(st.sampled_from(bad))
+        if plain and draw(st.integers(0, 19)):
+            return draw(plain_good)
         return draw(good)
 
     lines = ["date,outlet,count"]
@@ -433,31 +457,41 @@ def counts_files(draw):
             lines.append(draw(st.sampled_from(["", ",,", " , ,", '"",', "  "])))
             continue
         cells = [
-            cell(date_cells(), BAD_DATES),
-            cell(st.sampled_from(GOOD_OUTLETS), BAD_OUTLETS),
-            cell(st.sampled_from(GOOD_COUNTS), BAD_COUNTS),
+            cell(date_cells(), BAD_DATES, date_cells(plain=True)),
+            cell(st.sampled_from(GOOD_OUTLETS), BAD_OUTLETS, st.sampled_from(PLAIN_OUTLETS)),
+            cell(st.sampled_from(GOOD_COUNTS), BAD_COUNTS, st.sampled_from(PLAIN_COUNTS)),
         ]
         if shape == "short":
             cells = cells[: draw(st.integers(1, 2))]
         elif shape == "long":
             cells += draw(st.lists(st.text(string.ascii_letters + " ", max_size=3), min_size=1, max_size=2))
-        lines.append(",".join(csv_cell(text, draw(st.booleans())) for text in cells))
-    return "\n".join(lines) + "\n"
+        lines.append(",".join(csv_cell(text, not plain and draw(st.booleans())) for text in cells))
+    ends = [draw(st.sampled_from(["\n"] * (9 if plain else 1) + ["\r\n"])) for _ in lines[1:]]
+    ends.append(draw(st.sampled_from(["\n", "\r\n", ""])))
+    bom = "\ufeff" if draw(st.integers(0, 9)) == 0 else ""
+    return bom + "".join(map(str.__add__, lines, ends))
 
 
 @settings(derandomize=True, database=None, max_examples=400, deadline=None)
-@given(text=counts_files(), block_rows=st.sampled_from([1, 2, 3, 16_384]))
-def test_read_counts_csv_matches_row_reference(text, block_rows):
-    # small blocks put failing rows and repeated outlet-days in different blocks
+@given(
+    text=counts_files(),
+    block_rows=st.sampled_from([1, 2, 3, 16_384]),
+    block_bytes=st.sampled_from([16, 24, 40, 64, 1 << 17]),
+)
+def test_read_counts_csv_matches_row_reference(text, block_rows, block_bytes):
+    # small blocks put failing rows and repeated outlet-days in different
+    # blocks, and hand the file from the byte path to csv mid-file
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "counts.csv"
-        path.write_text(text, encoding="utf-8")
+        path.write_bytes(text.encode("utf-8"))
         try:
             expected = read_counts_reference(path)
         except SeriesError as exc:
             expected = str(exc)
         try:
-            with mock.patch.object(ix, "_BLOCK_ROWS", block_rows):
+            with mock.patch.object(ix, "_BLOCK_ROWS", block_rows), mock.patch.object(
+                ix, "_BLOCK_BYTES", block_bytes
+            ):
                 panel = ix.read_counts_csv(path)
         except SeriesError as exc:
             assert str(exc) == expected
@@ -478,6 +512,104 @@ def test_read_counts_csv_reports_first_failure_across_blocks(tmp_path):
     with mock.patch.object(ix, "_BLOCK_ROWS", 3):
         with pytest.raises(SeriesError, match=r":4: duplicate row for a 2000-01-01"):
             ix.read_counts_csv(p)
+
+
+def plain_counts_text(outlets: int = 3, days: int = 400) -> str:
+    """A counts file shaped like the benchmark's: every outlet on every day."""
+    first = date(2000, 1, 1).toordinal()
+    rows = [
+        f"{date.fromordinal(first + d).isoformat()},outlet{o:02d},{(7 * d + 3 * o) % 23}"
+        for d in range(days)
+        for o in range(1, outlets + 1)
+    ]
+    return "date,outlet,count\n" + "\n".join(rows) + "\n"
+
+
+def read_through_csv(path: Path) -> ix.ArticleCountPanel:
+    with mock.patch.object(ix, "_plain_block", return_value=None):
+        return ix.read_counts_csv(path)
+
+
+def assert_same_panel(panel: ix.ArticleCountPanel, expected: ix.ArticleCountPanel) -> None:
+    assert panel.outlets == expected.outlets
+    for column in ("day", "outlet", "count"):
+        assert np.array_equal(getattr(panel, column), getattr(expected, column))
+
+
+@pytest.mark.parametrize("block_bytes", [1_000, ix._BLOCK_BYTES])
+def test_read_counts_csv_reads_a_plain_file_on_bytes(tmp_path, block_bytes):
+    p = tmp_path / "counts.csv"
+    p.write_text(plain_counts_text(), encoding="utf-8")
+    with mock.patch.object(ix, "_BLOCK_BYTES", block_bytes), mock.patch.object(
+        ix, "_parse_block", wraps=ix._parse_block
+    ) as parse:
+        panel = ix.read_counts_csv(p)
+    parse.assert_not_called()
+    assert_same_panel(panel, read_through_csv(p))
+
+
+def test_read_counts_csv_hands_only_the_quoted_block_to_csv(tmp_path):
+    p = tmp_path / "counts.csv"
+    p.write_text(plain_counts_text() + '2002-01-01,"outlet01",5\n', encoding="utf-8")
+    plain_block, seen = ix._plain_block, []
+
+    def spy(data, *rest):
+        block = plain_block(data, *rest)
+        seen.append((b'"' in data, block is None))
+        return block
+
+    with mock.patch.object(ix, "_BLOCK_BYTES", 1_000), mock.patch.object(ix, "_plain_block", spy):
+        panel = ix.read_counts_csv(p)
+    assert len(seen) > 20
+    assert seen == [(False, False)] * (len(seen) - 1) + [(True, True)]
+    assert_same_panel(panel, read_through_csv(p))
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        "2000-01-01,a,1\n2000-01-01,a\0,2\n",  # NUL: "a\0" is not "a"
+        "2000-01-01,a,1\n2000-01-02,a\rb,2\n",  # a bare CR ends a csv row
+    ],
+)
+def test_read_counts_csv_leaves_nul_and_cr_to_csv(tmp_path, rows):
+    p = tmp_path / "counts.csv"
+    p.write_bytes(("date,outlet,count\n" + rows).encode("utf-8"))
+
+    def outcome(read):
+        try:
+            panel = read(p)
+        except SeriesError as exc:
+            return str(exc)
+        return panel.outlets, panel.day.tolist(), panel.outlet.tolist(), panel.count.tolist()
+
+    assert outcome(ix.read_counts_csv) == outcome(read_through_csv)
+
+
+def test_read_counts_csv_reports_a_repeat_on_bytes_before_a_later_csv_failure(tmp_path):
+    p = tmp_path / "counts.csv"
+    # lines 2-5 are plain and read on bytes, two to a block; line 6 is not
+    p.write_text(
+        "date,outlet,count\n2000-01-01,a,1\n2000-01-02,a,1\n2000-01-01,a,2\n2000-01-03,a,1\nnope,a,1\n",
+        encoding="utf-8",
+    )
+    with mock.patch.object(ix, "_BLOCK_BYTES", 32), mock.patch.object(
+        ix, "_parse_block", wraps=ix._parse_block
+    ) as parse:
+        with pytest.raises(SeriesError, match=r":4: duplicate row for a 2000-01-01"):
+            ix.read_counts_csv(p)
+    assert parse.call_args.args[1] == 6
+
+
+def test_read_counts_csv_refuses_a_latin1_byte_past_the_first_block(tmp_path):
+    p = tmp_path / "counts.csv"
+    p.write_bytes(plain_counts_text().encode("utf-8") + "2002-01-01,café,1\n".encode("latin-1"))
+    with pytest.raises(SeriesError) as through_csv:
+        read_through_csv(p)
+    with mock.patch.object(ix, "_BLOCK_BYTES", 1_000):
+        with pytest.raises(SeriesError, match=rf"^{re.escape(str(p))}: not UTF-8 text") as raised:
+            ix.read_counts_csv(p)
+    assert str(raised.value) == str(through_csv.value)
 
 
 def test_read_flows_csv(tmp_path):
