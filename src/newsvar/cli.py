@@ -54,8 +54,8 @@ class PipelineConfig:
         if not _is_file(path):
             raise UsageError(f"--config: no such file: {path}")
         try:
-            raw = json.loads(path.read_text(encoding="utf-8"))
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raw = json.loads(path.read_text(encoding="utf-8"), object_pairs_hook=_unique_keys)
+        except ValueError as exc:  # bad JSON, a repeated key or bytes that are not UTF-8
             raise UsageError(f"--config: invalid JSON in {path}: {exc}") from exc
         if not isinstance(raw, dict):
             raise UsageError("--config: top level must be a JSON object")
@@ -64,6 +64,11 @@ class PipelineConfig:
         if not isinstance(out_dir, str):
             raise UsageError(f"config key 'out_dir' must be a string, got {out_dir!r}")
         out_dir = Path(out_override) if out_override else base / out_dir
+        # mkdir needs the nearest path that exists to be a directory, not a
+        # file or a dangling symlink
+        blocker = next((p for p in (out_dir, *out_dir.parents) if p.is_symlink() or p.exists()), out_dir)
+        if not blocker.is_dir():
+            raise UsageError(f"output directory {out_dir}: {blocker} is not a directory")
         seed = seed_override if seed_override is not None else _integer(raw.get("seed", 0), "seed")
         source = "--seed" if seed_override is not None else "config key 'seed'"
         return PipelineConfig(raw=raw, base_dir=base, out_dir=out_dir, seed=seed, seed_source=source)
@@ -98,6 +103,16 @@ class PipelineConfig:
         if not _is_file(resolved):
             raise UsageError(f"config key {key!r}: no such file: {resolved}")
         return resolved
+
+
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict[str, object]:
+    """A JSON object as a dict; a key given twice is refused, not overwritten."""
+    obj: dict[str, object] = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"repeated key {key!r}")
+        obj[key] = value
+    return obj
 
 
 def _is_file(path: Path) -> bool:
@@ -188,14 +203,8 @@ def _counts_to_index(
 def _mask_panel_months(
     panel: ix.ArticleCountPanel, lo: ts.PeriodLabel, hi: ts.PeriodLabel, freq: ts.Frequency
 ) -> ix.ArticleCountPanel | None:
-    lo_idx, hi_idx = lo.to_index(freq), hi.to_index(freq)
     step = 12 // freq.periods_per_year
-    keep = (panel.month >= lo_idx * step) & (panel.month <= hi_idx * step + step - 1)
-    if not keep.any():
-        return None
-    return ix.ArticleCountPanel(
-        outlets=panel.outlets, day=panel.day[keep], outlet=panel.outlet[keep], count=panel.count[keep]
-    )
+    return panel.months(lo.to_index(freq) * step, hi.to_index(freq) * step + step - 1)
 
 
 def _windowed_off_index(
@@ -436,9 +445,10 @@ def _model_settings(config: PipelineConfig) -> ModelSettings:
     controls_var1 = _flag(section.get("controls_var1", False), "controls_var1")
     spec_path = config.path(section, "spec")
     try:
-        spec = sv.SvarSpec.from_json(json.loads(spec_path.read_text(encoding="utf-8")))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        payload = json.loads(spec_path.read_text(encoding="utf-8"), object_pairs_hook=_unique_keys)
+    except ValueError as exc:
         raise UsageError(f"model spec {spec_path}: invalid JSON: {exc}") from exc
+    spec = sv.SvarSpec.from_json(payload)
     if shocked is not None and shocked not in spec.controls:
         raise ModelSpecError(f"control {shocked!r} not in the specification")
     data = {name: ts.read_series_csv(path) for name, path in config.paths(section, "data", required=True).items()}
@@ -641,7 +651,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         args = parser.parse_args(argv)
         config = PipelineConfig.load(args.config, out_override=args.out, seed_override=args.seed)
         return _COMMANDS[args.command](config)
-    except UsageError as exc:
+    except (UsageError, OSError) as exc:  # OSError: a path the config names cannot be read or written
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except NewsvarError as exc:

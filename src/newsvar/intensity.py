@@ -15,8 +15,7 @@ import warnings
 from dataclasses import dataclass, field
 from datetime import date
 from enum import Enum
-from itertools import compress, islice
-from operator import itemgetter
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -78,12 +77,6 @@ def _ordinal_months(day: np.ndarray) -> np.ndarray:
     return months.astype(np.int64) + 1970 * 12
 
 
-def _frozen_int64(values) -> np.ndarray:
-    arr = np.array(values, dtype=np.int64)
-    arr.flags.writeable = False
-    return arr
-
-
 def _first_repeat(outlet: np.ndarray, day: np.ndarray) -> int | None:
     """Position of the first entry whose (outlet, day) pair occurs earlier, if any."""
     if outlet.size < 2:
@@ -120,7 +113,7 @@ class ArticleCountPanel:
             raise SeriesError("panel needs at least one outlet")
         if len(set(self.outlets)) != len(self.outlets):
             raise SeriesError("duplicate outlet identifiers")
-        day, outlet, count = (_frozen_int64(getattr(self, name)) for name in ("day", "outlet", "count"))
+        day, outlet, count = (np.array(getattr(self, name), dtype=np.int64) for name in ("day", "outlet", "count"))
         if day.ndim != 1 or day.shape != outlet.shape or day.shape != count.shape:
             raise SeriesError("panel columns must be 1-D and equal length")
         if day.size == 0:
@@ -141,10 +134,30 @@ class ArticleCountPanel:
                 f"duplicate count for {self.outlets[outlet[repeat]]} "
                 f"on {date.fromordinal(int(day[repeat]))}"
             )
-        object.__setattr__(self, "day", day)
-        object.__setattr__(self, "outlet", outlet)
-        object.__setattr__(self, "count", count)
-        object.__setattr__(self, "month", _frozen_int64(_ordinal_months(day)))
+        self._own(day, outlet, count, _ordinal_months(day))
+
+    @classmethod
+    def _checked(cls, outlets: tuple[str, ...], *columns: np.ndarray) -> ArticleCountPanel:
+        """A panel of int64 columns ``day``, ``outlet``, ``count`` and ``month``
+        that pass every check of the public constructor, taken without a copy."""
+        panel = object.__new__(cls)
+        object.__setattr__(panel, "outlets", outlets)
+        panel._own(*columns)
+        return panel
+
+    def _own(self, *columns: np.ndarray) -> None:
+        for name, column in zip(("day", "outlet", "count", "month"), columns):
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+
+    def months(self, first: int, last: int) -> ArticleCountPanel | None:
+        """The entries of months ``first`` to ``last`` (absolute month
+        indices, as ``month``), or ``None`` when none falls in them."""
+        keep = (self.month >= first) & (self.month <= last)
+        if not keep.any():
+            return None
+        columns = (self.day, self.outlet, self.count, self.month)
+        return ArticleCountPanel._checked(self.outlets, *(column[keep] for column in columns))
 
     def publishing_days(self) -> tuple[int, np.ndarray]:
         """First covered month and the count of distinct publishing days in
@@ -390,9 +403,6 @@ def sdn_index(flows: EntityFlowSeries, w: float = 0.4) -> IntensityIndex:
 # ---------------------------------------------------------------------------
 
 
-# rows turned into integer columns at a time; the reader holds one block of
-# parsed rows, not the file
-_BLOCK_ROWS = 16_384
 # bytes read at a time on the byte path, cut back to the last line end; a
 # block's index arrays take a few times its size, and at this size the
 # reader's peak memory stays below the csv path's
@@ -411,42 +421,54 @@ def read_counts_csv(path: str | Path) -> ArticleCountPanel:
 
     The file is parsed on its bytes, block by block, while every line is a
     plain row (see :func:`_plain_block`).  From the first block that is
-    not, the rest of the file goes through ``csv`` in blocks of rows, which
-    reads every row that the byte path does not and reports every error.
+    not, the rest of the file goes through ``csv`` row by row (see
+    :func:`_parse_row`), which reads every row that the byte path does not
+    and reports every error.
     """
     path = Path(path)
     days: dict[str, int] = {}  # date cell -> day ordinal, 0 when unparseable
     cells_to_code: dict[str, int] = {}  # outlet cell -> outlet code, -1 when blank
     codes: dict[str, int] = {}  # outlet name -> code, in order of appearance
-    blocks: list[tuple[np.ndarray, ...]] = []
+    blocks: list[tuple] = []  # columns (line, day, outlet code, count) of each block
     start, first_line = _read_plain_blocks(path, blocks, days, cells_to_code, codes)
+    failure = None
     if start is not None:
+        from array import array  # loaded only where a file reaches the csv path
+        columns = tuple(array("q") for _ in range(4))  # line, day, outlet code, count
+        blocks.append(columns)
+        add_line, add_day, add_code, add_count = (column.append for column in columns)
         with csv_rows(path, start) as reader:
             if first_line == 1:
                 _check_header(path, next(reader, None))
                 first_line = 2
-            while rows := list(islice(reader, _BLOCK_ROWS)):
-                block, failure = _parse_block(rows, first_line, days, cells_to_code, codes)
-                blocks.append(block)
-                if failure is not None:
-                    lineno, row = failure
-                    # a repeated outlet-day on an earlier line fails first
-                    line, day, code, _ = (np.concatenate(column) for column in zip(*blocks))
-                    earlier = line < lineno
-                    _check_repeats(path, line[earlier], day[earlier], code[earlier], codes)
-                    raise SeriesError(f"{path}:{lineno}: {_row_error(row)}")
-                first_line += len(rows)
-    if not sum(len(block[0]) for block in blocks):
-        raise SeriesError(f"{path}: no data rows")
+            parsed_rows = map(_parse_row, reader, repeat(days), repeat(cells_to_code), repeat(codes))
+            for lineno, parsed in enumerate(parsed_rows, first_line):
+                if isinstance(parsed, str):
+                    failure = f"{path}:{lineno}: {parsed}"
+                    break
+                if parsed is not None:
+                    day, code, count = parsed
+                    add_line(lineno), add_day(day), add_code(code), add_count(count)
+        del columns, add_line, add_day, add_code, add_count  # blocks holds the only reference
+    if not any(len(block[0]) for block in blocks):
+        raise SeriesError(failure or f"{path}: no data rows")
     line, day, code, count = (np.concatenate(column) for column in zip(*blocks))
-    # freed before the checks and the panel's copies, which sets the peak memory
+    # freed before the checks and the panel's columns, which sets the peak memory
     del blocks
-    _check_repeats(path, line, day, code, codes)
+    # every row read lies before a failing line, so a repeat among them fails first
+    repeat_at = _first_repeat(code, day)
+    if repeat_at is not None:
+        outlet = next(name for name, c in codes.items() if c == code[repeat_at])
+        raise SeriesError(
+            f"{path}:{line[repeat_at]}: duplicate row for {outlet} {date.fromordinal(int(day[repeat_at]))}"
+        )
+    if failure:
+        raise SeriesError(failure)
     del line
     outlets = tuple(sorted(codes))
     rank = np.empty(len(outlets), dtype=np.int64)
     rank[[codes[name] for name in outlets]] = np.arange(len(outlets))
-    return ArticleCountPanel(outlets=outlets, day=day, outlet=rank[code], count=count)
+    return ArticleCountPanel._checked(outlets, day, rank[code], count, _ordinal_months(day))
 
 
 def _check_header(path: Path, header: list[str] | None) -> None:
@@ -502,7 +524,7 @@ def _plain_block(
     A plain row is ASCII with no NUL, quote or CR, and has exactly two
     commas, a 10-byte date, a non-empty outlet and a count of 1-18 digits;
     ``csv`` would split it at its commas.  Its date and outlet cells are
-    looked up as in :func:`_parse_block`, and a bad date or blank outlet
+    looked up as in :func:`_parse_row`, and a bad date or blank outlet
     makes the block not valid.
     """
     if not _plain_bytes(data):
@@ -570,42 +592,35 @@ def _distinct_fields(
     return first, ids
 
 
-def _parse_block(
-    rows: list[list[str]],
-    first_line: int,
-    days: dict[str, int],
-    cells_to_code: dict[str, int],
-    codes: dict[str, int],
-) -> tuple[tuple[np.ndarray, ...], tuple[int, list[str]] | None]:
-    """Columns (line, day, outlet code, count) of a block's valid rows, and
-    the line and cells of its first failing row, if any.
+def _parse_row(
+    row: list[str], days: dict[str, int], cells_to_code: dict[str, int], codes: dict[str, int]
+) -> tuple[int, int, int] | str | None:
+    """(day, outlet code, count) of a ``csv`` row, ``None`` for a blank row,
+    or why the row is malformed.
 
-    The lookup dicts carry across blocks, so each distinct date and outlet
+    The lookup dicts carry across rows, so each distinct date and outlet
     cell is parsed once per file.
     """
-    n = len(rows)
-    wide = np.fromiter(map(len, rows), dtype=np.intp, count=n) >= 3
-    full = np.flatnonzero(wide)
-    cells = rows if full.size == n else list(compress(rows, wide.tolist()))
-    day = code = count = np.zeros(0, dtype=np.int64)
-    unparsed = np.zeros(0, dtype=bool)
-    if cells:
-        date_cells, outlet_cells, count_cells = (list(map(itemgetter(i), cells)) for i in range(3))
-        _learn_cells(date_cells, outlet_cells, days, cells_to_code, codes)
-        day = np.fromiter(map(days.__getitem__, date_cells), dtype=np.int64, count=full.size)
-        code = np.fromiter(map(cells_to_code.__getitem__, outlet_cells), dtype=np.int64, count=full.size)
-        count, unparsed = _count_column(count_cells)
-    bad_full = (day == 0) | (code < 0) | (count < 0) | unparsed
-    bad = np.ones(n, dtype=bool)  # short rows fail
-    bad[full] = bad_full
-    failure = None
-    for i in np.flatnonzero(bad).tolist():
-        # blank rows fail the width or the date check; they are skipped
-        if "".join(rows[i]).strip():
-            failure = (first_line + i, rows[i])
-            break
-    ok = ~bad_full
-    return (first_line + full[ok], day[ok], code[ok], count[ok]), failure
+    # a blank row fails the width or the date check; it is skipped
+    if len(row) < 3:
+        return "expected 'date,outlet,count'" if "".join(row).strip() else None
+    date_cell, outlet_cell, count_cell = row[0], row[1], row[2]
+    if date_cell not in days or outlet_cell not in cells_to_code:
+        _learn_cells((date_cell,), (outlet_cell,), days, cells_to_code, codes)
+    day, code = days[date_cell], cells_to_code[outlet_cell]
+    if not day:
+        return f"bad date {date_cell!r}" if "".join(row).strip() else None
+    if code < 0:
+        return "empty outlet"
+    try:
+        count = int(count_cell)
+    except ValueError:
+        return f"bad count {count_cell!r}"
+    if count < 0:
+        return "negative count"
+    if count >= 2**63:
+        return f"count {count_cell!r} does not fit in 64 bits"
+    return day, code, count
 
 
 def _learn_cells(
@@ -624,61 +639,6 @@ def _learn_cells(
     for cell in set(outlet_cells).difference(cells_to_code):
         name = cell.strip()
         cells_to_code[cell] = codes.setdefault(name, len(codes)) if name else -1
-
-
-def _count_column(cells: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """The count cells as int64, and a mask of those that are not integers
-    or do not fit in 64 bits (their values read 0)."""
-    unparsed = np.zeros(len(cells), dtype=bool)
-    try:
-        return np.fromiter(map(int, cells), dtype=np.int64, count=len(cells)), unparsed
-    except (ValueError, OverflowError):
-        pass
-    # a malformed or blank row in the block: parse cell by cell
-    values = np.zeros(len(cells), dtype=np.int64)
-    for i, cell in enumerate(cells):
-        try:
-            value = int(cell)
-        except ValueError:
-            unparsed[i] = True
-            continue
-        if -(2**63) <= value < 2**63:
-            values[i] = value
-        else:
-            unparsed[i] = True
-    return values, unparsed
-
-
-def _row_error(row: list[str]) -> str:
-    """Why a non-blank row that failed a column check is malformed."""
-    if len(row) < 3:
-        return "expected 'date,outlet,count'"
-    try:
-        date.fromisoformat(row[0].strip())
-    except ValueError:
-        return f"bad date {row[0]!r}"
-    if not row[1].strip():
-        return "empty outlet"
-    try:
-        count = int(row[2])
-    except ValueError:
-        return f"bad count {row[2]!r}"
-    if count < 0:
-        return "negative count"
-    return f"count {row[2]!r} does not fit in 64 bits"
-
-
-def _check_repeats(
-    path: Path, line: np.ndarray, day: np.ndarray, code: np.ndarray, codes: dict[str, int]
-) -> None:
-    """Raise for the first row that repeats an earlier row's outlet-day."""
-    repeat = _first_repeat(code, day)
-    if repeat is not None:
-        outlet = next(name for name, c in codes.items() if c == code[repeat])
-        raise SeriesError(
-            f"{path}:{line[repeat]}: duplicate row for {outlet} "
-            f"{date.fromordinal(int(day[repeat]))}"
-        )
 
 
 def read_flows_csv(path: str | Path) -> EntityFlowSeries:

@@ -1008,3 +1008,80 @@ def test_fuzzed_section_fails_cleanly_and_validate_agrees(fuzz_workspaces, secti
             assert checked == (code, err) and untouched
 
     check()
+
+
+# the first output each command writes
+_FIRST_OUTPUT = {
+    "build-index": ("index", "index_on.csv"),
+    "convert-calendar": ("calendar", "converted.csv"),
+    "estimate": ("model", "estimate.json"),
+    "dynamics": ("model", "bootstrap_meta.json"),
+    "reduced-form": ("reduced_form", "reduced_form.csv"),
+}
+
+
+@pytest.mark.parametrize("shape", ["file", "under_file", "dangling_symlink", "output_is_directory"])
+@pytest.mark.parametrize("command", sorted(_FIRST_OUTPUT))
+def test_unwritable_output_fails_in_one_line(tmp_path, command, shape):
+    # permission shapes are left out: for root every path is writable
+    section, first_output = _FIRST_OUTPUT[command]
+    payload = section_workspace(tmp_path, section)[1]
+    config = write_config(tmp_path, payload)
+    blocker, out = tmp_path / "blocker", tmp_path / "out"
+    if shape == "dangling_symlink":
+        blocker.symlink_to(tmp_path / "gone")
+    elif shape != "output_is_directory":
+        blocker.write_text("not a directory\n", encoding="utf-8")
+    if shape == "output_is_directory":
+        (out / first_output).mkdir(parents=True)
+    else:
+        out = blocker / "sub" if shape == "under_file" else blocker
+    argv = ["--config", str(config), "--out", str(out)]
+    code, err = run_quietly([command, *argv])
+    assert code in (1, 2)
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err
+    if shape == "output_is_directory":
+        assert (out / first_output).is_dir()
+    else:
+        # validate refuses the same out_dir with the same line
+        assert run_quietly(["validate", *argv]) == (code, err)
+        assert not (tmp_path / "gone").exists()
+        assert shape == "dangling_symlink" or blocker.read_text(encoding="utf-8") == "not a directory\n"
+
+
+@pytest.mark.parametrize("target", ["config", "spec"])
+def test_repeated_json_key_is_refused(tmp_path, capsys, target):
+    _, data_map = model_workspace(tmp_path, T=60)
+    config = write_config(tmp_path, {"out_dir": "out", "model": {"spec": "spec.json", "data": data_map}})
+    path = config if target == "config" else tmp_path / "spec.json"
+    # the last key used to win without a word
+    text = path.read_text(encoding="utf-8")
+    path.write_text(text.replace("{", '{"out_dir": "elsewhere", ' if target == "config" else '{"lags": 1, ', 1), encoding="utf-8")
+    repeated = "out_dir" if target == "config" else "lags"
+    for command in ("estimate", "validate"):
+        assert cli.main([command, "--config", str(config)]) == 1, command
+        assert_one_line_error(capsys, path.name, "invalid JSON", f"repeated key '{repeated}'")
+    assert not (tmp_path / "out").exists() and not (tmp_path / "elsewhere").exists()
+
+
+def test_build_index_checks_each_counts_file_once(index_workspace, monkeypatch):
+    # one repeat search per counts file, and no panel built through the
+    # public constructor: the reader's panel and each window's slice of it
+    # are already checked
+    config = write_config(
+        index_workspace,
+        {"index": {"on_counts": "on.csv", "off_counts": "off.csv", "weight": 0.4,
+                   "off_windows": [["1989Q1", "1989Q4"], ["1991Q3", "1992Q2"]]}},
+    )
+    calls = {"_first_repeat": 0, "__post_init__": 0}
+    for owner, name in ((ix, "_first_repeat"), (ix.ArticleCountPanel, "__post_init__")):
+        real = getattr(owner, name)
+
+        def counted(*args, _name=name, _real=real, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+    assert cli.main(["build-index", "--config", str(config)]) == 0
+    assert calls == {"_first_repeat": 2, "__post_init__": 0}

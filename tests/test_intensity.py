@@ -475,10 +475,9 @@ def counts_files(draw):
 @settings(derandomize=True, database=None, max_examples=400, deadline=None)
 @given(
     text=counts_files(),
-    block_rows=st.sampled_from([1, 2, 3, 16_384]),
     block_bytes=st.sampled_from([16, 24, 40, 64, 1 << 17]),
 )
-def test_read_counts_csv_matches_row_reference(text, block_rows, block_bytes):
+def test_read_counts_csv_matches_row_reference(text, block_bytes):
     # small blocks put failing rows and repeated outlet-days in different
     # blocks, and hand the file from the byte path to csv mid-file
     with tempfile.TemporaryDirectory() as tmp:
@@ -489,9 +488,7 @@ def test_read_counts_csv_matches_row_reference(text, block_rows, block_bytes):
         except SeriesError as exc:
             expected = str(exc)
         try:
-            with mock.patch.object(ix, "_BLOCK_ROWS", block_rows), mock.patch.object(
-                ix, "_BLOCK_BYTES", block_bytes
-            ):
+            with mock.patch.object(ix, "_BLOCK_BYTES", block_bytes):
                 panel = ix.read_counts_csv(path)
         except SeriesError as exc:
             assert str(exc) == expected
@@ -500,16 +497,18 @@ def test_read_counts_csv_matches_row_reference(text, block_rows, block_bytes):
     outlets, counts = expected
     assert panel.outlets == outlets
     assert panel_to_mapping(panel) == counts
+    assert_as_public(panel)
 
 
 def test_read_counts_csv_reports_first_failure_across_blocks(tmp_path):
     p = tmp_path / "counts.csv"
-    # a repeat on line 4 comes before a bad date on line 6 in a later block
+    # a repeat on line 4 comes before a bad date on line 6; lines 2 and 3 are
+    # read on bytes, and the rest through csv from the blank line's block
     p.write_text(
         "date,outlet,count\n2000-01-01,a,1\n2000-01-02,a,1\n2000-01-01, a,2\n\nnope,a,1\n",
         encoding="utf-8",
     )
-    with mock.patch.object(ix, "_BLOCK_ROWS", 3):
+    with mock.patch.object(ix, "_BLOCK_BYTES", 32):
         with pytest.raises(SeriesError, match=r":4: duplicate row for a 2000-01-01"):
             ix.read_counts_csv(p)
 
@@ -530,6 +529,32 @@ def read_through_csv(path: Path) -> ix.ArticleCountPanel:
         return ix.read_counts_csv(path)
 
 
+def assert_as_public(panel: ix.ArticleCountPanel) -> None:
+    """The panel equals the one the public constructor, with every check,
+    builds from its columns: the same int64 columns and months, all read-only."""
+    public = ix.ArticleCountPanel(panel.outlets, panel.day, panel.outlet, panel.count)
+    assert panel.outlets == public.outlets
+    for column in ("day", "outlet", "count", "month"):
+        ours, theirs = getattr(panel, column), getattr(public, column)
+        assert ours.dtype == theirs.dtype == np.int64
+        assert np.array_equal(ours, theirs), column
+        assert not ours.flags.writeable, column
+
+
+@pytest.mark.parametrize("path", ["bytes", "csv"])
+def test_checked_panels_equal_the_public_constructors(tmp_path, path):
+    p = tmp_path / "counts.csv"
+    p.write_text(plain_counts_text(days=800), encoding="utf-8")
+    panel = ix.read_counts_csv(p) if path == "bytes" else read_through_csv(p)
+    assert_as_public(panel)
+    first = 2000 * 12 + 3  # April 2000
+    window = panel.months(first, first + 5)
+    assert_as_public(window)
+    assert sorted(set(window.month.tolist())) == list(range(first, first + 6))
+    assert window.day.size == 3 * (date(2000, 10, 1) - date(2000, 4, 1)).days
+    assert panel.months(1999 * 12, 1999 * 12 + 11) is None
+
+
 def assert_same_panel(panel: ix.ArticleCountPanel, expected: ix.ArticleCountPanel) -> None:
     assert panel.outlets == expected.outlets
     for column in ("day", "outlet", "count"):
@@ -541,7 +566,7 @@ def test_read_counts_csv_reads_a_plain_file_on_bytes(tmp_path, block_bytes):
     p = tmp_path / "counts.csv"
     p.write_text(plain_counts_text(), encoding="utf-8")
     with mock.patch.object(ix, "_BLOCK_BYTES", block_bytes), mock.patch.object(
-        ix, "_parse_block", wraps=ix._parse_block
+        ix, "_parse_row", wraps=ix._parse_row
     ) as parse:
         panel = ix.read_counts_csv(p)
     parse.assert_not_called()
@@ -594,11 +619,12 @@ def test_read_counts_csv_reports_a_repeat_on_bytes_before_a_later_csv_failure(tm
         encoding="utf-8",
     )
     with mock.patch.object(ix, "_BLOCK_BYTES", 32), mock.patch.object(
-        ix, "_parse_block", wraps=ix._parse_block
+        ix, "_parse_row", wraps=ix._parse_row
     ) as parse:
         with pytest.raises(SeriesError, match=r":4: duplicate row for a 2000-01-01"):
             ix.read_counts_csv(p)
-    assert parse.call_args.args[1] == 6
+    # csv reads line 6 alone
+    assert [call.args[0] for call in parse.call_args_list] == [["nope", "a", "1"]]
 
 
 def test_read_counts_csv_refuses_a_latin1_byte_past_the_first_block(tmp_path):
