@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -178,26 +179,10 @@ def _json_dump(payload: object, path: Path) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _monthly_index(panel: ix.ArticleCountPanel, variant: str) -> ts.CalendarSeries:
-    if variant == "standardized":
-        return ix.standardized_monthly_count(panel)
-    return ix.monthly_mean_count(panel)
-
-
-def _counts_to_index(
-    counts_path: Path,
-    variant: str,
-    target: ts.Frequency,
-    window: tuple[ts.PeriodLabel | None, ts.PeriodLabel | None],
-    kind: ix.IndexKind,
-    span: tuple[ts.PeriodLabel, ts.PeriodLabel] | None = None,
-) -> ix.IntensityIndex:
-    panel = ix.read_counts_csv(counts_path)
-    monthly = _monthly_index(panel, variant)
-    series = monthly if target is ts.Frequency.MONTHLY else ts.aggregate(monthly, target, "mean")
-    if span is not None:
-        series = ts.pad_span(series, *span)
-    return ix.normalize_unit_max(series, window=window, kind=kind)
+def _index_series(panel: ix.ArticleCountPanel, variant: str, target: ts.Frequency) -> ts.CalendarSeries:
+    """The variant's monthly means of the panel, averaged to ``target``."""
+    monthly = (ix.standardized_monthly_count if variant == "standardized" else ix.monthly_mean_count)(panel)
+    return monthly if target is ts.Frequency.MONTHLY else ts.aggregate(monthly, target, "mean")
 
 
 def _mask_panel_months(
@@ -205,47 +190,6 @@ def _mask_panel_months(
 ) -> ix.ArticleCountPanel | None:
     step = 12 // freq.periods_per_year
     return panel.months(lo.to_index(freq) * step, hi.to_index(freq) * step + step - 1)
-
-
-def _windowed_off_index(
-    counts_path: Path,
-    windows: tuple[tuple[object, ts.PeriodLabel, ts.PeriodLabel], ...],
-    variant: str,
-    target: ts.Frequency,
-    norm_window: tuple[ts.PeriodLabel | None, ts.PeriodLabel | None],
-    span: tuple[ts.PeriodLabel, ts.PeriodLabel],
-) -> ix.IntensityIndex:
-    """Build the lifting-coverage index over disjoint search windows.
-
-    Counts are masked per window, each window is averaged (and, for the
-    standardized variant, scaled by its own within-window dispersion), and
-    the pieces are embedded in the full span with zeros in between.
-    """
-    panel = ix.read_counts_csv(counts_path)
-    combined = ts.CalendarSeries(
-        frequency=target,
-        calendar=ts.CalendarKind.GREGORIAN,
-        start=span[0],
-        values=np.zeros(span[1].to_index(target) - span[0].to_index(target) + 1),
-    )
-    values = combined.values.copy()
-    covered = np.zeros(len(values), dtype=bool)
-    for entry, w_lo, w_hi in windows:
-        masked = _mask_panel_months(panel, w_lo, w_hi, target)
-        if masked is None:
-            raise UsageError(f"off window {entry} contains no count data")
-        monthly = _monthly_index(masked, variant)
-        piece = monthly if target is ts.Frequency.MONTHLY else ts.aggregate(monthly, target, "mean")
-        offset = piece.start.to_index(target) - span[0].to_index(target)
-        if offset < 0 or offset + len(piece) > len(values):
-            raise UsageError(f"off window {entry} falls outside the index span")
-        if covered[offset : offset + len(piece)].any():
-            raise UsageError("off windows overlap")
-        values[offset : offset + len(piece)] = piece.values
-        covered[offset : offset + len(piece)] = True
-    return ix.normalize_unit_max(
-        combined.replace_values(values), window=norm_window, kind=ix.IndexKind.OFF
-    )
 
 
 class IndexSettings(NamedTuple):
@@ -305,52 +249,68 @@ def _index_settings(config: PipelineConfig) -> IndexSettings:
     return IndexSettings(variant, target, window, off_windows, weight, grid_step, on_path, off_path, dy_path)
 
 
-def cmd_build_index(config: PipelineConfig) -> int:
-    # checked before any output is written; net_index and grid_search_weight
-    # would refuse a bad weight only after the on and off indices are out
-    variant, target, window, off_windows, weight, grid_step, on_path, off_path, dy_path = _index_settings(config)
-    config.out_dir.mkdir(parents=True, exist_ok=True)
+def _off_index(settings: IndexSettings, span: ts.CalendarSeries) -> ix.IntensityIndex:
+    """The lifting-coverage index over ``span``, the on index's series: each
+    off window of the counts (the whole panel when there are none) is built
+    on its own, so the standardized variant uses its within-window dispersion,
+    and placed in the span; periods that no piece covers are zeros."""
+    panel = ix.read_counts_csv(settings.off_counts)
+    target = settings.target
+    if settings.off_windows is None:
+        pieces = ((f"off counts file {settings.off_counts}", panel),)
+    else:
+        windows = settings.off_windows
+        pieces = ((f"off window {entry}", _mask_panel_months(panel, w_lo, w_hi, target)) for entry, w_lo, w_hi in windows)
+    values = np.zeros(len(span))
+    covered = np.zeros(len(span), dtype=bool)
+    for name, piece_panel in pieces:
+        if piece_panel is None:
+            raise UsageError(f"{name} contains no count data")
+        piece = _index_series(piece_panel, settings.variant, target)
+        lo = piece.start.to_index(target) - span.start.to_index(target)
+        hi = lo + len(piece)
+        if lo < 0 or hi > len(values):
+            raise UsageError(f"{name} falls outside the index span")
+        if covered[lo:hi].any():
+            raise UsageError("off windows overlap")
+        values[lo:hi] = piece.values
+        covered[lo:hi] = True
+    return ix.normalize_unit_max(span.replace_values(values), window=settings.window, kind=ix.IndexKind.OFF)
 
-    on_index = _counts_to_index(on_path, variant, target, window, ix.IndexKind.ON)
-    ix.write_index_csv(on_index, config.out_dir / "index_on.csv")
+
+def cmd_build_index(config: PipelineConfig) -> int:
+    # every index, and the grid search, before out_dir exists: a failure
+    # leaves no partial outputs behind
+    settings = _index_settings(config)
+    variant, target, window, _, weight, grid_step, on_path, off_path, dy_path = settings
+    on_series = _index_series(ix.read_counts_csv(on_path), variant, target)
+    on_index = ix.normalize_unit_max(on_series, window=window, kind=ix.IndexKind.ON)
+    indices = {"index_on.csv": on_index}
     diagnostics: dict[str, object] = {
         "variant": variant,
         "target_frequency": target.value,
         "on_normalization_max": on_index.normalization_max,
     }
-
-    if off_path is None:
-        _json_dump(diagnostics, config.out_dir / "index_diagnostics.json")
-        return EXIT_OK
-
-    span = (on_index.series.start, on_index.series.end)
-    if off_windows is not None:
-        off_index = _windowed_off_index(off_path, off_windows, variant, target, window, span)
-    else:
-        off_index = _counts_to_index(
-            off_path, variant, target, window, ix.IndexKind.OFF, span=span
-        )
-    ix.write_index_csv(off_index, config.out_dir / "index_off.csv")
-    diagnostics["off_normalization_max"] = off_index.normalization_max
-
-    if weight is not None:
-        w_hat = weight
-        diagnostics["weight"] = {"value": w_hat, "source": "fixed"}
-    else:
-        dy = ts.read_series_csv(dy_path)
-        result = ix.grid_search_weight(on_index, off_index, dy, grid_step=grid_step)
-        w_hat = result.w_hat
-        diagnostics["weight"] = {
-            "value": w_hat,
-            "source": "grid_search",
-            "nobs": result.nobs,
-            "relative_ssr_spread": result.relative_ssr_spread,
-            "profile": [
-                {"w": p.weight, "ssr": p.ssr, "loglik": p.loglik} for p in result.points
-            ],
-        }
-    net = ix.net_index(on_index, off_index, w_hat)
-    ix.write_index_csv(net, config.out_dir / "index_net.csv")
+    if off_path is not None:
+        off_index = _off_index(settings, on_index.series)
+        diagnostics["off_normalization_max"] = off_index.normalization_max
+        if weight is not None:
+            diagnostics["weight"] = {"value": weight, "source": "fixed"}
+        else:
+            result = ix.grid_search_weight(on_index, off_index, ts.read_series_csv(dy_path), grid_step=grid_step)
+            weight = result.w_hat
+            diagnostics["weight"] = {
+                "value": weight,
+                "source": "grid_search",
+                "nobs": result.nobs,
+                "relative_ssr_spread": result.relative_ssr_spread,
+                "profile": [{"w": p.weight, "ssr": p.ssr, "loglik": p.loglik} for p in result.points],
+            }
+        indices["index_off.csv"] = off_index
+        indices["index_net.csv"] = ix.net_index(on_index, off_index, weight)
+    config.out_dir.mkdir(parents=True, exist_ok=True)
+    for name, index in indices.items():
+        ix.write_index_csv(index, config.out_dir / name)
     _json_dump(diagnostics, config.out_dir / "index_diagnostics.json")
     return EXIT_OK
 
@@ -451,6 +411,16 @@ def _model_settings(config: PipelineConfig) -> ModelSettings:
     spec = sv.SvarSpec.from_json(payload)
     if shocked is not None and shocked not in spec.controls:
         raise ModelSpecError(f"control {shocked!r} not in the specification")
+    # a size whose largest float64 array, the (H+1, n, n) responses or the bands'
+    # (replications, shocks, H+1, m) draws, cannot fit is refused here, not by a MemoryError
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    m, n = spec.m, spec.m + 1 + len(spec.controls)
+    draws = (boot_cfg.replications if boot_cfg else 0) * (m + 1 + bool(spec.controls)) * (horizon + 1) * m
+    for key, nbytes in (("horizon", 8 * (horizon + 1) * n * n), ("replications", 8 * draws)):
+        if nbytes > memory:
+            raise UsageError(
+                f"config key {key!r} needs a {nbytes}-byte array, more than the {memory} bytes of physical memory"
+            )
     data = {name: ts.read_series_csv(path) for name, path in config.paths(section, "data", required=True).items()}
     return ModelSettings(spec, data, controls_var1, horizon, method, shocked, boot_cfg)
 

@@ -84,7 +84,6 @@ class StackedSystem:
     axis.  ``scales`` are the innovation standard errors.
     """
 
-    labels: tuple[str, ...]
     Psi0: np.ndarray
     Psi1: np.ndarray
     Psi2: np.ndarray
@@ -137,7 +136,6 @@ def build_stacked(est: SvarEstimate | SvarStack) -> StackedSystem:
     intercept = np.concatenate([est.a_q, est.s_intercept[..., None], est.c_intercept], axis=-1)
     scales = np.concatenate([np.sqrt(est.sigma), est.s_omega[..., None], est.c_sd], axis=-1)
     return StackedSystem(
-        labels=spec.ordering + (spec.intervention_name,) + spec.controls,
         Psi0=Psi0,
         Psi1=Psi1,
         Psi2=Psi2,

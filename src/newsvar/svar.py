@@ -128,7 +128,7 @@ class SvarSpec:
             flags = self.intervention
         return bool(flags[0]), bool(flags[1])
 
-    @property
+    @cached_property
     def max_lag(self) -> int:
         return max(lag_ for terms in self._terms for _, lag_ in terms)
 

@@ -41,7 +41,6 @@ __all__ = [
     "aggregate",
     "log_diff",
     "lag",
-    "pad_span",
     "align",
     "series_correlation",
     "read_period_table",
@@ -153,15 +152,13 @@ class CalendarSeries:
     """Contiguous values at a fixed frequency with a start period.
 
     Values are float64 and immutable.  NaN markers are accepted only at the
-    edges; interior gaps are rejected at construction.  ``units`` is free-text
-    metadata carried through transforms that preserve it.
+    edges; interior gaps are rejected at construction.
     """
 
     frequency: Frequency
     calendar: CalendarKind
     start: PeriodLabel
     values: np.ndarray
-    units: str = ""
 
     def __post_init__(self) -> None:
         values = np.asarray(self.values, dtype=float)
@@ -222,7 +219,6 @@ class CalendarSeries:
             calendar=calendar or self.calendar,
             start=start or self.start,
             values=np.asarray(values, dtype=float),
-            units=self.units,
         )
 
     def trimmed(self) -> "CalendarSeries":
@@ -358,27 +354,6 @@ def lag(series: CalendarSeries, steps: int = 1) -> CalendarSeries:
     )
 
 
-def pad_span(
-    series: CalendarSeries,
-    start: PeriodLabel,
-    end: PeriodLabel,
-    fill: float = 0.0,
-) -> CalendarSeries:
-    """Embed the series in [start, end], filling uncovered periods with ``fill``.
-
-    The requested span must contain the series span.
-    """
-    freq = series.frequency
-    lead = series.start.to_index(freq) - start.to_index(freq)
-    trail = end.to_index(freq) - series.end.to_index(freq)
-    if lead < 0 or trail < 0:
-        raise AlignmentError("pad_span target must contain the series span")
-    values = np.concatenate(
-        [np.full(lead, fill), series.values, np.full(trail, fill)]
-    )
-    return series.replace_values(values, start=start)
-
-
 def align(*series: CalendarSeries) -> tuple[list[np.ndarray], PeriodLabel]:
     """Intersect the spans of the given series; returns arrays plus the common start.
 
@@ -505,14 +480,13 @@ def read_period_table(
 def read_series_csv(
     path: str | Path,
     calendar: CalendarKind = CalendarKind.GREGORIAN,
-    units: str = "",
 ) -> CalendarSeries:
     """Read a ``period,value`` CSV into a series (see :func:`read_period_table`);
     missing values may stand only at the series' edges."""
     path = Path(path)
     freq, start, _, table = read_period_table(path, ("value",))
     try:
-        return CalendarSeries(freq, calendar, start, table[:, 0], units)
+        return CalendarSeries(freq, calendar, start, table[:, 0])
     except SeriesError as exc:
         raise SeriesError(f"{path}: {exc}") from exc
 

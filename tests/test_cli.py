@@ -297,6 +297,28 @@ def test_build_index_undecodable_counts_file_is_data_error(index_workspace, caps
     assert_one_line_error(capsys, "bad.csv", "not UTF-8")
 
 
+@pytest.mark.parametrize(
+    "settings, code, fragment",
+    [
+        ({"off_windows": [["1995Q1", "1995Q4"]], "weight": 0.4}, 1, "off window ['1995Q1', '1995Q4'] contains no count data"),
+        ({"off_windows": [["1993Q1", "1993Q4"]], "weight": 0.4}, 1, "off window ['1993Q1', '1993Q4'] falls outside the index span"),
+        ({"off_windows": [["1989Q1", "1989Q4"], ["1989Q3", "1990Q2"]], "weight": 0.4}, 1, "off windows overlap"),
+        ({"weight": 0.4}, 1, "off_long.csv falls outside the index span"),
+        ({"off_counts": "off.csv", "output_growth": "dy_short.csv"}, 2, "needs >= 10 quarters"),
+    ],
+    ids=["window_without_counts", "window_outside_span", "overlapping_windows", "panel_outside_span", "short_grid_search"],
+)
+def test_build_index_late_failure_writes_nothing(index_workspace, capsys, settings, code, fragment):
+    # the off counts run a year past the on index's 1989-1992 span
+    write_counts(index_workspace / "off_long.csv", {"alpha": [1, 0, 2], "beta": [0, 1, 1]}, months=60)
+    write_series(index_workspace / "dy_short.csv", quarter_labels(1990, 8), np.linspace(-0.01, 0.01, 8))
+    section = {"on_counts": "on.csv", "off_counts": "off_long.csv", **settings}
+    config = write_config(index_workspace, {"out_dir": "out", "index": section})
+    assert cli.main(["build-index", "--config", str(config)]) == code
+    assert_one_line_error(capsys, fragment)
+    assert not (index_workspace / "out").exists()
+
+
 # ---------------------------------------------------------------------------
 # convert-calendar
 # ---------------------------------------------------------------------------
@@ -784,6 +806,10 @@ def test_validate_ok_and_unknown_section(tmp_path, capsys):
         ("model", {"bootstrap": {"quantiles": [0.9, 0.1]}}, "quantiles"),
         ("model", {"bootstrap": {"replications": 0}}, "replications"),
         ("index", {"weight": 1.5}, "weight"),
+        # sizes whose largest array, (H+1, n, n) with n = 5 or the (R, 5, H+1, 3)
+        # draws, exceeds any machine's memory are refused before anything runs
+        ("model", {"horizon": 10**12}, f"'horizon' needs a {8 * (10**12 + 1) * 5 * 5}-byte array"),
+        ("model", {"bootstrap": {"replications": 10**15}}, f"'replications' needs a {8 * 10**15 * 5 * 25 * 3}-byte array"),
     ],
 )
 def test_validate_checks_setting_ranges(tmp_path, capsys, section, settings, key):

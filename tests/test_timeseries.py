@@ -282,14 +282,6 @@ def test_lag_relabels_periods():
     assert np.array_equal(xl, [1.0])
 
 
-def test_pad_span_fills_edges():
-    s = series([1.0, 2.0], freq=ts.Frequency.QUARTERLY, cal=ts.CalendarKind.GREGORIAN, year=2000, sub=2)
-    padded = ts.pad_span(s, ts.PeriodLabel(2000, 1), ts.PeriodLabel(2001, 1))
-    assert np.array_equal(padded.values, [0.0, 1.0, 2.0, 0.0, 0.0])
-    with pytest.raises(AlignmentError):
-        ts.pad_span(s, ts.PeriodLabel(2000, 3), ts.PeriodLabel(2001, 1))
-
-
 def test_series_correlation():
     rng = np.random.default_rng(1)
     x = rng.normal(size=50)
