@@ -15,7 +15,6 @@ quantiles across replications.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
@@ -25,6 +24,7 @@ import numpy as np
 from .dynamics import _shock_columns, build_stacked, stacked_responses
 from .errors import BootstrapError, ModelSpecError
 from .svar import estimate_svar_stack, SvarEstimate
+from .timeseries import write_json
 
 __all__ = ["BootstrapBands", "bootstrap_irf", "write_bands_metadata"]
 
@@ -199,7 +199,6 @@ def _quantiles(x: np.ndarray, qs: list[float]) -> np.ndarray:
 
 
 def write_bands_metadata(bands: BootstrapBands, path: str | Path) -> None:
-    path = Path(path)
     payload = {
         "replications": bands.replications,
         "requested": bands.requested,
@@ -212,4 +211,4 @@ def write_bands_metadata(bands: BootstrapBands, path: str | Path) -> None:
         "variables": list(bands.variables),
         "note": "band coverage level is configuration; quantiles above are the defaults",
     }
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    write_json(payload, path)

@@ -2,8 +2,10 @@
 
 Subcommands: ``build-index``, ``convert-calendar``, ``estimate``,
 ``dynamics``, ``reduced-form``, ``validate``.  Every command reads a JSON
-config (see README for the schema), writes its outputs under the configured
-directory, and is deterministic given config plus seed.
+config (see README for the schema), does all of its work, and returns the
+files it writes; :func:`main` alone creates the configured directory and
+writes them there, so a command that fails leaves no output.  Every command
+is deterministic given config plus seed.
 
 Exit codes: 0 success, 1 usage/config error, 2 data/model error.
 """
@@ -15,8 +17,9 @@ import json
 import os
 import sys
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
-from typing import Mapping, NamedTuple, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -33,6 +36,9 @@ __all__ = ["main", "PipelineConfig", "UsageError"]
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
+
+# a command's output files in writing order, each name with the writer of its path
+Outputs = dict[str, Callable[[Path], None]]
 
 
 class UsageError(Exception):
@@ -170,10 +176,6 @@ def _parse_window(
     return out[0], out[1]
 
 
-def _json_dump(payload: object, path: Path) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-
-
 # ---------------------------------------------------------------------------
 # build-index
 # ---------------------------------------------------------------------------
@@ -244,8 +246,12 @@ def _index_settings(config: PipelineConfig) -> IndexSettings:
     on_path = config.path(section, "on_counts")
     off_path = config.path(section, "off_counts", required=False)
     dy_path = config.path(section, "output_growth", required=False)
-    if off_path is not None and weight is None and dy_path is None:
-        raise UsageError("config key 'output_growth' is required for grid search")
+    if off_path is not None and weight is None:
+        if dy_path is None:
+            raise UsageError("config key 'output_growth' is required for grid search")
+        if target is not ts.Frequency.QUARTERLY:
+            # the grid search regresses quarterly growth on the lagged index
+            raise UsageError(f"grid search needs target_frequency 'quarterly', got {target.value!r}")
     return IndexSettings(variant, target, window, off_windows, weight, grid_step, on_path, off_path, dy_path)
 
 
@@ -278,14 +284,12 @@ def _off_index(settings: IndexSettings, span: ts.CalendarSeries) -> ix.Intensity
     return ix.normalize_unit_max(span.replace_values(values), window=settings.window, kind=ix.IndexKind.OFF)
 
 
-def cmd_build_index(config: PipelineConfig) -> int:
-    # every index, and the grid search, before out_dir exists: a failure
-    # leaves no partial outputs behind
+def cmd_build_index(config: PipelineConfig) -> Outputs:
     settings = _index_settings(config)
     variant, target, window, _, weight, grid_step, on_path, off_path, dy_path = settings
     on_series = _index_series(ix.read_counts_csv(on_path), variant, target)
     on_index = ix.normalize_unit_max(on_series, window=window, kind=ix.IndexKind.ON)
-    indices = {"index_on.csv": on_index}
+    outputs: Outputs = {"index_on.csv": partial(ix.write_index_csv, on_index)}
     diagnostics: dict[str, object] = {
         "variant": variant,
         "target_frequency": target.value,
@@ -306,13 +310,10 @@ def cmd_build_index(config: PipelineConfig) -> int:
                 "relative_ssr_spread": result.relative_ssr_spread,
                 "profile": [{"w": p.weight, "ssr": p.ssr, "loglik": p.loglik} for p in result.points],
             }
-        indices["index_off.csv"] = off_index
-        indices["index_net.csv"] = ix.net_index(on_index, off_index, weight)
-    config.out_dir.mkdir(parents=True, exist_ok=True)
-    for name, index in indices.items():
-        ix.write_index_csv(index, config.out_dir / name)
-    _json_dump(diagnostics, config.out_dir / "index_diagnostics.json")
-    return EXIT_OK
+        outputs["index_off.csv"] = partial(ix.write_index_csv, off_index)
+        outputs["index_net.csv"] = partial(ix.write_index_csv, ix.net_index(on_index, off_index, weight))
+    outputs["index_diagnostics.json"] = partial(ts.write_json, diagnostics)
+    return outputs
 
 
 # ---------------------------------------------------------------------------
@@ -331,12 +332,9 @@ def _calendar_input(config: PipelineConfig) -> Path:
     return config.path(config.section("calendar", ("input",)), "input")
 
 
-def cmd_convert_calendar(config: PipelineConfig) -> int:
+def cmd_convert_calendar(config: PipelineConfig) -> Outputs:
     series = ts.read_series_csv(_calendar_input(config), calendar=ts.CalendarKind.IRANIAN)
-    converted = _CONVERTERS[series.frequency](series)
-    config.out_dir.mkdir(parents=True, exist_ok=True)
-    ts.write_series_csv(converted, config.out_dir / "converted.csv")
-    return EXIT_OK
+    return {"converted.csv": partial(ts.write_series_csv, _CONVERTERS[series.frequency](series))}
 
 
 # ---------------------------------------------------------------------------
@@ -425,39 +423,26 @@ def _model_settings(config: PipelineConfig) -> ModelSettings:
     return ModelSettings(spec, data, controls_var1, horizon, method, shocked, boot_cfg)
 
 
-def cmd_estimate(config: PipelineConfig) -> int:
+def cmd_estimate(config: PipelineConfig) -> Outputs:
     model = _model_settings(config)
     est = sv.estimate_svar(model.spec, model.data, controls_var1=model.controls_var1)
-    config.out_dir.mkdir(parents=True, exist_ok=True)
-    _json_dump(sv.estimate_to_json(est), config.out_dir / "estimate.json")
+    outputs: Outputs = {"estimate.json": partial(ts.write_json, sv.estimate_to_json(est))}
     for name, fit in zip(est.variables, est.fits):
         bg = reg.breusch_godfrey(fit, lags=4)
-        reg.write_fit_csv(
-            fit,
-            config.out_dir / f"eq_{name}.csv",
-            extra_rows=(
-                ("bg_lm_stat_lag4", f"{bg.lm_stat:.6f}"),
-                ("bg_p_value", f"{bg.p_value:.6f}"),
-            ),
-        )
-    return EXIT_OK
+        rows = (("bg_lm_stat_lag4", f"{bg.lm_stat:.6f}"), ("bg_p_value", f"{bg.p_value:.6f}"))
+        outputs[f"eq_{name}.csv"] = partial(reg.write_fit_csv, fit, extra_rows=rows)
+    return outputs
 
 
-def cmd_dynamics(config: PipelineConfig) -> int:
-    # every setting is checked before the estimate and before any output
+def cmd_dynamics(config: PipelineConfig) -> Outputs:
     spec, data, controls_var1, horizon, method, shocked, boot_cfg = _model_settings(config)
     est = sv.estimate_svar(spec, data, controls_var1=controls_var1)
-    config.out_dir.mkdir(parents=True, exist_ok=True)
-
+    outputs: Outputs = {}
     if method == "both":
-        deviation = dyn.max_method_deviation(est, horizon, shocked)
-        _json_dump(
-            {"max_abs_deviation": deviation, "tolerance": 1e-10},
-            config.out_dir / "method_check.json",
-        )
+        check = {"max_abs_deviation": dyn.max_method_deviation(est, horizon, shocked), "tolerance": 1e-10}
+        outputs["method_check.json"] = partial(ts.write_json, check)
         method = "direct"
-    # variance shares first: their stationarity refusal carries the
-    # eigenvalue report users need
+    # variance shares first: their stationarity refusal carries the eigenvalue report
     fv = dyn.fevd(est, horizon, shocked, method=method)
     irf = dyn.irf_all(est, horizon, shocked, method=method)
 
@@ -472,11 +457,12 @@ def cmd_dynamics(config: PipelineConfig) -> int:
             joint_resampling=boot_cfg.joint,
             shocked_control=shocked,
         )
-        boot.write_bands_metadata(bands, config.out_dir / "bootstrap_meta.json")
-    dyn.write_irf_csv(irf, config.out_dir / "irf.csv", bands=bands)
-    dyn.write_fevd_csv(fv, config.out_dir / "fevd.csv")
-    _json_dump(dyn.plot_data_json(irf, bands=bands), config.out_dir / "plot_irf.json")
-    return EXIT_OK
+        outputs["bootstrap_meta.json"] = partial(boot.write_bands_metadata, bands)
+    outputs["irf.csv"] = partial(dyn.write_irf_csv, irf, bands=bands)
+    outputs["fevd.csv"] = partial(dyn.write_fevd_csv, fv)
+    # the figure payload is built as it is written, not held beside the others
+    outputs["plot_irf.json"] = lambda path: ts.write_json(dyn.plot_data_json(irf, bands=bands), path)
+    return outputs
 
 
 # ---------------------------------------------------------------------------
@@ -527,7 +513,7 @@ def _reduced_form_settings(config: PipelineConfig) -> ReducedFormSettings:
     return ReducedFormSettings(intervention, growth, levels, lags, controls)
 
 
-def cmd_reduced_form(config: PipelineConfig) -> int:
+def cmd_reduced_form(config: PipelineConfig) -> Outputs:
     settings = _reduced_form_settings(config)
     intervention = ts.read_series_csv(settings.intervention)
     if settings.levels is not None:
@@ -548,23 +534,19 @@ def cmd_reduced_form(config: PipelineConfig) -> int:
     fit = reg.ols(arrays[0], np.column_stack(arrays[1:]), names=tuple(base))
     effect = reg.long_run_effect(fit, effect_names, "dy.L1")
     bg = reg.breusch_godfrey(fit, lags=4)
-
-    config.out_dir.mkdir(parents=True, exist_ok=True)
-    reg.write_fit_csv(
-        fit,
-        config.out_dir / "reduced_form.csv",
-        extra_rows=(
-            ("long_run_effect", f"{effect.theta:.6f}"),
-            ("long_run_effect_se", f"{effect.se:.6f}"),
-            ("bg_lm_stat_lag4", f"{bg.lm_stat:.6f}"),
-            ("bg_p_value", f"{bg.p_value:.6f}"),
-        ),
+    rows = (
+        ("long_run_effect", f"{effect.theta:.6f}"),
+        ("long_run_effect_se", f"{effect.se:.6f}"),
+        ("bg_lm_stat_lag4", f"{bg.lm_stat:.6f}"),
+        ("bg_p_value", f"{bg.p_value:.6f}"),
     )
     payload = reg.fit_to_json(fit)
     payload["long_run_effect"] = {"theta": effect.theta, "se": effect.se}
     payload["relative_to_region"] = settings.levels is not None
-    _json_dump(payload, config.out_dir / "reduced_form.json")
-    return EXIT_OK
+    return {
+        "reduced_form.csv": partial(reg.write_fit_csv, fit, extra_rows=rows),
+        "reduced_form.json": partial(ts.write_json, payload),
+    }
 
 
 # the parse of each config section, shared by its command and validate
@@ -576,7 +558,7 @@ _SECTIONS = {
 }
 
 
-def cmd_validate(config: PipelineConfig) -> int:
+def cmd_validate(config: PipelineConfig) -> Outputs:
     unknown = set(config.raw) - {"out_dir", "seed", *_SECTIONS}
     if unknown:
         raise UsageError(f"unknown config sections: {sorted(unknown)}")
@@ -584,7 +566,7 @@ def cmd_validate(config: PipelineConfig) -> int:
         if name in config.raw:
             parse(config)
     print("config ok")
-    return EXIT_OK
+    return {}
 
 
 # ---------------------------------------------------------------------------
@@ -620,7 +602,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         config = PipelineConfig.load(args.config, out_override=args.out, seed_override=args.seed)
-        return _COMMANDS[args.command](config)
+        outputs = _COMMANDS[args.command](config)
+        if outputs:
+            config.out_dir.mkdir(parents=True, exist_ok=True)
+        for name, write in outputs.items():
+            write(config.out_dir / name)
+        return EXIT_OK
     except (UsageError, OSError) as exc:  # OSError: a path the config names cannot be read or written
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

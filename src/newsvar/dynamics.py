@@ -13,8 +13,6 @@ test suite.
 
 from __future__ import annotations
 
-import csv
-import json
 import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -24,6 +22,7 @@ import numpy as np
 
 from .errors import ModelSpecError, NonstationaryError
 from .svar import _companion, SvarEstimate, SvarStack
+from .timeseries import write_csv
 
 __all__ = [
     "IrfResult",
@@ -336,34 +335,26 @@ def max_method_deviation(
 
 def write_irf_csv(irf: IrfResult, path: str | Path, bands=None) -> None:
     """Long-format CSV ``variable,shock,horizon,value[,lower,upper]``."""
-    path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        header = ["variable", "shock", "horizon", "value"]
-        if bands is not None:
-            header += ["lower", "upper"]
-        writer.writerow(header)
-        for shock in irf.shocks:
-            block = irf.responses[shock]
-            for h in range(irf.horizon + 1):
-                for i, var in enumerate(irf.variables):
-                    row = [var, shock, str(h), repr(float(block[h, i]))]
-                    if bands is not None:
-                        row.append(repr(float(bands.lower[shock][h, i])))
-                        row.append(repr(float(bands.upper[shock][h, i])))
-                    writer.writerow(row)
+    # per shock, (H+1, m) blocks of the responses, then of the bands' lower and upper
+    tables = [irf.responses] if bands is None else [irf.responses, bands.lower, bands.upper]
+    header = ("variable", "shock", "horizon", "value", "lower", "upper")[: 3 + len(tables)]
+    rows = (
+        [var, shock, str(h), *(repr(float(table[shock][h, i])) for table in tables)]
+        for shock in irf.shocks
+        for h in range(irf.horizon + 1)
+        for i, var in enumerate(irf.variables)
+    )
+    write_csv(path, header, rows)
 
 
 def write_fevd_csv(result: FevdResult, path: str | Path) -> None:
-    path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["variable", "shock", "horizon", "value"])
-        for var in result.variables:
-            block = result.shares[var]
-            for h in range(result.horizon + 1):
-                for j, shock in enumerate(result.shocks):
-                    writer.writerow([var, shock, str(h), repr(float(block[h, j]))])
+    rows = (
+        [var, shock, str(h), repr(float(result.shares[var][h, j]))]
+        for var in result.variables
+        for h in range(result.horizon + 1)
+        for j, shock in enumerate(result.shocks)
+    )
+    write_csv(path, ("variable", "shock", "horizon", "value"), rows)
 
 
 def plot_data_json(irf: IrfResult, bands=None) -> dict[str, object]:

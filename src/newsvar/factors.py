@@ -8,7 +8,6 @@ redistributed over the present ones; nothing is imputed.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
@@ -16,7 +15,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import AlignmentError, CoverageError, GapError, SeriesError
-from .timeseries import align, CalendarKind, CalendarSeries, Frequency, PeriodLabel, read_period_table
+from .timeseries import align, CalendarKind, CalendarSeries, Frequency, PeriodLabel, read_period_table, write_csv
 
 __all__ = [
     "WeightScheme",
@@ -174,9 +173,5 @@ def read_wide_panel_csv(
 
 
 def write_weights_csv(scheme: WeightScheme, path: str | Path) -> None:
-    path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["member", "weight"])
-        for member, weight in zip(scheme.members, scheme.weights):
-            writer.writerow([member, repr(float(weight))])
+    rows = ((member, repr(float(weight))) for member, weight in zip(scheme.members, scheme.weights))
+    write_csv(path, ("member", "weight"), rows)

@@ -9,7 +9,6 @@ nets entity-list additions against removals.
 
 from __future__ import annotations
 
-import csv
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -39,6 +38,7 @@ from .timeseries import (
     lag,
     PeriodLabel,
     read_period_table,
+    write_csv,
 )
 
 __all__ = [
@@ -654,10 +654,6 @@ def read_flows_csv(path: str | Path) -> EntityFlowSeries:
 
 def write_index_csv(index: IntensityIndex, path: str | Path) -> None:
     """Export as ``period,value,kind`` rows."""
-    path = Path(path)
-    series = index.series
-    with path.open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["period", "value", "kind"])
-        for label, value in zip(series.labels(), series.values):
-            writer.writerow([label, repr(float(value)), index.kind.value])
+    series, kind = index.series, index.kind.value
+    rows = ((label, repr(float(value)), kind) for label, value in zip(series.labels(), series.values))
+    write_csv(path, ("period", "value", "kind"), rows)

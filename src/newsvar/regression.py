@@ -3,16 +3,18 @@
 Classical (homoskedastic) standard errors are the default to match hand
 calculations; heteroskedasticity-robust errors sit behind a flag.
 
-Every least-squares fit in the package runs through one kernel,
+Every model fit in the package runs through one kernel,
 :func:`lstsq_chain`: the equation chains, :func:`ols` (a chain of one fit)
 and the exogenous AR(1)/VAR(1) fits (q regressions on one design), and
-:func:`chain_fit` reads the coefficient tables off a chain's QR.  The
-exogenous fits take their SSR from the kernel's R factor, which moves their
-residual standard errors, and through them the point IRFs and FEVDs, by
-rounding only: at most 3.3e-16 absolute on the benchmark's inputs, seeds
-11 and 13, against a sum of squared residuals.  The kernel's rank verdict
-is :func:`numpy.linalg.matrix_rank`'s, certified from R and R^-1 where the
-design is well conditioned; only the uncertified slices take an SVD.
+:func:`chain_fit` reads the coefficient tables off a chain's QR.  The one
+other solve, :func:`breusch_godfrey`'s auxiliary regression, runs
+:func:`numpy.linalg.lstsq`.  The exogenous fits take their SSR from the
+kernel's R factor, which moves their residual standard errors, and through
+them the point IRFs and FEVDs, by rounding only: at most 3.3e-16 absolute
+on the benchmark's inputs, seeds 11 and 13, against a sum of squared
+residuals.  The kernel's rank verdict is :func:`numpy.linalg.matrix_rank`'s,
+certified from R and R^-1 where the design is well conditioned; only the
+uncertified slices take an SVD.
 
 scipy is imported inside the few functions that need it (p-values and the
 collinearity report), so loading the package costs numpy alone.
@@ -20,8 +22,6 @@ collinearity report), so loading the package costs numpy alone.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -37,7 +37,7 @@ from .errors import (
     NonstationaryError,
     SampleError,
 )
-from .timeseries import align, CalendarSeries, log_diff
+from .timeseries import align, CalendarSeries, log_diff, write_csv
 
 __all__ = [
     "RegressionFit",
@@ -468,18 +468,10 @@ def summary_rows(fit: RegressionFit) -> list[dict[str, object]]:
 
 def write_fit_csv(fit: RegressionFit, path: str | Path, extra_rows: Sequence[tuple[str, str]] = ()) -> None:
     """Coefficient table as CSV with significance stars and summary lines."""
-    path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["name", "coefficient", "se", "stars"])
-        for row in summary_rows(fit):
-            writer.writerow(
-                [row["name"], f"{row['coefficient']:.6f}", f"{row['se']:.6f}", row["stars"]]
-            )
-        writer.writerow(["adjusted_r2", f"{fit.adjusted_r2:.6f}", "", ""])
-        writer.writerow(["nobs", str(fit.nobs), "", ""])
-        for name, value in extra_rows:
-            writer.writerow([name, value, "", ""])
+    table = [(r["name"], f"{r['coefficient']:.6f}", f"{r['se']:.6f}", r["stars"]) for r in summary_rows(fit)]
+    summary = (("adjusted_r2", f"{fit.adjusted_r2:.6f}"), ("nobs", str(fit.nobs)), *extra_rows)
+    table += [(name, value, "", "") for name, value in summary]
+    write_csv(path, ("name", "coefficient", "se", "stars"), table)
 
 
 def fit_to_json(fit: RegressionFit) -> dict[str, object]:

@@ -4,6 +4,8 @@ A :class:`CalendarSeries` is a contiguous run of values stamped with a
 frequency (monthly/quarterly/annual) and a calendar (Gregorian/Iranian).
 Module functions cover Iranian-to-Gregorian conversion, frequency
 aggregation, log differencing, lagging, alignment, and period-keyed CSV I/O.
+Every output file of the package is written by :func:`write_csv` or
+:func:`write_json`, so each format has one form.
 
 Period label grammar: annual ``YYYY``, quarterly ``YYYYQn``, monthly
 ``YYYY-MM``.
@@ -13,13 +15,14 @@ from __future__ import annotations
 
 import csv
 import io
+import json
 import math
 import re
 from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -46,6 +49,8 @@ __all__ = [
     "read_period_table",
     "read_series_csv",
     "write_series_csv",
+    "write_csv",
+    "write_json",
 ]
 
 
@@ -492,9 +497,18 @@ def read_series_csv(
 
 
 def write_series_csv(series: CalendarSeries, path: str | Path) -> None:
-    path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as handle:
+    rows = ((label, repr(float(value))) for label, value in zip(series.labels(), series.values))
+    write_csv(path, ("period", "value"), rows)
+
+
+def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence[object]]) -> None:
+    """A header and rows as UTF-8 CSV: commas, minimal quoting, ``\\n`` line ends."""
+    with Path(path).open("w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["period", "value"])
-        for label, value in zip(series.labels(), series.values):
-            writer.writerow([label, repr(float(value))])
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_json(payload: object, path: str | Path) -> None:
+    """``payload`` as JSON: indent 2, sorted keys, ASCII escapes, a trailing newline."""
+    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")

@@ -297,26 +297,55 @@ def test_build_index_undecodable_counts_file_is_data_error(index_workspace, caps
     assert_one_line_error(capsys, "bad.csv", "not UTF-8")
 
 
+def explosive_workspace(tmp_path, T):
+    """A model section with one domestic variable and an explosive
+    intervention process over ``T`` quarters."""
+    labels = quarter_labels(1989, T)
+    rng = np.random.default_rng(5)
+    dy = rng.normal(0, 0.02, T)
+    s = np.zeros(T)
+    for t in range(1, T):
+        s[t] = 1.03 * s[t - 1] + rng.normal(0, 0.1)
+    write_series(tmp_path / "dy.csv", labels, dy)
+    write_series(tmp_path / "s.csv", labels, s)
+    (tmp_path / "spec.json").write_text(
+        json.dumps({"ordering": ["dy"], "lags": 1, "intervention": [True, True]}),
+        encoding="utf-8",
+    )
+    return {"spec": "spec.json", "data": {"dy": "dy.csv", "s": "s.csv"}}
+
+
 @pytest.mark.parametrize(
-    "settings, code, fragment",
+    "command, settings, code, fragment",
     [
-        ({"off_windows": [["1995Q1", "1995Q4"]], "weight": 0.4}, 1, "off window ['1995Q1', '1995Q4'] contains no count data"),
-        ({"off_windows": [["1993Q1", "1993Q4"]], "weight": 0.4}, 1, "off window ['1993Q1', '1993Q4'] falls outside the index span"),
-        ({"off_windows": [["1989Q1", "1989Q4"], ["1989Q3", "1990Q2"]], "weight": 0.4}, 1, "off windows overlap"),
-        ({"weight": 0.4}, 1, "off_long.csv falls outside the index span"),
-        ({"off_counts": "off.csv", "output_growth": "dy_short.csv"}, 2, "needs >= 10 quarters"),
+        ("build-index", {"off_windows": [["1995Q1", "1995Q4"]], "weight": 0.4}, 1, "off window ['1995Q1', '1995Q4'] contains no count data"),
+        ("build-index", {"off_windows": [["1993Q1", "1993Q4"]], "weight": 0.4}, 1, "off window ['1993Q1', '1993Q4'] falls outside the index span"),
+        ("build-index", {"off_windows": [["1989Q1", "1989Q4"], ["1989Q3", "1990Q2"]], "weight": 0.4}, 1, "off windows overlap"),
+        ("build-index", {"weight": 0.4}, 1, "off_long.csv falls outside the index span"),
+        ("build-index", {"off_counts": "off.csv", "output_growth": "dy_short.csv"}, 2, "needs >= 10 quarters"),
+        # nine quarters estimate the equation; its lag-4 serial-correlation test needs one more
+        ("estimate", {}, 2, "need at least 9 observations, got 8"),
+        ("dynamics", {"horizon": 4, "method": "both"}, 2, "variance decomposition refused"),
     ],
-    ids=["window_without_counts", "window_outside_span", "overlapping_windows", "panel_outside_span", "short_grid_search"],
+    ids=[
+        "window_without_counts", "window_outside_span", "overlapping_windows", "panel_outside_span",
+        "short_grid_search", "estimate_short_for_bg", "dynamics_nonstationary",
+    ],
 )
-def test_build_index_late_failure_writes_nothing(index_workspace, capsys, settings, code, fragment):
-    # the off counts run a year past the on index's 1989-1992 span
-    write_counts(index_workspace / "off_long.csv", {"alpha": [1, 0, 2], "beta": [0, 1, 1]}, months=60)
-    write_series(index_workspace / "dy_short.csv", quarter_labels(1990, 8), np.linspace(-0.01, 0.01, 8))
-    section = {"on_counts": "on.csv", "off_counts": "off_long.csv", **settings}
-    config = write_config(index_workspace, {"out_dir": "out", "index": section})
-    assert cli.main(["build-index", "--config", str(config)]) == code
+def test_build_index_late_failure_writes_nothing(tmp_path, capsys, command, settings, code, fragment):
+    # a command writes nothing until all of its work is done
+    if command == "build-index":
+        write_index_inputs(tmp_path)
+        # the off counts run a year past the on index's 1989-1992 span
+        write_counts(tmp_path / "off_long.csv", {"alpha": [1, 0, 2], "beta": [0, 1, 1]}, months=60)
+        write_series(tmp_path / "dy_short.csv", quarter_labels(1990, 8), np.linspace(-0.01, 0.01, 8))
+        payload = {"index": {"on_counts": "on.csv", "off_counts": "off_long.csv", **settings}}
+    else:
+        payload = {"model": {**explosive_workspace(tmp_path, 9 if command == "estimate" else 200), **settings}}
+    config = write_config(tmp_path, {"out_dir": "out", **payload})
+    assert cli.main([command, "--config", str(config)]) == code
     assert_one_line_error(capsys, fragment)
-    assert not (index_workspace / "out").exists()
+    assert not (tmp_path / "out").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -472,29 +501,8 @@ def test_dynamics_bootstrap_bands_deterministic(tmp_path):
 def test_dynamics_nonstationary_fevd_is_data_error(tmp_path, capsys, method):
     # an explosive intervention process makes variance shares meaningless;
     # every route refuses with the eigenvalue report, before the cross-check
-    labels = quarter_labels(1989, 200)
-    rng = np.random.default_rng(5)
-    dy = rng.normal(0, 0.02, 200)
-    s = np.zeros(200)
-    for t in range(1, 200):
-        s[t] = 1.03 * s[t - 1] + rng.normal(0, 0.1)
-    write_series(tmp_path / "dy.csv", labels, dy)
-    write_series(tmp_path / "s.csv", labels, s)
-    (tmp_path / "spec.json").write_text(
-        json.dumps({"ordering": ["dy"], "lags": 1, "intervention": [True, True]}),
-        encoding="utf-8",
-    )
-    config = write_config(
-        tmp_path,
-        {
-            "model": {
-                "spec": "spec.json",
-                "data": {"dy": "dy.csv", "s": "s.csv"},
-                "horizon": 4,
-                "method": method,
-            }
-        },
-    )
+    model = explosive_workspace(tmp_path, 200)
+    config = write_config(tmp_path, {"model": {**model, "horizon": 4, "method": method}})
     code = cli.main(["dynamics", "--config", str(config)])
     err = capsys.readouterr().err
     assert code == 2
@@ -926,6 +934,9 @@ def run_quietly(argv):
         # a non-string control is a config error, not a control named "5"
         ("model", {"shocked_control": 5}, {}, 1, "'shocked_control' must be a string, got 5"),
         ("model", {"shocked_control": ["dyw"]}, {}, 1, "'shocked_control' must be a string, got ['dyw']"),
+        # the grid search regresses quarterly growth: a monthly index used to pass validate, then exit 2
+        ("index", {"target_frequency": "monthly"}, {}, 1, "grid search needs target_frequency 'quarterly', got 'monthly'"),
+        ("index", {"target_frequency": "annual"}, {}, 1, "grid search needs target_frequency 'quarterly', got 'annual'"),
     ],
 )
 def test_validate_refuses_what_the_command_refuses(tmp_path, section, edits, top, code, fragment):
