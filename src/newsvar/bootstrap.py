@@ -21,7 +21,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .dynamics import _shock_columns, build_stacked, stacked_responses
+from .dynamics import build_stacked, stacked_responses
 from .errors import BootstrapError, ModelSpecError
 from .svar import estimate_svar_stack, SvarEstimate
 from .timeseries import write_json
@@ -115,9 +115,9 @@ def bootstrap_irf(
     B1T = (P0inv @ system.Psi1).T
     B2T = (P0inv @ system.Psi2).T
     c = P0inv @ system.intercept
-    shocks, shock_cols = _shock_columns(est, shocked_control)
+    shocks, shock_cols = spec.shocks(shocked_control)
     m = est.m
-    widest = 1 + max(len(terms) for terms in spec._terms)
+    widest = 1 + max(len(spec.equation_regressors(eq)) for eq in spec.ordering)
     chunk = max(1, CHUNK_DESIGN_BYTES // (8 * n_obs * widest))
     block = min(replications, chunk * max(1, BLOCK_PANEL_BYTES // (8 * N * n_state * chunk)))
     # time-major panels, so each step updates one contiguous (block, n_state)

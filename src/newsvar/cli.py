@@ -29,7 +29,7 @@ from . import intensity as ix
 from . import regression as reg
 from . import svar as sv
 from . import timeseries as ts
-from .errors import ModelSpecError, NewsvarError
+from .errors import NewsvarError, SampleError
 
 __all__ = ["main", "PipelineConfig", "UsageError"]
 
@@ -70,7 +70,9 @@ class PipelineConfig:
         out_dir = raw.get("out_dir", "out")
         if not isinstance(out_dir, str):
             raise UsageError(f"config key 'out_dir' must be a string, got {out_dir!r}")
-        out_dir = Path(out_override) if out_override else base / out_dir
+        if out_override == "":
+            raise UsageError("--out: empty output directory")
+        out_dir = base / out_dir if out_override is None else Path(out_override)
         # mkdir needs the nearest path that exists to be a directory, not a
         # file or a dangling symlink
         blocker = next((p for p in (out_dir, *out_dir.parents) if p.is_symlink() or p.exists()), out_dir)
@@ -407,13 +409,12 @@ def _model_settings(config: PipelineConfig) -> ModelSettings:
     except ValueError as exc:
         raise UsageError(f"model spec {spec_path}: invalid JSON: {exc}") from exc
     spec = sv.SvarSpec.from_json(payload)
-    if shocked is not None and shocked not in spec.controls:
-        raise ModelSpecError(f"control {shocked!r} not in the specification")
+    shocks, _ = spec.shocks(shocked)
     # a size whose largest float64 array, the (H+1, n, n) responses or the bands'
     # (replications, shocks, H+1, m) draws, cannot fit is refused here, not by a MemoryError
     memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    m, n = spec.m, spec.m + 1 + len(spec.controls)
-    draws = (boot_cfg.replications if boot_cfg else 0) * (m + 1 + bool(spec.controls)) * (horizon + 1) * m
+    m, n = spec.m, len(spec.columns)
+    draws = (boot_cfg.replications if boot_cfg else 0) * len(shocks) * (horizon + 1) * m
     for key, nbytes in (("horizon", 8 * (horizon + 1) * n * n), ("replications", 8 * draws)):
         if nbytes > memory:
             raise UsageError(
@@ -428,10 +429,19 @@ def cmd_estimate(config: PipelineConfig) -> Outputs:
     est = sv.estimate_svar(model.spec, model.data, controls_var1=model.controls_var1)
     outputs: Outputs = {"estimate.json": partial(ts.write_json, sv.estimate_to_json(est))}
     for name, fit in zip(est.variables, est.fits):
-        bg = reg.breusch_godfrey(fit, lags=4)
-        rows = (("bg_lm_stat_lag4", f"{bg.lm_stat:.6f}"), ("bg_p_value", f"{bg.p_value:.6f}"))
+        rows = _serial_correlation_rows(fit, f"equation {name!r}: ")
         outputs[f"eq_{name}.csv"] = partial(reg.write_fit_csv, fit, extra_rows=rows)
     return outputs
+
+
+def _serial_correlation_rows(fit: reg.RegressionFit, where: str = "") -> tuple[tuple[str, str], ...]:
+    """A fit table's rows of the lag-4 Breusch-Godfrey test; ``where`` leads
+    the message of a sample too short for the test."""
+    try:
+        bg = reg.breusch_godfrey(fit, lags=4)
+    except SampleError as exc:
+        raise SampleError(f"{where}{exc}") from None
+    return ("bg_lm_stat_lag4", f"{bg.lm_stat:.6f}"), ("bg_p_value", f"{bg.p_value:.6f}")
 
 
 def cmd_dynamics(config: PipelineConfig) -> Outputs:
@@ -533,12 +543,10 @@ def cmd_reduced_form(config: PipelineConfig) -> Outputs:
     arrays, _ = ts.align(growth, *base.values())
     fit = reg.ols(arrays[0], np.column_stack(arrays[1:]), names=tuple(base))
     effect = reg.long_run_effect(fit, effect_names, "dy.L1")
-    bg = reg.breusch_godfrey(fit, lags=4)
     rows = (
         ("long_run_effect", f"{effect.theta:.6f}"),
         ("long_run_effect_se", f"{effect.se:.6f}"),
-        ("bg_lm_stat_lag4", f"{bg.lm_stat:.6f}"),
-        ("bg_p_value", f"{bg.p_value:.6f}"),
+        *_serial_correlation_rows(fit),
     )
     payload = reg.fit_to_json(fit)
     payload["long_run_effect"] = {"theta": effect.theta, "se": effect.se}
@@ -603,6 +611,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         args = parser.parse_args(argv)
         config = PipelineConfig.load(args.config, out_override=args.out, seed_override=args.seed)
         outputs = _COMMANDS[args.command](config)
+        # an output name held by a directory or another non-file is refused before any write
+        for path in map(config.out_dir.joinpath, outputs):
+            if path.exists() and not path.is_file():
+                raise UsageError(f"output {path} exists and is not a regular file")
         if outputs:
             config.out_dir.mkdir(parents=True, exist_ok=True)
         for name, write in outputs.items():

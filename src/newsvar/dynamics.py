@@ -20,8 +20,8 @@ from typing import Mapping, NamedTuple
 
 import numpy as np
 
-from .errors import ModelSpecError, NonstationaryError
-from .svar import _companion, SvarEstimate, SvarStack
+from .errors import NonstationaryError
+from .svar import companion, SvarEstimate, SvarStack
 from .timeseries import write_csv
 
 __all__ = [
@@ -38,8 +38,6 @@ __all__ = [
     "write_fevd_csv",
     "plot_data_json",
 ]
-
-_STATIONARITY_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -116,8 +114,7 @@ def g_recursion(Phi1: np.ndarray, Phi2: np.ndarray, horizon: int) -> np.ndarray:
 def build_stacked(est: SvarEstimate | SvarStack) -> StackedSystem:
     """Assemble the stacked one-step form from one estimate or a stack of them."""
     spec = est.spec
-    m, k = spec.m, len(spec.controls)
-    n = m + 1 + k
+    m, n = spec.m, len(spec.columns)
     batch = est.A0.shape[:-2]
 
     Psi0 = np.broadcast_to(np.eye(n), batch + (n, n)).copy()
@@ -159,10 +156,11 @@ def stacked_responses(
 
 def _check_stationary(system: StackedSystem, refuse: bool) -> None:
     """The stationarity verdict: responses warn, variance shares refuse."""
-    moduli = np.abs(_companion(system.Psi0, system.Psi1, system.Psi2).eigenvalues)
-    top = float(np.max(moduli))
-    if top < 1.0 - _STATIONARITY_TOL:
+    rf = companion(system.Psi0, system.Psi1, system.Psi2)
+    if rf.stationary:
         return
+    moduli = np.abs(rf.eigenvalues)
+    top = float(np.max(moduli))
     if refuse:
         ranked = ", ".join(f"{v:.6f}" for v in sorted(moduli, reverse=True)[:4])
         raise NonstationaryError(
@@ -214,23 +212,6 @@ def _direct_ma(est: SvarEstimate, horizon: int, control: str | None) -> np.ndarr
     return out
 
 
-def _shock_columns(
-    est: SvarEstimate, shocked_control: str | None
-) -> tuple[tuple[str, ...], list[int]]:
-    """Shock names and their columns in the stacked system: the domestic
-    shocks, the intervention, then the shocked control (by default the first
-    control, if any)."""
-    if shocked_control is not None and shocked_control not in est.controls:
-        raise ModelSpecError(f"control {shocked_control!r} not in the specification")
-    shocks = est.variables + (est.spec.intervention_name,)
-    cols = list(range(est.m + 1))
-    if est.controls:
-        control = shocked_control or est.controls[0]
-        shocks += (control,)
-        cols.append(est.m + 1 + est.controls.index(control))
-    return shocks, cols
-
-
 class _Responses(NamedTuple):
     """One route's responses: ``scales[i] * unscaled[i]`` is the response
     (H+1, m) to a one-standard-error shock i."""
@@ -247,7 +228,7 @@ def _responses(
     shocked_control: str | None,
     method: str,
 ) -> _Responses:
-    shocks, cols = _shock_columns(est, shocked_control)
+    shocks, cols = est.spec.shocks(shocked_control)
     control = shocks[-1] if est.controls else None
     if method == "direct":
         unscaled = _direct_ma(est, horizon, control)

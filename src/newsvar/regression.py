@@ -322,7 +322,8 @@ def breusch_godfrey(fit: RegressionFit, lags: int = 4) -> BreuschGodfreyResult:
     n = fit.nobs
     if n < lags + fit.nregressors + 1:
         raise SampleError(
-            f"need at least {lags + fit.nregressors + 1} observations, got {n}"
+            f"serial-correlation test with {lags} lags needs at least "
+            f"{lags + fit.nregressors + 1} observations, got {n}"
         )
     fitted = fit.design @ fit.coefficients
     scale = max(float(np.sqrt(fitted @ fitted / n)), 1.0)

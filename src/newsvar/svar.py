@@ -37,6 +37,7 @@ __all__ = [
     "aligned_matrix",
     "ReducedForm",
     "reduced_form",
+    "companion",
     "estimate_to_json",
 ]
 
@@ -127,6 +128,23 @@ class SvarSpec:
         else:
             flags = self.intervention
         return bool(flags[0]), bool(flags[1])
+
+    @cached_property
+    def columns(self) -> tuple[str, ...]:
+        """The data panel's column names: the endogenous variables in causal
+        order, the intervention, then the controls."""
+        return self.ordering + (self.intervention_name,) + self.controls
+
+    def shocks(self, shocked_control: str | None = None) -> tuple[tuple[str, ...], list[int]]:
+        """Shock names and their :attr:`columns`: the domestic shocks, the
+        intervention, then the shocked control (by default the first
+        control, if any)."""
+        if shocked_control is not None and shocked_control not in self.controls:
+            raise ModelSpecError(f"control {shocked_control!r} not in the specification")
+        names = self.ordering + (self.intervention_name,)
+        if self.controls:
+            names += (shocked_control or self.controls[0],)
+        return names, [self.columns.index(name) for name in names]
 
     @cached_property
     def max_lag(self) -> int:
@@ -356,16 +374,13 @@ class SvarStack(_System):
 def aligned_matrix(
     spec: SvarSpec, data: Mapping[str, CalendarSeries]
 ) -> tuple[np.ndarray, tuple[str, ...], PeriodLabel]:
-    """Stack the spec's series into an (N, m+1+k) matrix over their overlap.
-
-    Column order: endogenous variables, intervention, controls.
-    """
-    names = spec.ordering + (spec.intervention_name,) + spec.controls
-    missing = [name for name in names if name not in data]
+    """Stack the spec's series into an (N, m+1+k) matrix over their overlap,
+    its columns in :attr:`SvarSpec.columns` order."""
+    missing = [name for name in spec.columns if name not in data]
     if missing:
         raise ModelSpecError(f"data panel lacks series for: {', '.join(missing)}")
-    arrays, start = align(*(data[name] for name in names))
-    return np.column_stack(arrays), names, start
+    arrays, start = align(*(data[name] for name in spec.columns))
+    return np.column_stack(arrays), spec.columns, start
 
 
 def estimate_svar(
@@ -447,8 +462,7 @@ def _design_pool(spec: SvarSpec, Z: np.ndarray) -> tuple[dict[tuple[str, int], n
     Raises :class:`SampleError` when some equation has no more observations
     than regressors.
     """
-    names = spec.ordering + (spec.intervention_name,) + spec.controls
-    col = {name: i for i, name in enumerate(names)}
+    col = {name: i for i, name in enumerate(spec.columns)}
     M = spec.max_lag
     N = Z.shape[-2]
     if N <= M:
@@ -464,15 +478,13 @@ def _design_pool(spec: SvarSpec, Z: np.ndarray) -> tuple[dict[tuple[str, int], n
     return pool, M
 
 
-def _structural_blocks(
-    spec: SvarSpec, coefficients: list[np.ndarray]
-) -> tuple[np.ndarray, ...]:
+def _structural_blocks(spec: SvarSpec, coefficients: list[np.ndarray]) -> dict[str, np.ndarray]:
     """Place each equation's least-squares coefficients in the structural matrices.
 
     ``coefficients[i]`` is (..., 1 + regressors) for equation i: the
     intercept, then the terms of :meth:`SvarSpec.equation_regressors` in
-    order.  Returns (A0, A1, A2, gamma0s, gamma1s, Dw, a_q), each with the
-    coefficients' leading axes.
+    order.  Returns the :class:`_System` fields A0, A1, A2, gamma0s,
+    gamma1s, Dw and a_q by name, each with the coefficients' leading axes.
     """
     m, k = spec.m, len(spec.controls)
     batch = coefficients[0].shape[:-1]
@@ -494,7 +506,7 @@ def _structural_blocks(
                 A0[..., i, spec.ordering.index(name)] = -coef[..., j]
             else:
                 (A1 if lag_ == 1 else A2)[..., i, spec.ordering.index(name)] = coef[..., j]
-    return A0, A1, A2, gamma0s, gamma1s, Dw, a_q
+    return {"A0": A0, "A1": A1, "A2": A2, "gamma0s": gamma0s, "gamma1s": gamma1s, "Dw": Dw, "a_q": a_q}
 
 
 def estimate_svar_arrays(
@@ -506,9 +518,9 @@ def estimate_svar_arrays(
     equation's coefficient table and residuals are read off its chain's QR
     by :func:`~newsvar.regression.chain_fit`.
     """
-    names = spec.ordering + (spec.intervention_name,) + spec.controls
-    if Z.ndim != 2 or Z.shape[1] != len(names):
-        raise ModelSpecError(f"data matrix must have {len(names)} columns")
+    n = len(spec.columns)
+    if Z.ndim != 2 or Z.shape[1] != n:
+        raise ModelSpecError(f"data matrix must have {n} columns")
     one, factored = _estimate_stack(spec, Z[None], controls_var1)
     if not one.ok[0]:
         raise _estimate_error(spec, Z, controls_var1)
@@ -553,17 +565,17 @@ def _estimate_error(spec: SvarSpec, Z: np.ndarray, controls_var1: bool) -> Newsv
     return CollinearityError("exogenous process design is rank deficient")
 
 
-def _ar1_stack(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """AR(1) fits of the rows of ``x`` (B, N) as :func:`~newsvar.regression.ar_fit` makes them.
-
-    Returns (rho, intercept, omega, ok); ``ok`` is False where the series
-    is constant or the fit is rank deficient.
-    """
-    A = np.stack([np.ones_like(x[:, 1:]), x[:, :-1], x[:, 1:]], axis=-1)
-    fit = lstsq_chain(A, [(2, 2)])
-    omega = np.sqrt(fit.ssr[:, 0] / (x.shape[1] - 3))
-    ok = fit.full_rank & (np.ptp(x, axis=1) != 0.0)
-    return fit.coefficients[:, 1, 0], fit.coefficients[:, 0, 0], omega, ok
+def _var1_stack(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """VAR(1) fits ``z_t = intercept + transition z_{t-1} + v_t`` of the panels
+    ``z`` (B, N, q), q regressions on one design in one :func:`lstsq_chain`
+    call; an AR(1) as :func:`~newsvar.regression.ar_fit` makes it is q = 1.
+    Returns the intercepts (B, q), transitions (B, q, q), innovation
+    standard errors (B, q) and full-rank flags (B,)."""
+    B, N, q = z.shape
+    A = np.concatenate([np.ones((B, N - 1, 1)), z[:, :-1], z[:, 1:]], axis=2)
+    fit = lstsq_chain(A, [(q + 1, q + 1 + j) for j in range(q)])
+    transition = np.swapaxes(fit.coefficients[:, 1:, :], 1, 2)
+    return fit.coefficients[:, 0, :], transition, np.sqrt(fit.ssr / (N - 2 - q)), fit.full_rank
 
 
 def estimate_svar_stack(
@@ -583,9 +595,9 @@ def _estimate_stack(spec: SvarSpec, Z: np.ndarray, controls_var1: bool) -> tuple
     """:func:`estimate_svar_stack`, with equation i's chain in ``factored[i]``:
     the :func:`~newsvar.regression.chain_fit` arguments (A, fit, j, column, order)."""
     m, k = spec.m, len(spec.controls)
-    names = spec.ordering + (spec.intervention_name,) + spec.controls
-    if Z.ndim != 3 or Z.shape[2] != len(names):
-        raise ModelSpecError(f"data stack must be (panels, periods, {len(names)})")
+    n = len(spec.columns)
+    if Z.ndim != 3 or Z.shape[2] != n:
+        raise ModelSpecError(f"data stack must be (panels, periods, {n})")
     C, N = Z.shape[:2]
     pool, M = _design_pool(spec, Z)
     nobs = N - M
@@ -602,24 +614,21 @@ def _estimate_stack(spec: SvarSpec, Z: np.ndarray, controls_var1: bool) -> tuple
             factored[i] = (A, fit, j, column, at)
             coefficients[i] = fit.coefficients[:, at, j]
             sigma[:, i] = fit.ssr[:, j] / (nobs - width)
-    A0, A1, A2, gamma0s, gamma1s, Dw, a_q = _structural_blocks(
-        spec, [coefficients[i] for i in range(m)]
-    )
+    blocks = _structural_blocks(spec, [coefficients[i] for i in range(m)])
 
+    # an autoregression of a constant series fails; the VAR(1) relies on its rank check
+    x = Z[:, :, m:]
+    varying = np.ptp(x, axis=1) != 0.0
     if controls_var1 and k:
-        s_rho, s_intercept, s_omega, s_ok = _ar1_stack(Z[:, :, m])
-        zc = Z[:, :, m + 1 :]
-        A = np.concatenate([np.ones((C, N - 1, 1)), zc[:, :-1], zc[:, 1:]], axis=2)
-        fit = lstsq_chain(A, [(k + 1, k + 1 + j) for j in range(k)])
-        ok &= s_ok & fit.full_rank
-        c_intercept = fit.coefficients[:, 0, :]
-        c_transition = np.swapaxes(fit.coefficients[:, 1:, :], 1, 2)
-        c_sd = np.sqrt(fit.ssr / (N - 1 - (k + 1)))
+        intercept, rho, omega, s_ok = _var1_stack(x[:, :, :1])
+        c_intercept, c_transition, c_sd, c_ok = _var1_stack(x[:, :, 1:])
+        ok &= s_ok & varying[:, 0] & c_ok
+        s_rho, s_intercept, s_omega = rho[:, 0, 0], intercept[:, 0], omega[:, 0]
     else:
         # the intervention and each control follow their own AR(1): fit all at once
-        series = np.swapaxes(Z[:, :, m:], 1, 2).reshape(C * (1 + k), N)
-        rho, intercept, omega, ar_ok = (a.reshape(C, 1 + k) for a in _ar1_stack(series))
-        ok &= ar_ok.all(axis=1)
+        series = np.swapaxes(x, 1, 2).reshape(C * (1 + k), N, 1)
+        intercept, rho, omega, ar_ok = (a.reshape(C, 1 + k) for a in _var1_stack(series))
+        ok &= (ar_ok & varying).all(axis=1)
         s_rho, s_intercept, s_omega = rho[:, 0], intercept[:, 0], omega[:, 0]
         c_transition = rho[:, 1:, None] * np.eye(k)
         c_intercept = intercept[:, 1:]
@@ -627,13 +636,7 @@ def _estimate_stack(spec: SvarSpec, Z: np.ndarray, controls_var1: bool) -> tuple
 
     return SvarStack(
         spec=spec,
-        A0=A0,
-        A1=A1,
-        A2=A2,
-        gamma0s=gamma0s,
-        gamma1s=gamma1s,
-        Dw=Dw,
-        a_q=a_q,
+        **blocks,
         sigma=sigma,
         s_rho=s_rho,
         s_intercept=s_intercept,
@@ -654,21 +657,22 @@ class ReducedForm(NamedTuple):
 
 def reduced_form(est: SvarEstimate) -> ReducedForm:
     """Reduced-form lag matrices and companion eigenvalues of the domestic block."""
-    return _companion(est.A0, est.A1, est.A2)
+    return companion(est.A0, est.A1, est.A2)
 
 
-def _companion(A0: np.ndarray, A1: np.ndarray, A2: np.ndarray) -> ReducedForm:
+def companion(A0: np.ndarray, A1: np.ndarray, A2: np.ndarray) -> ReducedForm:
     """The reduced form of ``A0 y_t = A1 y_{t-1} + A2 y_{t-2} + ...``: its lag
-    matrices and the eigenvalues of its (2n, 2n) companion matrix."""
+    matrices, the eigenvalues of its (2n, 2n) companion matrix, and whether
+    it is stationary; a modulus within 1e-8 of one counts as a unit root."""
     Phi1 = np.linalg.solve(A0, A1)
     Phi2 = np.linalg.solve(A0, A2)
     n = A0.shape[0]
-    companion = np.zeros((2 * n, 2 * n))
-    companion[:n, :n] = Phi1
-    companion[:n, n:] = Phi2
-    companion[n:, :n] = np.eye(n)
-    eigenvalues = np.linalg.eigvals(companion)
-    return ReducedForm(Phi1, Phi2, eigenvalues, stationary=bool(np.max(np.abs(eigenvalues)) < 1.0))
+    F = np.zeros((2 * n, 2 * n))
+    F[:n, :n] = Phi1
+    F[:n, n:] = Phi2
+    F[n:, :n] = np.eye(n)
+    eigenvalues = np.linalg.eigvals(F)
+    return ReducedForm(Phi1, Phi2, eigenvalues, bool(np.max(np.abs(eigenvalues)) < 1.0 - 1e-8))
 
 
 def estimate_to_json(est: SvarEstimate) -> dict[str, object]:

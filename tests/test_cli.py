@@ -324,12 +324,14 @@ def explosive_workspace(tmp_path, T):
         ("build-index", {"weight": 0.4}, 1, "off_long.csv falls outside the index span"),
         ("build-index", {"off_counts": "off.csv", "output_growth": "dy_short.csv"}, 2, "needs >= 10 quarters"),
         # nine quarters estimate the equation; its lag-4 serial-correlation test needs one more
-        ("estimate", {}, 2, "need at least 9 observations, got 8"),
+        ("estimate", {}, 2, "equation 'dy': serial-correlation test with 4 lags needs at least 9 observations, got 8"),
         ("dynamics", {"horizon": 4, "method": "both"}, 2, "variance decomposition refused"),
+        # eight quarters give seven rows on three regressors, one short of the test's eight
+        ("reduced-form", {}, 2, "error: serial-correlation test with 4 lags needs at least 8 observations, got 7"),
     ],
     ids=[
         "window_without_counts", "window_outside_span", "overlapping_windows", "panel_outside_span",
-        "short_grid_search", "estimate_short_for_bg", "dynamics_nonstationary",
+        "short_grid_search", "estimate_short_for_bg", "dynamics_nonstationary", "reduced_form_short_for_bg",
     ],
 )
 def test_build_index_late_failure_writes_nothing(tmp_path, capsys, command, settings, code, fragment):
@@ -340,6 +342,8 @@ def test_build_index_late_failure_writes_nothing(tmp_path, capsys, command, sett
         write_counts(tmp_path / "off_long.csv", {"alpha": [1, 0, 2], "beta": [0, 1, 1]}, months=60)
         write_series(tmp_path / "dy_short.csv", quarter_labels(1990, 8), np.linspace(-0.01, 0.01, 8))
         payload = {"index": {"on_counts": "on.csv", "off_counts": "off_long.csv", **settings}}
+    elif command == "reduced-form":
+        payload = reduced_form_workspace(tmp_path, T=8)
     else:
         payload = {"model": {**explosive_workspace(tmp_path, 9 if command == "estimate" else 200), **settings}}
     config = write_config(tmp_path, {"out_dir": "out", **payload})
@@ -862,6 +866,16 @@ def test_out_override(tmp_path):
     assert (tmp_path / "elsewhere" / "converted.csv").is_file()
 
 
+def test_empty_out_override_is_refused(tmp_path, capsys):
+    # such as --out "$OUT" with OUT unset: it used to fall back to the config's out_dir
+    _, data_map = model_workspace(tmp_path, T=60)
+    config = write_config(tmp_path, {"out_dir": "out", "model": {"spec": "spec.json", "data": data_map}})
+    for command in ("estimate", "validate"):
+        assert cli.main([command, "--config", str(config), "--out", ""]) == 1, command
+        assert_one_line_error(capsys, "--out: empty output directory")
+    assert not (tmp_path / "out").exists()
+
+
 def section_workspace(tmp_path, section):
     """Inputs and a valid single-section config for ``section``, with the
     command that reads that section."""
@@ -1047,30 +1061,33 @@ def test_fuzzed_section_fails_cleanly_and_validate_agrees(fuzz_workspaces, secti
     check()
 
 
-# the first output each command writes
-_FIRST_OUTPUT = {
-    "build-index": ("index", "index_on.csv"),
-    "convert-calendar": ("calendar", "converted.csv"),
-    "estimate": ("model", "estimate.json"),
-    "dynamics": ("model", "bootstrap_meta.json"),
-    "reduced-form": ("reduced_form", "reduced_form.csv"),
+# the first and the last output each command writes
+_OUTPUTS = {
+    "build-index": ("index", "index_on.csv", "index_diagnostics.json"),
+    "convert-calendar": ("calendar", "converted.csv", "converted.csv"),
+    "estimate": ("model", "estimate.json", "eq_v2.csv"),
+    "dynamics": ("model", "bootstrap_meta.json", "plot_irf.json"),
+    "reduced-form": ("reduced_form", "reduced_form.csv", "reduced_form.json"),
 }
 
 
-@pytest.mark.parametrize("shape", ["file", "under_file", "dangling_symlink", "output_is_directory"])
-@pytest.mark.parametrize("command", sorted(_FIRST_OUTPUT))
+@pytest.mark.parametrize(
+    "shape", ["file", "under_file", "dangling_symlink", "output_is_directory", "last_output_is_directory"]
+)
+@pytest.mark.parametrize("command", sorted(_OUTPUTS))
 def test_unwritable_output_fails_in_one_line(tmp_path, command, shape):
     # permission shapes are left out: for root every path is writable
-    section, first_output = _FIRST_OUTPUT[command]
+    section, first_output, last_output = _OUTPUTS[command]
     payload = section_workspace(tmp_path, section)[1]
     config = write_config(tmp_path, payload)
     blocker, out = tmp_path / "blocker", tmp_path / "out"
+    taken = {"output_is_directory": first_output, "last_output_is_directory": last_output}.get(shape)
     if shape == "dangling_symlink":
         blocker.symlink_to(tmp_path / "gone")
-    elif shape != "output_is_directory":
+    elif taken is None:
         blocker.write_text("not a directory\n", encoding="utf-8")
-    if shape == "output_is_directory":
-        (out / first_output).mkdir(parents=True)
+    if taken is not None:
+        (out / taken).mkdir(parents=True)
     else:
         out = blocker / "sub" if shape == "under_file" else blocker
     argv = ["--config", str(config), "--out", str(out)]
@@ -1078,8 +1095,10 @@ def test_unwritable_output_fails_in_one_line(tmp_path, command, shape):
     assert code in (1, 2)
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert "Traceback" not in err
-    if shape == "output_is_directory":
-        assert (out / first_output).is_dir()
+    if taken is not None:
+        # every output name is checked before the first write, so none is written
+        assert code == 1 and f"{out / taken} exists and is not a regular file" in err, err
+        assert [p.name for p in out.iterdir()] == [taken] and (out / taken).is_dir()
     else:
         # validate refuses the same out_dir with the same line
         assert run_quietly(["validate", *argv]) == (code, err)

@@ -307,6 +307,16 @@ def test_fevd_refuses_nonstationary_system():
         dyn.irf_all(est, 4)
 
 
+def test_estimate_json_and_fevd_share_one_stationarity_rule():
+    # a root within 1e-8 of the unit circle: estimate.json used to call it
+    # stationary while the variance shares refused it
+    est = diagonal_system(m=1, rho=1.0 - 1e-9)
+    assert sv.estimate_to_json(est)["stationary"] is False
+    with pytest.raises(NonstationaryError, match="reach 1.000000"):
+        dyn.fevd(est, 4)
+    assert sv.estimate_to_json(diagonal_system(m=1, rho=0.9))["stationary"] is True
+
+
 # ---------------------------------------------------------------------------
 # stacked route
 # ---------------------------------------------------------------------------
