@@ -6,11 +6,12 @@ first observations fixed, simulates the stacked system forward over the
 original sample span, re-estimates the model on the simulated panel, and
 recomputes the impulse responses.  Everything it needs comes with the
 estimate: the residuals, the initial rows and the spec.  Replications run in
-blocks of whole chunks.  A block's panels are simulated in one time loop,
-into buffers reused by every block; then each chunk of the block is
-re-estimated together (:func:`~newsvar.svar.estimate_svar_stack`) and its
-responses computed in one batched recursion.  Bands are pointwise empirical
-quantiles across replications.
+blocks, one pass each: a block's panels are simulated in one time loop,
+into buffers reused by every block, re-estimated in one call
+(:func:`~newsvar.svar.estimate_svar_stack`, which bounds its own memory by
+fitting the chains slice by slice) and their responses computed in one
+batched recursion.  Bands are pointwise empirical quantiles across
+replications.
 """
 
 from __future__ import annotations
@@ -23,20 +24,16 @@ import numpy as np
 
 from .dynamics import build_stacked, stacked_responses
 from .errors import BootstrapError, ModelSpecError
-from .svar import estimate_svar_stack, SvarEstimate
+from .svar import estimate_svar_stack, stack_slice, SvarEstimate
 from .timeseries import write_json
 
 __all__ = ["BootstrapBands", "bootstrap_irf", "write_bands_metadata"]
 
-# Chunks are for estimation, blocks for simulation.  Bytes one chunk's widest
-# equation design may take: the chunk's QR factors and response arrays grow
-# with it, so this bounds the memory re-estimation adds (about 1 MB at 4
-# equations and 125 periods, where it allows 47 replications).
-CHUNK_DESIGN_BYTES = 1 << 19
 # Bytes one block's simulated panels may take (a shock buffer of the same
-# size comes with them); a block holds at least one chunk.  Long blocks
-# amortize the per-step cost of the simulation loop, which chunks sized by
-# the design would run many times over when the designs are wide.
+# size comes with them); a block holds whole estimator slices
+# (:func:`~newsvar.svar.stack_slice`), at least one.  Long blocks amortize
+# the per-step cost of the simulation loop and the fixed cost of each
+# estimate and response call.
 BLOCK_PANEL_BYTES = 1 << 20
 
 
@@ -99,11 +96,14 @@ def bootstrap_irf(
     U = est.residuals
     if U is None or est.initial is None:
         raise ModelSpecError("estimate carries no residuals; re-estimate from data")
-    # with glibc, freeing this untouched buffer lifts malloc's mmap and trim
-    # thresholds to its size, so the estimator's per-chunk workspace (its
-    # designs and QR copies, about 0.5 MB each) stays mapped between chunks
-    # instead of being returned to the system and faulted back in every chunk
-    np.empty(4 * CHUNK_DESIGN_BYTES, dtype=np.uint8)
+    # with glibc, freeing this untouched 2 MiB buffer lifts malloc's mmap
+    # threshold to its size and its trim threshold to twice that, so each
+    # block's workspace stays mapped between blocks instead of being returned
+    # to the system and faulted back in every block.  At 1 MiB of panels that
+    # workspace's largest arrays, the exogenous designs with their QR copies
+    # and the moving-average arrays of the responses, take about 1 MB each,
+    # and it peaks at about 2.6 MB on the benchmark's systems
+    np.empty(2 * BLOCK_PANEL_BYTES, dtype=np.uint8)
     spec = est.spec
     system = build_stacked(est)
     n_state = system.Psi0.shape[0]
@@ -117,9 +117,8 @@ def bootstrap_irf(
     c = P0inv @ system.intercept
     shocks, shock_cols = spec.shocks(shocked_control)
     m = est.m
-    widest = 1 + max(len(spec.equation_regressors(eq)) for eq in spec.ordering)
-    chunk = max(1, CHUNK_DESIGN_BYTES // (8 * n_obs * widest))
-    block = min(replications, chunk * max(1, BLOCK_PANEL_BYTES // (8 * N * n_state * chunk)))
+    per_slice = stack_slice(spec, n_obs)
+    block = min(replications, per_slice * max(1, BLOCK_PANEL_BYTES // (8 * N * n_state * per_slice)))
     # time-major panels, so each step updates one contiguous (block, n_state)
     # slab; rows M.. hold the shifted shocks c + P0inv u_t until simulated
     sim = np.empty((N, block, n_state))
@@ -146,21 +145,17 @@ def bootstrap_irf(
             if M >= 2:
                 np.matmul(sim[t - 2, :B], B2T, out=step)
                 sim[t, :B] += step
-        for first in range(0, B, chunk):
-            panels = sim[:, first : min(first + chunk, B)].transpose(1, 0, 2)
-            stack = estimate_svar_stack(spec, panels, controls_var1=est.controls_var1)
-            for _ in range(int(np.count_nonzero(~stack.ok))):
-                dropped += 1
-                if dropped > 0.05 * replications:
-                    raise BootstrapError(
-                        f"bootstrap aborted: {dropped} of {replications} replications "
-                        "failed to re-estimate"
-                    )
-            good = stack.select(stack.ok)
-            draws[kept : kept + good.ok.size] = stacked_responses(
-                build_stacked(good), horizon, shock_cols, m
-            )
-            kept += good.ok.size
+        stack = estimate_svar_stack(spec, sim[:, :B].transpose(1, 0, 2), controls_var1=est.controls_var1)
+        for _ in range(int(np.count_nonzero(~stack.ok))):
+            dropped += 1
+            if dropped > 0.05 * replications:
+                raise BootstrapError(
+                    f"bootstrap aborted: {dropped} of {replications} replications "
+                    "failed to re-estimate"
+                )
+        good = stack.select(stack.ok)
+        draws[kept : kept + good.ok.size] = stacked_responses(build_stacked(good), horizon, shock_cols, m)
+        kept += good.ok.size
 
     lower, upper, median = _quantiles(draws[:kept], [*quantiles, 0.5])
     return BootstrapBands(

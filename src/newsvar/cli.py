@@ -70,6 +70,8 @@ class PipelineConfig:
         out_dir = raw.get("out_dir", "out")
         if not isinstance(out_dir, str):
             raise UsageError(f"config key 'out_dir' must be a string, got {out_dir!r}")
+        if out_dir == "":  # it would be the config's own directory, among the inputs
+            raise UsageError("config key 'out_dir': empty output directory")
         if out_override == "":
             raise UsageError("--out: empty output directory")
         out_dir = base / out_dir if out_override is None else Path(out_override)

@@ -34,6 +34,7 @@ __all__ = [
     "estimate_svar",
     "estimate_svar_arrays",
     "estimate_svar_stack",
+    "stack_slice",
     "aligned_matrix",
     "ReducedForm",
     "reduced_form",
@@ -583,17 +584,34 @@ def estimate_svar_stack(
 ) -> SvarStack:
     """Estimate the system on each of a stack of panels ``Z`` (C, N, m+1+k).
 
-    Each chain of equations with nested designs is fit for the whole stack
-    by one :func:`lstsq_chain` call (one QR), and so are the intervention
-    AR(1) and the control AR(1)s or VAR(1), one call each.  A
-    panel whose fit fails does not raise: its ``ok`` flag is cleared.
+    Each chain of equations with nested designs is fit by one
+    :func:`lstsq_chain` call (one QR) per slice of :func:`stack_slice`
+    panels, and the intervention AR(1) and the control AR(1)s or VAR(1) by
+    one call each for the whole stack.  Every panel's numbers are those of
+    a stack of that panel alone.  A panel whose fit fails does not raise:
+    its ``ok`` flag is cleared.
     """
     return _estimate_stack(spec, Z, controls_var1)[0]
 
 
+# Bytes one slice's widest equation design may take: the slice's design and
+# QR copies grow with it, so this bounds the memory of the chain fits (about
+# 1 MB at 4 equations and 125 periods, where it allows 47 panels).
+SLICE_DESIGN_BYTES = 1 << 19
+
+
+def stack_slice(spec: SvarSpec, nobs: int) -> int:
+    """Panels of ``nobs`` estimation periods per chain-fit slice of
+    :func:`estimate_svar_stack`: as many as :data:`SLICE_DESIGN_BYTES` of the
+    widest equation design hold, and at least one."""
+    widest = 1 + max(len(terms) for terms in spec._terms)
+    return max(1, SLICE_DESIGN_BYTES // (8 * nobs * widest))
+
+
 def _estimate_stack(spec: SvarSpec, Z: np.ndarray, controls_var1: bool) -> tuple[SvarStack, dict]:
     """:func:`estimate_svar_stack`, with equation i's chain in ``factored[i]``:
-    the :func:`~newsvar.regression.chain_fit` arguments (A, fit, j, column, order)."""
+    the :func:`~newsvar.regression.chain_fit` arguments (A, fit, j, column,
+    order) of the stack's last slice, the whole stack when it is one panel."""
     m, k = spec.m, len(spec.controls)
     n = len(spec.columns)
     if Z.ndim != 3 or Z.shape[2] != n:
@@ -602,38 +620,43 @@ def _estimate_stack(spec: SvarSpec, Z: np.ndarray, controls_var1: bool) -> tuple
     pool, M = _design_pool(spec, Z)
     nobs = N - M
 
-    ok = np.ones(C, dtype=bool)
-    sigma = np.empty((C, m))
-    coefficients: dict[int, np.ndarray] = {}
-    factored = {}
-    for chain in spec._chains:
-        A = np.stack([np.ones((C, nobs))] + [pool[t] for t in chain.columns], axis=-1)
-        fit = lstsq_chain(A, chain.fits)
-        ok &= fit.full_rank
-        for j, (i, (width, column), at) in enumerate(zip(chain.equations, chain.fits, chain.positions)):
-            factored[i] = (A, fit, j, column, at)
-            coefficients[i] = fit.coefficients[:, at, j]
-            sigma[:, i] = fit.ssr[:, j] / (nobs - width)
-    blocks = _structural_blocks(spec, [coefficients[i] for i in range(m)])
-
-    # an autoregression of a constant series fails; the VAR(1) relies on its rank check
+    # the exogenous fits, for the whole stack, come first: their designs are
+    # freed before the chains' are made.  An autoregression of a constant
+    # series fails; the VAR(1) relies on its rank check
     x = Z[:, :, m:]
     varying = np.ptp(x, axis=1) != 0.0
     if controls_var1 and k:
         intercept, rho, omega, s_ok = _var1_stack(x[:, :, :1])
         c_intercept, c_transition, c_sd, c_ok = _var1_stack(x[:, :, 1:])
-        ok &= s_ok & varying[:, 0] & c_ok
+        ok = s_ok & varying[:, 0] & c_ok
         s_rho, s_intercept, s_omega = rho[:, 0, 0], intercept[:, 0], omega[:, 0]
     else:
         # the intervention and each control follow their own AR(1): fit all at once
-        series = np.swapaxes(x, 1, 2).reshape(C * (1 + k), N, 1)
-        intercept, rho, omega, ar_ok = (a.reshape(C, 1 + k) for a in _var1_stack(series))
-        ok &= (ar_ok & varying).all(axis=1)
+        fits = _var1_stack(np.swapaxes(x, 1, 2).reshape(C * (1 + k), N, 1))
+        intercept, rho, omega, ar_ok = (a.reshape(C, 1 + k) for a in fits)
+        ok = (ar_ok & varying).all(axis=1)
         s_rho, s_intercept, s_omega = rho[:, 0], intercept[:, 0], omega[:, 0]
         c_transition = rho[:, 1:, None] * np.eye(k)
         c_intercept = intercept[:, 1:]
         c_sd = omega[:, 1:]
 
+    sigma = np.empty((C, m))
+    coefficients = [np.empty((C, 1 + len(terms))) for terms in spec._terms]
+    factored = {}
+    step = stack_slice(spec, nobs)
+    for first in range(0, C, step):
+        rows = slice(first, min(first + step, C))
+        for chain in spec._chains:
+            A = np.stack(
+                [np.ones((rows.stop - first, nobs))] + [pool[t][rows] for t in chain.columns], axis=-1
+            )
+            fit = lstsq_chain(A, chain.fits)
+            ok[rows] &= fit.full_rank
+            for j, (i, (width, column), at) in enumerate(zip(chain.equations, chain.fits, chain.positions)):
+                factored[i] = (A, fit, j, column, at)
+                coefficients[i][rows] = fit.coefficients[:, at, j]
+                sigma[rows, i] = fit.ssr[:, j] / (nobs - width)
+    blocks = _structural_blocks(spec, coefficients)
     return SvarStack(
         spec=spec,
         **blocks,

@@ -213,11 +213,11 @@ def test_bootstrap_aborts_when_too_many_replications_fail(monkeypatch):
 
 
 def test_bootstrap_aborts_at_the_same_count_inside_a_block(monkeypatch):
-    # chunks of 4 in blocks of 12: the rule trips in the second chunk of the
-    # first block, after the whole block was simulated
+    # blocks of 12, estimated in slices of 4: the rule trips at the third
+    # drop of the first block, after the whole block was estimated
     truth, est, Z = fitted_system(seed=12, T=120)
     widest = 8 * (Z.shape[0] - 2) * 9
-    monkeypatch.setattr(bs, "CHUNK_DESIGN_BYTES", 4 * widest)
+    monkeypatch.setattr(sv, "SLICE_DESIGN_BYTES", 4 * widest)
     monkeypatch.setattr(bs, "BLOCK_PANEL_BYTES", 12 * 8 * Z.size)
     monkeypatch.setattr(bs, "estimate_svar_stack", failing_estimator(lambda n: n % 2 == 0))
     with pytest.raises(BootstrapError, match="aborted: 3 of 40"):
@@ -319,7 +319,7 @@ def test_chained_bootstrap_bands_match_reference_to_rounding():
 
 
 def test_chunked_bootstrap_matches_reference_across_chunks(monkeypatch):
-    # several chunks, the last one partial, give the same bands as one chunk
+    # several estimator slices, the last one partial, give the same bands as one
     _, est, Z = fitted_system(seed=14, T=100)
     kwargs = dict(
         horizon=5,
@@ -330,10 +330,10 @@ def test_chunked_bootstrap_matches_reference_across_chunks(monkeypatch):
         shocked_control=None,
     )
     reference = bootstrap_reference(est, Z, **kwargs)
-    monkeypatch.setattr(bs, "CHUNK_DESIGN_BYTES", 1)  # one replication per chunk
+    monkeypatch.setattr(sv, "SLICE_DESIGN_BYTES", 1)  # one replication per slice
     single = bs.bootstrap_irf(est, **kwargs)
     widest = 8 * (Z.shape[0] - 2) * 9
-    monkeypatch.setattr(bs, "CHUNK_DESIGN_BYTES", 5 * widest)  # chunks of 5, then 3
+    monkeypatch.setattr(sv, "SLICE_DESIGN_BYTES", 5 * widest)  # slices of 5, then 3
     chunked = bs.bootstrap_irf(est, **kwargs)
     for bands in (single, chunked):
         assert bands.replications == reference.replications == 23
@@ -345,14 +345,14 @@ def test_chunked_bootstrap_matches_reference_across_chunks(monkeypatch):
 @pytest.mark.parametrize(
     "block_bytes",
     [
-        1,  # a block of one chunk: blocks of 5, 5, 5, 5, 3
-        10 * 8 * 100 * 4,  # blocks of two chunks: 10, 10, 3, the last chunk of 3
+        1,  # a block of one slice: blocks of 5, 5, 5, 5, 3
+        10 * 8 * 100 * 4,  # blocks of two slices: 10, 10, 3, the last slice of 3
         1 << 30,  # one block of all 23
     ],
 )
 def test_block_boundaries_do_not_move_a_bit(monkeypatch, block_bytes):
-    # the panels are simulated block by block into reused buffers, and
-    # estimated chunk by chunk out of them; where the blocks end moves nothing
+    # the panels are simulated block by block into reused buffers, and each
+    # block is estimated in slices of 5; where the blocks end moves nothing
     _, est, Z = fitted_system(seed=14, T=100)
     kwargs = dict(
         horizon=5,
@@ -364,7 +364,7 @@ def test_block_boundaries_do_not_move_a_bit(monkeypatch, block_bytes):
     )
     reference = bootstrap_reference(est, Z, **kwargs)
     widest = 8 * (Z.shape[0] - 2) * 9
-    monkeypatch.setattr(bs, "CHUNK_DESIGN_BYTES", 5 * widest)  # chunks of 5
+    monkeypatch.setattr(sv, "SLICE_DESIGN_BYTES", 5 * widest)  # slices of 5
     unblocked = bs.bootstrap_irf(est, **kwargs)  # the default budget holds all 23
     monkeypatch.setattr(bs, "BLOCK_PANEL_BYTES", block_bytes)
     captured = capture_panels(monkeypatch)
@@ -385,8 +385,8 @@ def test_block_boundaries_do_not_move_a_bit(monkeypatch, block_bytes):
 def test_blocks_reuse_one_set_of_buffers(monkeypatch):
     _, est, Z = fitted_system(seed=14, T=100)
     widest = 8 * (Z.shape[0] - 2) * 9
-    monkeypatch.setattr(bs, "CHUNK_DESIGN_BYTES", 4 * widest)
-    monkeypatch.setattr(bs, "BLOCK_PANEL_BYTES", 1)  # blocks of one chunk of 4
+    monkeypatch.setattr(sv, "SLICE_DESIGN_BYTES", 2 * widest)  # slices of 2
+    monkeypatch.setattr(bs, "BLOCK_PANEL_BYTES", 4 * 8 * Z.size)  # blocks of 4
     handed = []
     original = bs.estimate_svar_stack
 
@@ -396,6 +396,7 @@ def test_blocks_reuse_one_set_of_buffers(monkeypatch):
 
     monkeypatch.setattr(bs, "estimate_svar_stack", spy)
     bs.bootstrap_irf(est, horizon=4, replications=14, seed=2)
+    # one estimate per block, however many slices it fits the block in
     assert [len(sims) for sims in handed] == [4, 4, 4, 2]
     for later in handed[1:]:
         assert np.shares_memory(handed[0], later)

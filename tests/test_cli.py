@@ -698,17 +698,19 @@ print(rc, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="counts glibc malloc's page faults")
-def test_paper_bands_dynamics_keeps_the_estimator_workspace_mapped(tmp_path, monkeypatch):
+@pytest.mark.parametrize("workload", ["paper_bands", "stress_bands"])
+def test_bands_dynamics_keeps_the_estimator_workspace_mapped(tmp_path, monkeypatch, workload):
     # glibc returns freed blocks above its mmap threshold to the system; if the
-    # bootstrap's estimator workspace is among them it is faulted back in every
-    # chunk, about 10k minor faults per paper_bands run instead of under 2k
+    # bootstrap's per-block workspace is among them it is faulted back in every
+    # block, 13k minor faults per paper_bands run and 18k per stress_bands run
+    # instead of about 2k
     spec = importlib.util.spec_from_file_location(
         "bench_gen", Path(__file__).resolve().parents[1] / "bench" / "gen.py"
     )
     gen = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, gen)  # its dataclasses look themselves up there
     spec.loader.exec_module(gen)
-    inputs = gen.generate("paper_bands", 11, tmp_path / "inputs")
+    inputs = gen.generate(workload, 11, tmp_path / "inputs")
     run = run_python(_FAULT_PROBE, *inputs.argv_head, "--out", tmp_path / "out")
     rc, faults = map(int, run.stdout.split())
     assert rc == 0, run.stderr
@@ -951,6 +953,8 @@ def run_quietly(argv):
         # the grid search regresses quarterly growth: a monthly index used to pass validate, then exit 2
         ("index", {"target_frequency": "monthly"}, {}, 1, "grid search needs target_frequency 'quarterly', got 'monthly'"),
         ("index", {"target_frequency": "annual"}, {}, 1, "grid search needs target_frequency 'quarterly', got 'annual'"),
+        # an empty out_dir was the config's own directory: the outputs landed among the inputs
+        ("calendar", {}, {"out_dir": ""}, 1, "config key 'out_dir': empty output directory"),
     ],
 )
 def test_validate_refuses_what_the_command_refuses(tmp_path, section, edits, top, code, fragment):

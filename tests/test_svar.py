@@ -588,6 +588,34 @@ def test_stacked_estimate_factorizes_once_per_chain(
     assert S[-1] < 1e-10 * S[0]
 
 
+@pytest.mark.parametrize("controls_var1", [False, True])
+def test_stack_slices_move_no_bit(monkeypatch, controls_var1):
+    # the chains are fit slice by slice under the design budget: the default
+    # one slice of 11, slices of one panel, and slices of 4, 4, 3 give the
+    # same flags and the same bits
+    rng = np.random.default_rng(41)
+    truth = random_stable_system(rng, m=2, k=2, radius=0.5)
+    spec = truth.spec
+    Z = np.stack([simulate_panel(truth, 90, rng) for _ in range(11)])
+    Z[3, :, spec.m] = 0.25  # a flat intervention
+    Z[7, 0, spec.m] = np.nan  # a row only the intervention's AR(1) reads
+    nobs = Z.shape[1] - spec.max_lag
+    widest = 1 + max(len(spec.equation_regressors(eq)) for eq in spec.ordering)
+    assert sv.stack_slice(spec, nobs) >= 11
+    stacks = [sv.estimate_svar_stack(spec, Z, controls_var1=controls_var1)]
+    for panels in (1, 4):
+        monkeypatch.setattr(sv, "SLICE_DESIGN_BYTES", panels * 8 * nobs * widest)
+        assert sv.stack_slice(spec, nobs) == panels
+        stacks.append(sv.estimate_svar_stack(spec, Z, controls_var1=controls_var1))
+    ok = np.array([c not in (3, 7) for c in range(11)])
+    for stack in stacks:
+        assert np.array_equal(stack.ok, ok)
+        for f in fields(sv.SvarStack):
+            if f.name not in ("spec", "ok"):
+                got, want = getattr(stack, f.name)[ok], getattr(stacks[0], f.name)[ok]
+                assert np.array_equal(got, want), f.name
+
+
 def _numbers(payload):
     """The numbers of a JSON payload, in a fixed order."""
     if isinstance(payload, dict):
