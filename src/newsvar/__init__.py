@@ -11,7 +11,7 @@ Submodules:
     cli:        config-driven command line front end
 """
 
-from . import bootstrap, dynamics, errors, factors, intensity, regression, svar, timeseries
+from importlib import import_module
 
 __all__ = [
     "bootstrap",
@@ -25,3 +25,11 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    """Import a submodule on first use (PEP 562), so a command loads only
+    the modules it needs."""
+    if name in __all__:
+        return import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

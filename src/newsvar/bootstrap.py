@@ -119,11 +119,13 @@ def bootstrap_irf(
     m = est.m
     per_slice = stack_slice(spec, n_obs)
     block = min(replications, per_slice * max(1, BLOCK_PANEL_BYTES // (8 * N * n_state * per_slice)))
-    # time-major panels, so each step updates one contiguous (block, n_state)
-    # slab; rows M.. hold the shifted shocks c + P0inv u_t until simulated
-    sim = np.empty((N, block, n_state))
+    # time-major panels, so each step updates one contiguous (rows, n_state)
+    # slab; rows M.. hold the shifted shocks c + P0inv u_t until simulated.
+    # A step on one row takes another BLAS path than on two and moves bits, so
+    # a block of one replication simulates a spare copy of it beside it
+    sim = np.empty((N, max(block, 2), n_state))
     sim[:M] = est.initial[:, None, :]
-    shock = np.empty((n_obs, block, n_state))  # the draws, then per-step products
+    shock = np.empty_like(sim[M:])  # the draws, then per-step products
     equations = np.arange(n_state)
 
     draws = np.empty((replications, len(shocks), horizon + 1, m))
@@ -133,18 +135,23 @@ def bootstrap_irf(
         B = min(block, replications - start)
         for i in range(B):
             rng = np.random.default_rng(seed + start + i)
-            # one call draws the same stream as one call per equation in turn
-            rows = rng.integers(0, n_obs, (1 if joint_resampling else n_state, n_obs)).T
-            shock[:, i] = U[rows, equations]
-        np.matmul(shock[:, :B], P0inv.T, out=sim[M:, :B])
-        sim[M:, :B] += c
+            if joint_resampling:
+                shock[:, i] = U[rng.integers(0, n_obs, n_obs)]
+            else:
+                # one call draws the same stream as one call per equation in turn
+                shock[:, i] = U[rng.integers(0, n_obs, (n_state, n_obs)).T, equations]
+        S = max(B, 2)
+        if B == 1:
+            shock[:, 1] = shock[:, 0]
+        np.matmul(shock[:, :S], P0inv.T, out=sim[M:, :S])
+        sim[M:, :S] += c
         for t in range(M, N):
-            step = shock[t - M, :B]
-            np.matmul(sim[t - 1, :B], B1T, out=step)
-            sim[t, :B] += step
+            step = shock[t - M, :S]
+            np.matmul(sim[t - 1, :S], B1T, out=step)
+            sim[t, :S] += step
             if M >= 2:
-                np.matmul(sim[t - 2, :B], B2T, out=step)
-                sim[t, :B] += step
+                np.matmul(sim[t - 2, :S], B2T, out=step)
+                sim[t, :S] += step
         stack = estimate_svar_stack(spec, sim[:, :B].transpose(1, 0, 2), controls_var1=est.controls_var1)
         for _ in range(int(np.count_nonzero(~stack.ok))):
             dropped += 1
@@ -176,15 +183,17 @@ def bootstrap_irf(
 
 def _quantiles(x: np.ndarray, qs: list[float]) -> np.ndarray:
     """``np.quantile(x, qs, axis=0, overwrite_input=True)`` bit for bit (linear
-    method), without the ``numpy.ma`` import numpy's version makes; one
-    partition of ``x``, in place, serves every quantile."""
+    method), without the ``numpy.ma`` import numpy's version makes; one sort
+    of ``x`` along its first axis, in place, serves every quantile.  The sort
+    puts the order statistics a partition would at every index, NaN last, up
+    to which of two equal values, such as -0.0 and 0.0, comes first."""
     n = x.shape[0]
     points = []
     for q in qs:
         v = (n - 1) * q
         i = int(v) if v < n - 1 else -1  # as numpy, whose weight at the top is v + 1
         points.append((i, i + 1 if i >= 0 else -1, v - i))
-    x.partition(sorted({0, n - 1, *(j % n for i, k, _ in points for j in (i, k))}), axis=0)
+    x.sort(axis=0)
     out = np.stack([
         x[k] - (x[k] - x[i]) * (1 - t) if t >= 0.5 else x[i] + (x[k] - x[i]) * t
         for i, k, t in points

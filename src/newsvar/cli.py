@@ -628,6 +628,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     except NewsvarError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
+    except MemoryError as exc:  # a size under the physical-memory check of _model_settings
+        reason = str(exc) or "out of memory"
+        print(f"error: {reason}; lower config key 'horizon' or 'replications'", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -146,11 +146,20 @@ def stacked_responses(
     """Scaled responses of the first ``m`` variables to the ``shock_cols`` shocks.
 
     Returns (..., shocks, horizon+1, m), with the system's leading axes
-    first; one-standard-error shocks, from the stacked recursion.
+    first; one-standard-error shocks, from the stacked recursion.  Only the
+    reported block of G_h Psi0^{-1} is formed: the first ``m`` rows of G_h
+    times the shock columns of Psi0^{-1}.  With two or more shock columns,
+    as every spec's shock list has, its numbers are those of the full
+    product bit for bit.
     """
-    MA = _ma(system.Psi0, system.Psi1, system.Psi2, horizon)  # (..., H+1, n, n)
+    Psi0 = system.Psi0
+    G = g_recursion(np.linalg.solve(Psi0, system.Psi1), np.linalg.solve(Psi0, system.Psi2), horizon)
     cols = np.asarray(shock_cols)
-    out = MA[..., :m, cols] * system.scales[..., None, None, cols]  # (..., H+1, m, shocks)
+    # contiguous, so matmul takes its BLAS path, which the strided view does not;
+    # at least two rows, since one row takes another path whose sums differ
+    impact = np.ascontiguousarray(np.linalg.inv(Psi0)[..., :, cols])
+    out = (G[..., : max(m, 2), :] @ impact[..., None, :, :])[..., :m, :]  # (..., H+1, m, shocks)
+    out *= system.scales[..., None, None, cols]
     return np.moveaxis(out, -1, -3)
 
 

@@ -412,13 +412,16 @@ class _Chain(NamedTuple):
     every dependent variable but the last is a current-value regressor of a
     later equation.  ``positions[j]`` gives the chain column of each of
     equation j's coefficients in :meth:`SvarSpec.equation_regressors` order,
-    the constant (column 0) first.
+    the constant (column 0) first.  ``slabs`` covers ``columns`` with runs
+    of adjacent panel columns at one lag, each (first design column, lag,
+    first panel column, width), so a design is filled one slab per run.
     """
 
     equations: tuple[int, ...]
     columns: tuple[tuple[str, int], ...]
     fits: tuple[tuple[int, int], ...]
     positions: tuple[np.ndarray, ...]
+    slabs: tuple[tuple[int, int, int, int], ...]
 
 
 def _equation_chains(spec: SvarSpec) -> tuple[_Chain, ...]:
@@ -430,6 +433,7 @@ def _equation_chains(spec: SvarSpec) -> tuple[_Chain, ...]:
     current value, so the designs of a plain lag structure form one chain.
     """
     terms = spec._terms
+    col = {name: i for i, name in enumerate(spec.columns)}
     groups: list[list[int]] = []
     for i in sorted(range(spec.m), key=lambda i: len(terms[i])):
         for group in groups:
@@ -445,27 +449,32 @@ def _equation_chains(spec: SvarSpec) -> tuple[_Chain, ...]:
             columns += [t for t in terms[i] if t not in columns]
         columns.append((spec.ordering[group[-1]], 0))
         at = {t: j for j, t in enumerate(columns, start=1)}
+        slabs: list[list[int]] = []
+        for j, (name, lag) in enumerate(columns, start=1):
+            last = slabs[-1] if slabs else None
+            if last and last[1] == lag and last[2] + last[3] == col[name]:
+                last[3] += 1
+            else:
+                slabs.append([j, lag, col[name], 1])
         chains.append(
             _Chain(
                 equations=tuple(group),
                 columns=tuple(columns),
                 fits=tuple((1 + len(terms[i]), at[(spec.ordering[i], 0)]) for i in group),
                 positions=tuple(np.array([0] + [at[t] for t in terms[i]]) for i in group),
+                slabs=tuple(map(tuple, slabs)),
             )
         )
     return tuple(chains)
 
 
-def _design_pool(spec: SvarSpec, Z: np.ndarray) -> tuple[dict[tuple[str, int], np.ndarray], int]:
-    """Columns for every (name, lag) the spec can reference, over t = M..N-1.
+def _estimation_periods(spec: SvarSpec, N: int) -> int:
+    """The periods t = M..N-1 a panel of ``N`` periods leaves to estimate on.
 
-    ``Z`` is (..., N, columns); leading axes carry through to the columns.
     Raises :class:`SampleError` when some equation has no more observations
     than regressors.
     """
-    col = {name: i for i, name in enumerate(spec.columns)}
     M = spec.max_lag
-    N = Z.shape[-2]
     if N <= M:
         raise SampleError("aligned sample shorter than the lag order")
     nobs = N - M
@@ -474,9 +483,7 @@ def _design_pool(spec: SvarSpec, Z: np.ndarray) -> tuple[dict[tuple[str, int], n
             raise SampleError(
                 f"equation {eq!r} has {len(terms) + 1} regressors but only {nobs} observations"
             )
-    wanted = {t for chain in spec._chains for t in chain.columns}
-    pool = {(name, lag_): Z[..., M - lag_ : N - lag_, col[name]] for name, lag_ in wanted}
-    return pool, M
+    return nobs
 
 
 def _structural_blocks(spec: SvarSpec, coefficients: list[np.ndarray]) -> dict[str, np.ndarray]:
@@ -554,9 +561,11 @@ def _estimate_error(spec: SvarSpec, Z: np.ndarray, controls_var1: bool) -> Newsv
     :func:`ols` in causal order, so the first that fails raises, naming its
     dependent columns; then each exogenous series is checked for a non-finite
     value, a constant series under an AR(1) or a rank-deficient design."""
-    pool, _ = _design_pool(spec, Z)
+    M, N = spec.max_lag, len(Z)
+    column = dict(zip(spec.columns, Z.T))
     for eq, terms in zip(spec.ordering, spec._terms):
-        ols(pool[(eq, 0)], np.column_stack([pool[t] for t in terms]), names=_labels(terms))
+        X = np.column_stack([column[name][M - lag : N - lag] for name, lag in terms])
+        ols(column[eq][M:], X, names=_labels(terms))
     x = Z[:, spec.m :]
     for j in range(x.shape[1]):
         if not np.isfinite(x[:, j]).all():
@@ -617,8 +626,8 @@ def _estimate_stack(spec: SvarSpec, Z: np.ndarray, controls_var1: bool) -> tuple
     if Z.ndim != 3 or Z.shape[2] != n:
         raise ModelSpecError(f"data stack must be (panels, periods, {n})")
     C, N = Z.shape[:2]
-    pool, M = _design_pool(spec, Z)
-    nobs = N - M
+    nobs = _estimation_periods(spec, N)
+    M = spec.max_lag
 
     # the exogenous fits, for the whole stack, come first: their designs are
     # freed before the chains' are made.  An autoregression of a constant
@@ -647,9 +656,10 @@ def _estimate_stack(spec: SvarSpec, Z: np.ndarray, controls_var1: bool) -> tuple
     for first in range(0, C, step):
         rows = slice(first, min(first + step, C))
         for chain in spec._chains:
-            A = np.stack(
-                [np.ones((rows.stop - first, nobs))] + [pool[t][rows] for t in chain.columns], axis=-1
-            )
+            A = np.empty((rows.stop - first, nobs, 1 + len(chain.columns)))
+            A[..., 0] = 1.0
+            for j, lag, c, width in chain.slabs:
+                A[..., j : j + width] = Z[rows, M - lag : N - lag, c : c + width]
             fit = lstsq_chain(A, chain.fits)
             ok[rows] &= fit.full_rank
             for j, (i, (width, column), at) in enumerate(zip(chain.equations, chain.fits, chain.positions)):

@@ -6,9 +6,11 @@ can cross-check those paths against plain simulation.  The exceptions are
 :func:`lstsq_reference`, the equation-by-equation ``np.linalg.lstsq``
 estimator kept as the reference for the stacked production estimator;
 :func:`bootstrap_reference`, the one-replication-at-a-time bootstrap loop
-kept as the reference for the chunked production bootstrap; and
-:func:`read_counts_reference`, the row-at-a-time counts reader kept as the
-reference for the block-wise columnar one.
+kept as the reference for the chunked production bootstrap;
+:func:`stacked_responses_reference`, the full moving-average product kept
+as the reference for the stacked responses, which form only its reported
+block; and :func:`read_counts_reference`, the row-at-a-time counts reader
+kept as the reference for the block-wise columnar one.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from typing import Mapping
 import numpy as np
 
 from newsvar.bootstrap import BootstrapBands
-from newsvar.dynamics import build_stacked, irf_all
+from newsvar.dynamics import build_stacked, g_recursion, irf_all, StackedSystem
 from newsvar.errors import NewsvarError, SeriesError
 from newsvar.intensity import ArticleCountPanel
 from newsvar.svar import SvarEstimate, SvarSpec
@@ -182,6 +184,20 @@ def stacked_true_matrices(est: SvarEstimate) -> tuple[np.ndarray, np.ndarray, np
     a = np.concatenate([est.a_q, [est.s_intercept], est.c_intercept])
     P0inv = np.linalg.inv(P0)
     return P0inv, P0inv @ P1, P0inv @ P2, P0inv @ a
+
+
+def stacked_responses_reference(
+    system: StackedSystem, horizon: int, shock_cols: list[int], m: int
+) -> np.ndarray:
+    """:func:`~newsvar.dynamics.stacked_responses` from the full product
+    G_h Psi0^{-1}, (..., H+1, n, n), of which the first ``m`` rows and the
+    shock columns are kept and scaled."""
+    Psi0 = system.Psi0
+    G = g_recursion(np.linalg.solve(Psi0, system.Psi1), np.linalg.solve(Psi0, system.Psi2), horizon)
+    MA = G @ np.linalg.inv(Psi0)[..., None, :, :]
+    cols = np.asarray(shock_cols)
+    out = MA[..., :m, cols] * system.scales[..., None, None, cols]
+    return np.moveaxis(out, -1, -3)
 
 
 def simulate_panel(

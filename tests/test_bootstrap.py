@@ -144,6 +144,9 @@ def test_one_draw_call_matches_one_call_per_equation(n_obs, n_state):
         rng = np.random.default_rng(seed)
         each = np.column_stack([rng.integers(0, n_obs, n_obs) for _ in range(n_state)])
         assert np.array_equal(one, each)
+        # a joint draw of whole rows is one row of indices, the stream of one equation
+        row = np.random.default_rng(seed).integers(0, n_obs, (1, n_obs)).ravel()
+        assert np.array_equal(row, np.random.default_rng(seed).integers(0, n_obs, n_obs))
 
 
 def test_joint_resampling_preserves_cross_equation_dependence():
@@ -343,16 +346,19 @@ def test_chunked_bootstrap_matches_reference_across_chunks(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "block_bytes",
+    "block_bytes, slice_panels",
     [
-        1,  # a block of one slice: blocks of 5, 5, 5, 5, 3
-        10 * 8 * 100 * 4,  # blocks of two slices: 10, 10, 3, the last slice of 3
-        1 << 30,  # one block of all 23
+        pytest.param(1, 5, id="1"),  # a block of one slice: blocks of 5, 5, 5, 5, 3
+        # blocks of two slices: 10, 10, 3, the last slice of 3
+        pytest.param(10 * 8 * 100 * 4, 5, id="32000"),
+        pytest.param(1 << 30, 5, id="1073741824"),  # one block of all 23
+        # blocks of one slice of 11: 11, 11, then a block of one replication
+        pytest.param(1, 11, id="last-block-of-one"),
     ],
 )
-def test_block_boundaries_do_not_move_a_bit(monkeypatch, block_bytes):
+def test_block_boundaries_do_not_move_a_bit(monkeypatch, block_bytes, slice_panels):
     # the panels are simulated block by block into reused buffers, and each
-    # block is estimated in slices of 5; where the blocks end moves nothing
+    # block is estimated in slices; where the blocks end moves nothing
     _, est, Z = fitted_system(seed=14, T=100)
     kwargs = dict(
         horizon=5,
@@ -364,7 +370,7 @@ def test_block_boundaries_do_not_move_a_bit(monkeypatch, block_bytes):
     )
     reference = bootstrap_reference(est, Z, **kwargs)
     widest = 8 * (Z.shape[0] - 2) * 9
-    monkeypatch.setattr(sv, "SLICE_DESIGN_BYTES", 5 * widest)  # slices of 5
+    monkeypatch.setattr(sv, "SLICE_DESIGN_BYTES", slice_panels * widest)
     unblocked = bs.bootstrap_irf(est, **kwargs)  # the default budget holds all 23
     monkeypatch.setattr(bs, "BLOCK_PANEL_BYTES", block_bytes)
     captured = capture_panels(monkeypatch)

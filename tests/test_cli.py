@@ -688,6 +688,50 @@ def test_dynamics_never_loads_numpy_ma(bands_config):
     assert report == {"import": [], "dynamics": [0, []]}, stderr
 
 
+def test_import_and_commands_never_load_factors(index_workspace, bands_config):
+    # the package imports a submodule on first use, and no command reads
+    # factor proxies
+    index_config = write_config(
+        index_workspace,
+        {"index": {"on_counts": "on.csv", "off_counts": "off.csv", "output_growth": "dy.csv"}},
+    )
+    report, stderr = modules_loaded(
+        "newsvar.factors", [("build-index", index_config), ("dynamics", bands_config)]
+    )
+    assert report == {"import": [], "build-index": [0, []], "dynamics": [0, []]}, stderr
+
+
+_MEMORY_PROBE = """
+import os, resource, sys
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
+from newsvar import cli
+with open("/proc/self/statm") as f:
+    mapped = int(f.read().split()[0]) * os.sysconf("SC_PAGE_SIZE")
+hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+resource.setrlimit(resource.RLIMIT_AS, (mapped + (64 << 20), hard))
+print(cli.main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/statm")
+def test_memory_error_exits_1_with_one_line(tmp_path):
+    # a horizon under the physical-memory check whose (H+1, n, n) responses,
+    # 512 MiB, do not fit in the 64 MiB of address space the probe leaves itself
+    _, data_map = model_workspace(tmp_path, T=60)
+    n = len(data_map)
+    config = write_config(
+        tmp_path,
+        {"model": {"spec": "spec.json", "data": data_map, "horizon": (512 << 20) // (8 * n * n), "method": "stacked"}},
+    )
+    run = run_python(_MEMORY_PROBE, "dynamics", "--config", config)
+    assert run.stdout.strip() == "1"
+    lines = run.stderr.splitlines()
+    assert len(lines) == 1, run.stderr
+    assert lines[0].startswith("error: ") and "Traceback" not in run.stderr
+    assert "'horizon'" in lines[0] and "'replications'" in lines[0]
+    assert not (tmp_path / "out").exists()
+
+
 _FAULT_PROBE = """
 import resource, sys
 from newsvar import cli

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import oracle_irf, random_stable_system, stacked_true_matrices
+from helpers import oracle_irf, random_stable_system, stacked_responses_reference, stacked_true_matrices
 from newsvar import dynamics as dyn
 from newsvar import svar as sv
 from newsvar.errors import ModelSpecError, NonstationaryError
@@ -336,6 +336,44 @@ def test_stacked_equals_direct_everywhere(seed, m, k, controls_var1, horizon, da
     est = random_stable_system(np.random.default_rng(seed), m=m, k=k, controls_var1=controls_var1)
     shocked = data.draw(st.sampled_from(est.controls), label="shocked control") if k else None
     assert dyn.max_method_deviation(est, horizon, shocked) < 1e-10
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 24),
+    batch=st.sampled_from([(), (1,), (3,), (2, 4)]),
+    horizon=st.integers(0, 8),
+    data=st.data(),
+)
+def test_stacked_responses_equal_the_full_moving_average_product(seed, n, batch, horizon, data):
+    # only the reported block of G_h Psi0^-1 is formed: the first m rows and
+    # the shock columns, in any order
+    m = data.draw(st.integers(1, n - 1), label="m")
+    cols = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=n, unique=True), label="cols")
+    rng = np.random.default_rng(seed)
+    Psi0 = np.eye(n) + np.tril(rng.normal(0.0, 0.4, batch + (n, n)), -1)
+    system = dyn.StackedSystem(
+        Psi0=Psi0,
+        Psi1=rng.normal(0.0, 0.5 / np.sqrt(n), batch + (n, n)),
+        Psi2=rng.normal(0.0, 0.3 / np.sqrt(n), batch + (n, n)),
+        intercept=np.zeros(batch + (n,)),
+        scales=rng.uniform(0.5, 2.0, batch + (n,)),
+    )
+    got = dyn.stacked_responses(system, horizon, cols, m)
+    want = stacked_responses_reference(system, horizon, cols, m)
+    assert got.shape == batch + (len(cols), horizon + 1, m)
+    if n <= 15:
+        # the kernel sums each product in the order the full product does
+        assert np.array_equal(got, want)
+    else:
+        # a wider system's block can take another kernel tile than the full
+        # product: each differs from the exact dot product by at most
+        # n eps |G_h| |Psi0^-1| (times the scale), so from each other by twice that
+        G = dyn.g_recursion(np.linalg.solve(Psi0, system.Psi1), np.linalg.solve(Psi0, system.Psi2), horizon)
+        size = np.abs(G) @ np.abs(np.linalg.inv(Psi0))[..., None, :, :]
+        size = np.moveaxis(size[..., :m, cols] * system.scales[..., None, None, cols], -1, -3)
+        assert np.all(np.abs(got - want) <= 2 * n * np.finfo(float).eps * size)
 
 
 def test_stacked_sanction_column_equals_direct_sanction():

@@ -516,6 +516,29 @@ def test_stacked_estimate_matches_equation_by_equation(problem):
                 assert np.max(np.abs(getattr(fit, name) - value)) <= tol * scale, (c, i, name)
 
 
+@CHAIN_PROPERTY
+@given(chain_problems())
+def test_chain_designs_built_by_slabs_equal_their_stacked_columns(problem):
+    # each chain design is filled one slab per run of adjacent panel columns
+    # at one lag; it equals the constant and the chain's columns stacked one
+    # by one, and no two neighbouring slabs could have been one
+    spec, controls_var1, Z = problem
+    _, factored = sv._estimate_stack(spec, Z, controls_var1)
+    col = {name: j for j, name in enumerate(spec.columns)}
+    M, N = spec.max_lag, Z.shape[1]
+    for chain in spec._chains:
+        A = factored[chain.equations[0]][0]
+        columns = [Z[:, M - lag : N - lag, col[name]] for name, lag in chain.columns]
+        want = np.stack([np.ones((len(Z), N - M))] + columns, axis=-1)
+        assert A.flags.c_contiguous
+        assert np.array_equal(A, want, equal_nan=True)
+        assert chain.slabs[0][0] == 1
+        assert sum(width for *_, width in chain.slabs) == len(chain.columns)
+        for (j, lag, c, width), (j2, lag2, c2, _) in zip(chain.slabs, chain.slabs[1:]):
+            assert j2 == j + width
+            assert (lag2, c2) != (lag, c + width)
+
+
 @pytest.mark.parametrize(
     "spec_json, controls_var1, chains, exogenous, planted",
     [
