@@ -105,22 +105,19 @@ def bootstrap_irf(
     # and it peaks at about 2.6 MB on the benchmark's systems
     np.empty(2 * BLOCK_PANEL_BYTES, dtype=np.uint8)
     spec = est.spec
+    # one-step form: z_t = c + Phi1 z_{t-1} + Phi2 z_{t-2} + impact u_t
     system = build_stacked(est)
-    n_state = system.Psi0.shape[0]
+    n_state = len(spec.columns)
     n_obs = U.shape[0]
     M = spec.max_lag
     N = n_obs + M
-    P0inv = np.linalg.inv(system.Psi0)
-    # one-step form: z_t = c + B1 z_{t-1} + B2 z_{t-2} + P0inv u_t
-    B1T = (P0inv @ system.Psi1).T
-    B2T = (P0inv @ system.Psi2).T
-    c = P0inv @ system.intercept
+    B1T, B2T = system.Phi1.T, system.Phi2.T
     shocks, shock_cols = spec.shocks(shocked_control)
     m = est.m
     per_slice = stack_slice(spec, n_obs)
     block = min(replications, per_slice * max(1, BLOCK_PANEL_BYTES // (8 * N * n_state * per_slice)))
     # time-major panels, so each step updates one contiguous (rows, n_state)
-    # slab; rows M.. hold the shifted shocks c + P0inv u_t until simulated.
+    # slab; rows M.. hold the shifted shocks c + impact u_t until simulated.
     # A step on one row takes another BLAS path than on two and moves bits, so
     # a block of one replication simulates a spare copy of it beside it
     sim = np.empty((N, max(block, 2), n_state))
@@ -143,8 +140,8 @@ def bootstrap_irf(
         S = max(B, 2)
         if B == 1:
             shock[:, 1] = shock[:, 0]
-        np.matmul(shock[:, :S], P0inv.T, out=sim[M:, :S])
-        sim[M:, :S] += c
+        np.matmul(shock[:, :S], system.impact.T, out=sim[M:, :S])
+        sim[M:, :S] += system.c
         for t in range(M, N):
             step = shock[t - M, :S]
             np.matmul(sim[t - 1, :S], B1T, out=step)

@@ -1,9 +1,10 @@
 """Impulse responses and forecast-error variance decompositions.
 
-Two computation routes produce identical numbers: the direct route works on
-the domestic-block moving average with convolution terms for the exogenous
-intervention and global processes; the stacked route embeds those processes
-as extra equations in one big recursion.  Either route yields one array of
+Both computation routes read one one-step form, :func:`build_stacked`, and
+produce the same numbers: the direct route works on the domestic-block
+moving average, with one-step recursions carrying the exogenous intervention
+and global processes into it; the stacked route embeds those processes as
+extra equations in one big recursion.  Either route yields one array of
 unit-innovation responses, from which the impulse responses, the variance
 shares and the cross-check between the routes all follow; the stationarity
 verdict comes from the stacked companion's eigenvalue moduli, taken once per
@@ -75,16 +76,19 @@ class FevdResult:
 
 @dataclass(frozen=True)
 class StackedSystem:
-    """The full system over (endogenous, intervention, controls).
+    """The one-step form of the full system over (endogenous, intervention,
+    controls): ``z_t = c + Phi1 z_{t-1} + Phi2 z_{t-2} + impact u_t``, solved
+    from the structural form ``Psi0 z_t = a + Psi1 z_{t-1} + Psi2 z_{t-2} + u_t``
+    (``impact`` = Psi0^{-1}).
 
     Built from a :class:`SvarStack`, every array gains the stack's leading
     axis.  ``scales`` are the innovation standard errors.
     """
 
-    Psi0: np.ndarray
-    Psi1: np.ndarray
-    Psi2: np.ndarray
-    intercept: np.ndarray
+    Phi1: np.ndarray
+    Phi2: np.ndarray
+    impact: np.ndarray
+    c: np.ndarray
     scales: np.ndarray
 
 
@@ -112,7 +116,9 @@ def g_recursion(Phi1: np.ndarray, Phi2: np.ndarray, horizon: int) -> np.ndarray:
 
 
 def build_stacked(est: SvarEstimate | SvarStack) -> StackedSystem:
-    """Assemble the stacked one-step form from one estimate or a stack of them."""
+    """Solve the structural form once for the one-step form, from one
+    estimate or a stack of them; every response, stationarity verdict and
+    simulation reads the result."""
     spec = est.spec
     m, n = spec.m, len(spec.columns)
     batch = est.A0.shape[:-2]
@@ -130,13 +136,13 @@ def build_stacked(est: SvarEstimate | SvarStack) -> StackedSystem:
     Psi2[..., :m, :m] = est.A2
 
     intercept = np.concatenate([est.a_q, est.s_intercept[..., None], est.c_intercept], axis=-1)
-    scales = np.concatenate([np.sqrt(est.sigma), est.s_omega[..., None], est.c_sd], axis=-1)
+    impact = np.linalg.inv(Psi0)
     return StackedSystem(
-        Psi0=Psi0,
-        Psi1=Psi1,
-        Psi2=Psi2,
-        intercept=intercept,
-        scales=scales,
+        Phi1=np.linalg.solve(Psi0, Psi1),
+        Phi2=np.linalg.solve(Psi0, Psi2),
+        impact=impact,
+        c=(impact @ intercept[..., None])[..., 0],
+        scales=np.concatenate([np.sqrt(est.sigma), est.s_omega[..., None], est.c_sd], axis=-1),
     )
 
 
@@ -148,16 +154,15 @@ def stacked_responses(
     Returns (..., shocks, horizon+1, m), with the system's leading axes
     first; one-standard-error shocks, from the stacked recursion.  Only the
     reported block of G_h Psi0^{-1} is formed: the first ``m`` rows of G_h
-    times the shock columns of Psi0^{-1}.  With two or more shock columns,
-    as every spec's shock list has, its numbers are those of the full
-    product bit for bit.
+    times the shock columns of the impact matrix.  With two or more shock
+    columns, as every spec's shock list has, its numbers are those of the
+    full product bit for bit.
     """
-    Psi0 = system.Psi0
-    G = g_recursion(np.linalg.solve(Psi0, system.Psi1), np.linalg.solve(Psi0, system.Psi2), horizon)
+    G = g_recursion(system.Phi1, system.Phi2, horizon)
     cols = np.asarray(shock_cols)
     # contiguous, so matmul takes its BLAS path, which the strided view does not;
     # at least two rows, since one row takes another path whose sums differ
-    impact = np.ascontiguousarray(np.linalg.inv(Psi0)[..., :, cols])
+    impact = np.ascontiguousarray(system.impact[..., :, cols])
     out = (G[..., : max(m, 2), :] @ impact[..., None, :, :])[..., :m, :]  # (..., H+1, m, shocks)
     out *= system.scales[..., None, None, cols]
     return np.moveaxis(out, -1, -3)
@@ -165,7 +170,7 @@ def stacked_responses(
 
 def _check_stationary(system: StackedSystem, refuse: bool) -> None:
     """The stationarity verdict: responses warn, variance shares refuse."""
-    rf = companion(system.Psi0, system.Psi1, system.Psi2)
+    rf = companion(system.Phi1, system.Phi2)
     if rf.stationary:
         return
     moduli = np.abs(rf.eigenvalues)
@@ -184,40 +189,34 @@ def _check_stationary(system: StackedSystem, refuse: bool) -> None:
     )
 
 
-def _ma(A0: np.ndarray, A1: np.ndarray, A2: np.ndarray, horizon: int) -> np.ndarray:
-    """G_h A0^{-1} of ``A0 y_t = A1 y_{t-1} + A2 y_{t-2} + ...``, shape
-    (..., H+1, n, n) with the leading axes of A0 (..., n, n) first."""
-    G = g_recursion(np.linalg.solve(A0, A1), np.linalg.solve(A0, A2), horizon)
-    return G @ np.linalg.inv(A0)[..., None, :, :]
-
-
-def _direct_ma(est: SvarEstimate, horizon: int, control: str | None) -> np.ndarray:
+def _direct_ma(est: SvarEstimate, system: StackedSystem, horizon: int, control: str | None) -> np.ndarray:
     """Unit-innovation responses (shocks, H+1, m) from the domestic moving average.
 
-    The intervention and control shocks reach the domestic block through
-    their loadings at each lag, convolved with G_h A0^{-1}.
+    GA_h = G_h A0^{-1} comes from the domestic (top-left m x m) block of the
+    one-step form.  The exogenous shocks reach the domestic block through
+    one-step recursions on GA, linear in the horizon: the intervention's
+    response is ``x_h(gamma0s) + x_{h-1}(gamma1s)`` with
+    ``x_h(v) = GA_h v + rho x_{h-1}(v)``, the control's is ``Y_h r`` with
+    ``Y_h = GA_h Dw + Y_{h-1} R`` for the control's transition R and unit
+    vector r.
     """
     rho = float(est.s_rho)
     if abs(rho) >= 1.0:
         raise NonstationaryError(f"intervention process is nonstationary (rho = {rho:.4f})")
     m = est.m
-    loads = np.empty((1 if control is None else 2, horizon + 1, m))
-    loads[0, 0] = est.gamma0s
-    for ell in range(1, horizon + 1):
-        loads[0, ell] = rho**ell * est.gamma0s + rho ** (ell - 1) * est.gamma1s
-    if control is not None:
-        R = est.c_transition
-        r_l = np.zeros(est.k)
-        r_l[est.controls.index(control)] = 1.0
-        for ell in range(horizon + 1):
-            loads[1, ell] = est.Dw @ r_l
-            r_l = R @ r_l
-    GA = _ma(est.A0, est.A1, est.A2, horizon)
-    out = np.zeros((m + len(loads), horizon + 1, m))
+    GA = g_recursion(system.Phi1[:m, :m], system.Phi2[:m, :m], horizon) @ system.impact[:m, :m]
+    out = np.empty((m + 1 + (control is not None), horizon + 1, m))
     out[:m] = GA.transpose(2, 0, 1)
-    for e, load in enumerate(loads, start=m):
-        for ell in range(horizon + 1):
-            out[e, ell:] += GA[: horizon + 1 - ell] @ load[ell]
+    X = GA @ np.column_stack([est.gamma0s, est.gamma1s])  # x_h(gamma0s), x_h(gamma1s)
+    for h in range(1, horizon + 1):
+        X[h] += rho * X[h - 1]
+    out[m] = X[..., 0]
+    out[m, 1:] += X[:-1, :, 1]
+    if control is not None:
+        Y = GA @ est.Dw
+        for h in range(1, horizon + 1):
+            Y[h] += Y[h - 1] @ est.c_transition
+        out[m + 1] = Y[..., est.controls.index(control)]
     return out
 
 
@@ -240,7 +239,7 @@ def _responses(
     shocks, cols = est.spec.shocks(shocked_control)
     control = shocks[-1] if est.controls else None
     if method == "direct":
-        unscaled = _direct_ma(est, horizon, control)
+        unscaled = _direct_ma(est, system, horizon, control)
     elif method == "stacked":
         # unit shocks; the scales are applied by the caller
         unit = replace(system, scales=np.ones_like(system.scales))

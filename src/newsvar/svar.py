@@ -176,22 +176,6 @@ class SvarSpec:
         """The equations grouped by nested designs; see :func:`_equation_chains`."""
         return _equation_chains(self)
 
-    def to_json(self) -> dict[str, object]:
-        return {
-            "ordering": list(self.ordering),
-            "lags": self.lags if isinstance(self.lags, int) else dict(self.lags),
-            "per_equation_extras": {
-                eq: [list(t) for t in v] for eq, v in self.extra_lags.items()
-            },
-            "intervention": (
-                list(self.intervention)
-                if not isinstance(self.intervention, Mapping)
-                else {k: list(v) for k, v in self.intervention.items()}
-            ),
-            "intervention_name": self.intervention_name,
-            "controls": list(self.controls),
-        }
-
     @staticmethod
     def from_json(payload: Mapping[str, object]) -> "SvarSpec":
         if not isinstance(payload, Mapping):
@@ -374,14 +358,14 @@ class SvarStack(_System):
 
 def aligned_matrix(
     spec: SvarSpec, data: Mapping[str, CalendarSeries]
-) -> tuple[np.ndarray, tuple[str, ...], PeriodLabel]:
+) -> tuple[np.ndarray, PeriodLabel]:
     """Stack the spec's series into an (N, m+1+k) matrix over their overlap,
     its columns in :attr:`SvarSpec.columns` order."""
     missing = [name for name in spec.columns if name not in data]
     if missing:
         raise ModelSpecError(f"data panel lacks series for: {', '.join(missing)}")
     arrays, start = align(*(data[name] for name in spec.columns))
-    return np.column_stack(arrays), spec.columns, start
+    return np.column_stack(arrays), start
 
 
 def estimate_svar(
@@ -396,7 +380,7 @@ def estimate_svar(
     feed the impulse-response and variance-decomposition machinery only and
     do not alter the structural equations.
     """
-    Z, _, start = aligned_matrix(spec, data)
+    Z, start = aligned_matrix(spec, data)
     est = estimate_svar_arrays(spec, Z, controls_var1=controls_var1)
     frequency = data[spec.ordering[0]].frequency
     return replace(est, sample_start=start.shift(spec.max_lag, frequency))
@@ -690,16 +674,14 @@ class ReducedForm(NamedTuple):
 
 def reduced_form(est: SvarEstimate) -> ReducedForm:
     """Reduced-form lag matrices and companion eigenvalues of the domestic block."""
-    return companion(est.A0, est.A1, est.A2)
+    return companion(np.linalg.solve(est.A0, est.A1), np.linalg.solve(est.A0, est.A2))
 
 
-def companion(A0: np.ndarray, A1: np.ndarray, A2: np.ndarray) -> ReducedForm:
-    """The reduced form of ``A0 y_t = A1 y_{t-1} + A2 y_{t-2} + ...``: its lag
+def companion(Phi1: np.ndarray, Phi2: np.ndarray) -> ReducedForm:
+    """The reduced form ``y_t = Phi1 y_{t-1} + Phi2 y_{t-2} + ...``: its lag
     matrices, the eigenvalues of its (2n, 2n) companion matrix, and whether
     it is stationary; a modulus within 1e-8 of one counts as a unit root."""
-    Phi1 = np.linalg.solve(A0, A1)
-    Phi2 = np.linalg.solve(A0, A2)
-    n = A0.shape[0]
+    n = Phi1.shape[0]
     F = np.zeros((2 * n, 2 * n))
     F[:n, :n] = Phi1
     F[:n, n:] = Phi2

@@ -45,7 +45,6 @@ __all__ = [
     "log_diff",
     "lag",
     "align",
-    "series_correlation",
     "read_period_table",
     "read_series_csv",
     "write_series_csv",
@@ -387,16 +386,6 @@ def align(*series: CalendarSeries) -> tuple[list[np.ndarray], PeriodLabel]:
         offset = lo - s.start.to_index(freq)
         arrays.append(np.asarray(s.values[offset : offset + hi - lo + 1]))
     return arrays, PeriodLabel.from_index(lo, freq)
-
-
-def series_correlation(a: CalendarSeries, b: CalendarSeries) -> float:
-    """Pearson correlation over the overlapping periods of two series."""
-    (xa, xb), _ = align(a, b)
-    if len(xa) < 2:
-        raise AlignmentError("correlation needs at least 2 overlapping periods")
-    if np.std(xa) == 0 or np.std(xb) == 0:
-        raise DomainError("correlation undefined for a constant series")
-    return float(np.corrcoef(xa, xb)[0, 1])
 
 
 # ---------------------------------------------------------------------------

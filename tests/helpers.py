@@ -9,8 +9,10 @@ estimator kept as the reference for the stacked production estimator;
 kept as the reference for the chunked production bootstrap;
 :func:`stacked_responses_reference`, the full moving-average product kept
 as the reference for the stacked responses, which form only its reported
-block; and :func:`read_counts_reference`, the row-at-a-time counts reader
-kept as the reference for the block-wise columnar one.
+block; :func:`direct_responses_reference`, the per-lag convolution kept as
+the reference for the direct route's one-step recursions; and
+:func:`read_counts_reference`, the row-at-a-time counts reader kept as the
+reference for the block-wise columnar one.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from typing import Mapping
 import numpy as np
 
 from newsvar.bootstrap import BootstrapBands
-from newsvar.dynamics import build_stacked, g_recursion, irf_all, StackedSystem
+from newsvar.dynamics import g_recursion, irf_all, StackedSystem
 from newsvar.errors import NewsvarError, SeriesError
 from newsvar.intensity import ArticleCountPanel
 from newsvar.svar import SvarEstimate, SvarSpec
@@ -192,12 +194,38 @@ def stacked_responses_reference(
     """:func:`~newsvar.dynamics.stacked_responses` from the full product
     G_h Psi0^{-1}, (..., H+1, n, n), of which the first ``m`` rows and the
     shock columns are kept and scaled."""
-    Psi0 = system.Psi0
-    G = g_recursion(np.linalg.solve(Psi0, system.Psi1), np.linalg.solve(Psi0, system.Psi2), horizon)
-    MA = G @ np.linalg.inv(Psi0)[..., None, :, :]
+    G = g_recursion(system.Phi1, system.Phi2, horizon)
+    MA = G @ system.impact[..., None, :, :]
     cols = np.asarray(shock_cols)
     out = MA[..., :m, cols] * system.scales[..., None, None, cols]
     return np.moveaxis(out, -1, -3)
+
+
+def direct_responses_reference(est: SvarEstimate, horizon: int, control: str | None) -> np.ndarray:
+    """The direct route's unit-innovation responses (shocks, H+1, m) as a
+    convolution: each exogenous shock's loading at lag ell, times
+    G_{h-ell} A0^{-1}, summed over the lags.  Quadratic in the horizon; the
+    per-lag accumulation adds the terms of each horizon in lag order, as
+    ``sum(GA[h - ell] @ load[ell] for ell in range(h + 1))`` does."""
+    m, rho = est.m, float(est.s_rho)
+    d = [est.gamma0s]
+    for ell in range(1, horizon + 1):
+        d.append(rho**ell * est.gamma0s + rho ** (ell - 1) * est.gamma1s)
+    loads = [d]
+    if control is not None:
+        r_l, feed = np.eye(est.k)[:, est.controls.index(control)], []
+        for _ in range(horizon + 1):
+            feed.append(est.Dw @ r_l)
+            r_l = est.c_transition @ r_l
+        loads.append(feed)
+    GA = g_recursion(np.linalg.solve(est.A0, est.A1), np.linalg.solve(est.A0, est.A2), horizon)
+    GA = GA @ np.linalg.inv(est.A0)
+    out = np.zeros((m + len(loads), horizon + 1, m))
+    out[:m] = GA.transpose(2, 0, 1)
+    for e, load in enumerate(loads, start=m):
+        for ell in range(horizon + 1):
+            out[e, ell:] += GA[: horizon + 1 - ell] @ load[ell]
+    return out
 
 
 def simulate_panel(
@@ -330,15 +358,11 @@ def bootstrap_reference(
     ``irf_all``; a replication the reference cannot estimate is dropped.
     """
     spec = est.spec
-    system = build_stacked(est)
-    n_state = system.Psi0.shape[0]
+    n_state = est.m + 1 + est.k
     M = spec.max_lag
     U = est.residuals
     n_obs = U.shape[0]
-    P0inv = np.linalg.inv(system.Psi0)
-    B1 = P0inv @ system.Psi1
-    B2 = P0inv @ system.Psi2
-    c = P0inv @ system.intercept
+    P0inv, B1, B2, c = stacked_true_matrices(est)
     point = irf_all(est, horizon, shocked_control, method="stacked")
     shocks = point.shocks
     m = est.m

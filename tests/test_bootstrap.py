@@ -122,7 +122,7 @@ def test_estimate_carries_the_initial_rows_of_its_aligned_sample(monkeypatch):
         start = ts.PeriodLabel(1989, 1).shift(first, quarterly)
         data[name] = ts.CalendarSeries(quarterly, ts.CalendarKind.GREGORIAN, start, Z[first:end, j])
     est = sv.estimate_svar(truth.spec, data)
-    aligned, _, _ = sv.aligned_matrix(truth.spec, data)
+    aligned, _ = sv.aligned_matrix(truth.spec, data)
     M = truth.spec.max_lag
     assert aligned.shape == (122, len(names))
     assert np.array_equal(est.initial, aligned[:M])

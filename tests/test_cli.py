@@ -88,7 +88,12 @@ def model_workspace(tmp_path, T=240, seed=3):
     for j, name in enumerate(names):
         write_series(tmp_path / f"{name}.csv", labels, Z[:, j])
         data_map[name] = f"{name}.csv"
-    spec_payload = truth.spec.to_json()
+    spec_payload = {
+        "ordering": list(truth.variables),
+        "lags": 2,
+        "intervention": [True, True],
+        "controls": list(truth.controls),
+    }
     (tmp_path / "spec.json").write_text(json.dumps(spec_payload), encoding="utf-8")
     return truth, data_map
 

@@ -6,7 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import oracle_irf, random_stable_system, stacked_responses_reference, stacked_true_matrices
+from helpers import (
+    direct_responses_reference,
+    oracle_irf,
+    random_stable_system,
+    stacked_responses_reference,
+    stacked_true_matrices,
+)
 from newsvar import dynamics as dyn
 from newsvar import svar as sv
 from newsvar.errors import ModelSpecError, NonstationaryError
@@ -150,31 +156,37 @@ def test_sanction_matches_simulation_oracle():
         assert np.allclose(analytic, oracle_irf(est, "s", 24), atol=1e-8)
 
 
+def exogenous_deviation(est, horizon):
+    """Largest deviation of the direct route's exogenous responses from the
+    convolution reference, in units of eps times the response's largest
+    magnitude."""
+    irf = dyn.irf_all(est, horizon, est.controls[-1])
+    ref = direct_responses_reference(est, horizon, est.controls[-1])
+    worst = 0.0
+    for shock, unscaled in zip(irf.shocks[est.m :], ref[est.m :]):
+        want = irf.scales[shock] * unscaled
+        deviation = np.max(np.abs(irf.responses[shock] - want))
+        worst = max(worst, deviation / (np.finfo(float).eps * np.max(np.abs(want))) if deviation else 0.0)
+    return worst
+
+
 def test_exogenous_responses_equal_term_by_term_convolution():
-    # the shifted per-lag accumulation adds the same terms in the same order
-    # as the sum over lags at each horizon, so the two agree exactly
+    # the one-step recursions sum the convolution's terms in another order,
+    # so they agree to rounding: over these 200 systems at most 6.7e-16
+    # absolute, 2.0 eps of the response's largest magnitude; the bound is 8 eps
     rng = np.random.default_rng(15)
-    for m, k, horizon in ((1, 1, 0), (3, 1, 16), (4, 2, 24), (6, 2, 40)):
-        est = random_stable_system(rng, m=m, k=k)
-        irf = dyn.irf_all(est, horizon, est.controls[-1])
-        GA = dyn.g_recursion(
-            np.linalg.solve(est.A0, est.A1), np.linalg.solve(est.A0, est.A2), horizon
-        ) @ np.linalg.inv(est.A0)
-        rho = float(est.s_rho)
-        d = [est.gamma0s]
-        for ell in range(1, horizon + 1):
-            d.append(rho**ell * est.gamma0s + rho ** (ell - 1) * est.gamma1s)
-        R, sds = est.c_transition, est.c_sd
-        r_l, feed = np.eye(k)[:, -1], []
-        for _ in range(horizon + 1):
-            feed.append(est.Dw @ r_l)
-            r_l = R @ r_l
-        exogenous = (("s", est.s_omega, d), (est.controls[-1], sds[-1], feed))
-        for shock, scale, load in exogenous:
-            loop = np.array(
-                [sum(GA[h - ell] @ load[ell] for ell in range(h + 1)) for h in range(horizon + 1)]
-            )
-            assert np.array_equal(irf.responses[shock], float(scale) * loop)
+    for _ in range(200):
+        m, k, horizon = int(rng.integers(1, 7)), int(rng.integers(1, 3)), int(rng.integers(0, 41))
+        est = random_stable_system(rng, m=m, k=k, controls_var1=bool(rng.integers(0, 2)))
+        assert exogenous_deviation(est, horizon) <= 8.0
+
+
+def test_direct_route_agrees_at_a_long_horizon():
+    # at H=2000 the recursions still agree with the stacked route and with
+    # the quadratic convolution
+    est = random_stable_system(np.random.default_rng(16), m=4, k=2, controls_var1=True)
+    assert dyn.max_method_deviation(est, 2000, est.controls[-1]) < 1e-10
+    assert exogenous_deviation(est, 2000) <= 8.0
 
 
 def test_sanction_requires_stationary_process():
@@ -354,10 +366,10 @@ def test_stacked_responses_equal_the_full_moving_average_product(seed, n, batch,
     rng = np.random.default_rng(seed)
     Psi0 = np.eye(n) + np.tril(rng.normal(0.0, 0.4, batch + (n, n)), -1)
     system = dyn.StackedSystem(
-        Psi0=Psi0,
-        Psi1=rng.normal(0.0, 0.5 / np.sqrt(n), batch + (n, n)),
-        Psi2=rng.normal(0.0, 0.3 / np.sqrt(n), batch + (n, n)),
-        intercept=np.zeros(batch + (n,)),
+        Phi1=rng.normal(0.0, 0.5 / np.sqrt(n), batch + (n, n)),
+        Phi2=rng.normal(0.0, 0.3 / np.sqrt(n), batch + (n, n)),
+        impact=np.linalg.inv(Psi0),
+        c=np.zeros(batch + (n,)),
         scales=rng.uniform(0.5, 2.0, batch + (n,)),
     )
     got = dyn.stacked_responses(system, horizon, cols, m)
@@ -370,8 +382,8 @@ def test_stacked_responses_equal_the_full_moving_average_product(seed, n, batch,
         # a wider system's block can take another kernel tile than the full
         # product: each differs from the exact dot product by at most
         # n eps |G_h| |Psi0^-1| (times the scale), so from each other by twice that
-        G = dyn.g_recursion(np.linalg.solve(Psi0, system.Psi1), np.linalg.solve(Psi0, system.Psi2), horizon)
-        size = np.abs(G) @ np.abs(np.linalg.inv(Psi0))[..., None, :, :]
+        G = dyn.g_recursion(system.Phi1, system.Phi2, horizon)
+        size = np.abs(G) @ np.abs(system.impact)[..., None, :, :]
         size = np.moveaxis(size[..., :m, cols] * system.scales[..., None, None, cols], -1, -3)
         assert np.all(np.abs(got - want) <= 2 * n * np.finfo(float).eps * size)
 
@@ -449,11 +461,13 @@ def test_responses_scale_with_the_shock_size(seed, m, k, controls_var1, horizon,
     ids=["irf_all", "fevd", "irf_all-stacked", "fevd-stacked", "max_method_deviation"],
 )
 def test_one_response_array_per_route(monkeypatch, call, g_recursions, eigvals):
-    # one moving-average recursion per route and one set of companion moduli
-    # per call
+    # one moving-average recursion per route, one set of companion moduli per
+    # call, and one derivation of the one-step form: one inverse and two
+    # solves, for both routes
     est = random_stable_system(np.random.default_rng(14), m=4, k=2)
-    calls = {"g_recursion": 0, "eigvals": 0}
-    for owner, name in ((dyn, "g_recursion"), (np.linalg, "eigvals")):
+    calls = {"g_recursion": 0, "eigvals": 0, "inv": 0, "solve": 0}
+    linalg = ((np.linalg, name) for name in ("eigvals", "inv", "solve"))
+    for owner, name in ((dyn, "g_recursion"), *linalg):
         real = getattr(owner, name)
 
         def counted(*args, _name=name, _real=real, **kwargs):
@@ -462,7 +476,7 @@ def test_one_response_array_per_route(monkeypatch, call, g_recursions, eigvals):
 
         monkeypatch.setattr(owner, name, counted)
     call(est)
-    assert calls == {"g_recursion": g_recursions, "eigvals": eigvals}
+    assert calls == {"g_recursion": g_recursions, "eigvals": eigvals, "inv": 1, "solve": 2}
 
 
 # ---------------------------------------------------------------------------

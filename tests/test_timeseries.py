@@ -282,14 +282,6 @@ def test_lag_relabels_periods():
     assert np.array_equal(xl, [1.0])
 
 
-def test_series_correlation():
-    rng = np.random.default_rng(1)
-    x = rng.normal(size=50)
-    a = series(x, freq=ts.Frequency.QUARTERLY, cal=ts.CalendarKind.GREGORIAN, year=2000)
-    b = series(2.0 * x + 1.0, freq=ts.Frequency.QUARTERLY, cal=ts.CalendarKind.GREGORIAN, year=2000)
-    assert ts.series_correlation(a, b) == pytest.approx(1.0)
-
-
 # ---------------------------------------------------------------------------
 # CSV round trips
 # ---------------------------------------------------------------------------
