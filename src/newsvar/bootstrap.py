@@ -6,12 +6,14 @@ first observations fixed, simulates the stacked system forward over the
 original sample span, re-estimates the model on the simulated panel, and
 recomputes the impulse responses.  Everything it needs comes with the
 estimate: the residuals, the initial rows and the spec.  Replications run in
-blocks, one pass each: a block's panels are simulated in one time loop,
-into buffers reused by every block, re-estimated in one call
+blocks.  One time loop simulates two blocks' panels in one time-major
+buffer, reused by every loop: each replication's draws are written into the
+rows after the initial ones and become the shifted shocks there, in place.
+Each block is then re-estimated in one call
 (:func:`~newsvar.svar.estimate_svar_stack`, which bounds its own memory by
-fitting the chains slice by slice) and their responses computed in one
-batched recursion.  Bands are pointwise empirical quantiles across
-replications.
+fitting the chains slice by slice) and its responses computed by batched
+recursions, in sub-slices whose moving-average arrays stay within the
+block's bytes.  Bands are pointwise empirical quantiles across replications.
 """
 
 from __future__ import annotations
@@ -29,11 +31,12 @@ from .timeseries import write_json
 
 __all__ = ["BootstrapBands", "bootstrap_irf", "write_bands_metadata"]
 
-# Bytes one block's simulated panels may take (a shock buffer of the same
-# size comes with them); a block holds whole estimator slices
-# (:func:`~newsvar.svar.stack_slice`), at least one.  Long blocks amortize
-# the per-step cost of the simulation loop and the fixed cost of each
-# estimate and response call.
+# Bytes one block's simulated panels may take; a block holds whole estimator
+# slices (:func:`~newsvar.svar.stack_slice`), at least one.  The panel buffer
+# holds two blocks, so one time loop simulates both, and each block's
+# responses are computed in sub-slices whose moving-average arrays take at
+# most these bytes.  Long blocks amortize the fixed cost of each estimate and
+# response call, and long time loops the per-step cost of the simulation.
 BLOCK_PANEL_BYTES = 1 << 20
 
 
@@ -111,55 +114,70 @@ def bootstrap_irf(
     n_obs = U.shape[0]
     M = spec.max_lag
     N = n_obs + M
-    B1T, B2T = system.Phi1.T, system.Phi2.T
+    B1T, B2T, impact_T = system.Phi1.T, system.Phi2.T, system.impact.T
     shocks, shock_cols = spec.shocks(shocked_control)
     m = est.m
     per_slice = stack_slice(spec, n_obs)
     block = min(replications, per_slice * max(1, BLOCK_PANEL_BYTES // (8 * N * n_state * per_slice)))
     # time-major panels, so each step updates one contiguous (rows, n_state)
-    # slab; rows M.. hold the shifted shocks c + impact u_t until simulated.
-    # A step on one row takes another BLAS path than on two and moves bits, so
-    # a block of one replication simulates a spare copy of it beside it
-    sim = np.empty((N, max(block, 2), n_state))
+    # slab.  One time loop simulates two blocks; a step on one row takes
+    # another BLAS path than on two and moves bits, so a loop of one
+    # replication simulates a spare copy of it beside it
+    sim = np.empty((N, max(2, min(2 * block, replications)), n_state))
     sim[:M] = est.initial[:, None, :]
-    shock = np.empty_like(sim[M:])  # the draws, then per-step products
+    step = np.empty(sim.shape[1:])  # the per-step products
+    # time rows per in-place impact product, whose input numpy copies first:
+    # the copy holds as many values as one estimator slice's panels
+    chunk = max(1, N * per_slice // sim.shape[1])
     equations = np.arange(n_state)
+    # replications per response call, whose (rows, H+1, n, n) moving-average
+    # array stays within a block's panel bytes, however long the horizon
+    response_rows = max(1, BLOCK_PANEL_BYTES // (8 * (horizon + 1) * n_state * n_state))
 
     draws = np.empty((replications, len(shocks), horizon + 1, m))
     dropped = 0
     kept = 0
-    for start in range(0, replications, block):
-        B = min(block, replications - start)
-        for i in range(B):
-            rng = np.random.default_rng(seed + start + i)
+    for first in range(0, replications, 2 * block):
+        width = min(2 * block, replications - first)
+        for i in range(width):
+            rng = np.random.default_rng(seed + first + i)
             if joint_resampling:
-                shock[:, i] = U[rng.integers(0, n_obs, n_obs)]
+                sim[M:, i] = U[rng.integers(0, n_obs, n_obs)]
             else:
                 # one call draws the same stream as one call per equation in turn
-                shock[:, i] = U[rng.integers(0, n_obs, (n_state, n_obs)).T, equations]
-        S = max(B, 2)
-        if B == 1:
-            shock[:, 1] = shock[:, 0]
-        np.matmul(shock[:, :S], system.impact.T, out=sim[M:, :S])
-        sim[M:, :S] += system.c
-        for t in range(M, N):
-            step = shock[t - M, :S]
-            np.matmul(sim[t - 1, :S], B1T, out=step)
-            sim[t, :S] += step
-            if M >= 2:
-                np.matmul(sim[t - 2, :S], B2T, out=step)
-                sim[t, :S] += step
-        stack = estimate_svar_stack(spec, sim[:, :B].transpose(1, 0, 2), controls_var1=est.controls_var1)
-        for _ in range(int(np.count_nonzero(~stack.ok))):
-            dropped += 1
-            if dropped > 0.05 * replications:
-                raise BootstrapError(
-                    f"bootstrap aborted: {dropped} of {replications} replications "
-                    "failed to re-estimate"
-                )
-        good = stack.select(stack.ok)
-        draws[kept : kept + good.ok.size] = stacked_responses(build_stacked(good), horizon, shock_cols, m)
-        kept += good.ok.size
+                sim[M:, i] = U[rng.integers(0, n_obs, (n_state, n_obs)).T, equations]
+        S = max(width, 2)
+        if width == 1:
+            sim[M:, 1] = sim[M:, 0]
+        panels, product = sim[:, :S], step[:S]
+        for first_row in range(M, N, chunk):
+            # the draws become the shifted shocks c + impact u_t in place
+            u = panels[first_row : first_row + chunk]
+            np.matmul(u, impact_T, out=u)
+            u += system.c
+            for t in range(first_row, first_row + len(u)):
+                np.matmul(panels[t - 1], B1T, out=product)
+                panels[t] += product
+                if M >= 2:
+                    np.matmul(panels[t - 2], B2T, out=product)
+                    panels[t] += product
+        for start in range(0, width, block):
+            B = min(block, width - start)
+            stack = estimate_svar_stack(
+                spec, sim[:, start : start + B].transpose(1, 0, 2), controls_var1=est.controls_var1
+            )
+            for _ in range(int(np.count_nonzero(~stack.ok))):
+                dropped += 1
+                if dropped > 0.05 * replications:
+                    raise BootstrapError(
+                        f"bootstrap aborted: {dropped} of {replications} replications "
+                        "failed to re-estimate"
+                    )
+            good = stack.select(stack.ok)
+            for a in range(0, good.ok.size, response_rows):
+                part = good.select(slice(a, a + response_rows))
+                draws[kept : kept + part.ok.size] = stacked_responses(build_stacked(part), horizon, shock_cols, m)
+                kept += part.ok.size
 
     lower, upper, median = _quantiles(draws[:kept], [*quantiles, 0.5])
     return BootstrapBands(

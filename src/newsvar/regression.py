@@ -140,11 +140,11 @@ def lstsq_chain(A: np.ndarray, fits: Sequence[tuple[int, int]]) -> ChainLstsq:
     """
     A = np.asarray(A, dtype=float)
     C, n, K = A.shape
+    P = max((width for width, _ in fits), default=0)
+    if not (0 < P <= n and all(0 < width <= column < K for width, column in fits)):
+        raise ValueError(f"fits {list(fits)} do not fit a ({n}, {K}) chain")
     p = np.array([width for width, _ in fits])
     c = np.array([column for _, column in fits])
-    if not (np.all(0 < p) and np.all(p <= c) and np.all(c < K) and p.max() <= n):
-        raise ValueError(f"fits {list(fits)} do not fit a ({n}, {K}) chain")
-    P = int(p.max())
     finite = np.isfinite(A).all(axis=(1, 2))
     if not finite.all():
         A = np.where(finite[:, None, None], A, 0.0)  # rank 0 below

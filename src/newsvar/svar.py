@@ -517,7 +517,12 @@ def estimate_svar_arrays(
     if not one.ok[0]:
         raise _estimate_error(spec, Z, controls_var1)
     point = one.select(0)
-    fits = tuple(chain_fit(*factored[i], ("const",) + _labels(terms)) for i, terms in enumerate(spec._terms))
+    # a row-major copy of each design: chain_fit's residual matmul takes
+    # another BLAS path on the column-major one and rounds differently
+    fits = tuple(
+        chain_fit(np.ascontiguousarray(factored[i][0]), *factored[i][1:], ("const",) + _labels(terms))
+        for i, terms in enumerate(spec._terms)
+    )
     # the exogenous innovations over t = 1..N-1, from the stack's coefficients
     x = Z[:, spec.m :]
     exogenous = np.column_stack(
@@ -566,7 +571,10 @@ def _var1_stack(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.n
     Returns the intercepts (B, q), transitions (B, q, q), innovation
     standard errors (B, q) and full-rank flags (B,)."""
     B, N, q = z.shape
-    A = np.concatenate([np.ones((B, N - 1, 1)), z[:, :-1], z[:, 1:]], axis=2)
+    A = np.empty((B, 2 * q + 1, N - 1)).transpose(0, 2, 1)  # column-major, as LAPACK reads it
+    A[..., 0] = 1.0
+    A[..., 1 : q + 1] = z[:, :-1]
+    A[..., q + 1 :] = z[:, 1:]
     fit = lstsq_chain(A, [(q + 1, q + 1 + j) for j in range(q)])
     transition = np.swapaxes(fit.coefficients[:, 1:, :], 1, 2)
     return fit.coefficients[:, 0, :], transition, np.sqrt(fit.ssr / (N - 2 - q)), fit.full_rank
@@ -589,7 +597,9 @@ def estimate_svar_stack(
 
 # Bytes one slice's widest equation design may take: the slice's design and
 # QR copies grow with it, so this bounds the memory of the chain fits (about
-# 1 MB at 4 equations and 125 periods, where it allows 47 panels).
+# 1 MB at 4 equations and 125 periods, where it allows 47 panels).  Each
+# panel's design is column-major, so the QR's copy of it into LAPACK's buffer
+# reads it in order.
 SLICE_DESIGN_BYTES = 1 << 19
 
 
@@ -604,7 +614,8 @@ def stack_slice(spec: SvarSpec, nobs: int) -> int:
 def _estimate_stack(spec: SvarSpec, Z: np.ndarray, controls_var1: bool) -> tuple[SvarStack, dict]:
     """:func:`estimate_svar_stack`, with equation i's chain in ``factored[i]``:
     the :func:`~newsvar.regression.chain_fit` arguments (A, fit, j, column,
-    order) of the stack's last slice, the whole stack when it is one panel."""
+    order) of the stack's last slice, the whole stack when it is one panel.
+    Each panel of A is column-major."""
     m, k = spec.m, len(spec.controls)
     n = len(spec.columns)
     if Z.ndim != 3 or Z.shape[2] != n:
@@ -640,7 +651,9 @@ def _estimate_stack(spec: SvarSpec, Z: np.ndarray, controls_var1: bool) -> tuple
     for first in range(0, C, step):
         rows = slice(first, min(first + step, C))
         for chain in spec._chains:
-            A = np.empty((rows.stop - first, nobs, 1 + len(chain.columns)))
+            # each panel's design column-major, so the QR's copy of it into
+            # LAPACK's buffer reads it in order; R is the same either way
+            A = np.empty((rows.stop - first, 1 + len(chain.columns), nobs)).transpose(0, 2, 1)
             A[..., 0] = 1.0
             for j, lag, c, width in chain.slabs:
                 A[..., j : j + width] = Z[rows, M - lag : N - lag, c : c + width]

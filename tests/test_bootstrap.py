@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -348,17 +349,26 @@ def test_chunked_bootstrap_matches_reference_across_chunks(monkeypatch):
 @pytest.mark.parametrize(
     "block_bytes, slice_panels",
     [
-        pytest.param(1, 5, id="1"),  # a block of one slice: blocks of 5, 5, 5, 5, 3
-        # blocks of two slices: 10, 10, 3, the last slice of 3
+        # a block of one slice: blocks of 5, 5, 5, 5, 3 in time loops of 10, 10, 3
+        pytest.param(1, 5, id="1"),
+        # blocks of two slices: 10, 10, 3 in time loops of 20 and 3, the last slice of 3
         pytest.param(10 * 8 * 100 * 4, 5, id="32000"),
         pytest.param(1 << 30, 5, id="1073741824"),  # one block of all 23
-        # blocks of one slice of 11: 11, 11, then a block of one replication
+        # blocks of one slice of 11: a time loop of 11 + 11, then one of a
+        # block of one replication
         pytest.param(1, 11, id="last-block-of-one"),
+        # time loops of two blocks of 4: 4 + 4, 4 + 4, 4 + 3
+        pytest.param(1, 4, id="loop-of-two-blocks"),
+        # blocks of two slices of 11: one time loop of 23, blocks of 22 and 1
+        pytest.param(22 * 8 * 100 * 4, 11, id="block-of-one-inside-a-loop"),
+        # blocks of one replication in time loops of two, the last loop of one
+        pytest.param(1, 1, id="last-loop-of-one"),
     ],
 )
 def test_block_boundaries_do_not_move_a_bit(monkeypatch, block_bytes, slice_panels):
-    # the panels are simulated block by block into reused buffers, and each
-    # block is estimated in slices; where the blocks end moves nothing
+    # the panels are simulated two blocks per time loop into one reused
+    # buffer, and each block is estimated in slices; where the blocks and the
+    # loops end moves nothing
     _, est, Z = fitted_system(seed=14, T=100)
     kwargs = dict(
         horizon=5,
@@ -404,8 +414,62 @@ def test_blocks_reuse_one_set_of_buffers(monkeypatch):
     bs.bootstrap_irf(est, horizon=4, replications=14, seed=2)
     # one estimate per block, however many slices it fits the block in
     assert [len(sims) for sims in handed] == [4, 4, 4, 2]
-    for later in handed[1:]:
-        assert np.shares_memory(handed[0], later)
+    # every block is a view into the one panel buffer, two blocks per time loop
+    buffer = handed[0].base
+    assert buffer is not None
+    for sims in handed:
+        assert sims.base is buffer and np.shares_memory(sims, buffer)
+
+
+def test_responses_sub_sliced_under_the_block_budget_do_not_move_a_bit(monkeypatch):
+    # a block's responses are computed in sub-slices whose (rows, H+1, n, n)
+    # moving-average array stays under the block's byte budget; blocks of 10
+    # (one slice each) throughout, responses in sub-slices of 10, 3 and 1
+    _, est, Z = fitted_system(seed=14, T=100)
+    kwargs = dict(horizon=5, replications=23, seed=9)
+    n = len(est.spec.columns)
+    g_row = 8 * (kwargs["horizon"] + 1) * n * n
+    monkeypatch.setattr(sv, "SLICE_DESIGN_BYTES", 10 * 8 * (Z.shape[0] - 2) * 9)
+    runs = {}
+    blocks = [10, 10, 3]
+    for rows, budget in ((10, 10 * g_row), (3, 3 * g_row), (1, 1)):
+        monkeypatch.setattr(bs, "BLOCK_PANEL_BYTES", budget)
+        sizes = []
+        original = bs.stacked_responses
+
+        def spy(system, *args):
+            sizes.append(len(system.Phi1))
+            return original(system, *args)
+
+        monkeypatch.setattr(bs, "stacked_responses", spy)
+        runs[rows] = bs.bootstrap_irf(est, **kwargs)
+        monkeypatch.setattr(bs, "stacked_responses", original)
+        assert sizes == [min(rows, b - a) for b in blocks for a in range(0, b, rows)]
+    one_call = runs[10]
+    for bands in runs.values():
+        assert bands.replications == 23
+        for shock in bands.shocks:
+            for name in ("lower", "upper", "median"):
+                assert np.array_equal(getattr(bands, name)[shock], getattr(one_call, name)[shock]), (shock, name)
+
+
+def test_bootstrap_traced_peak_holds_one_panel_buffer():
+    # the stress_bands shape; numpy reports its arrays to tracemalloc.  The
+    # peak is the draws plus 3.63 BLOCK_PANEL_BYTES: the panel buffer of two
+    # blocks and one block's estimator workspace, after the untouched buffer
+    # that sets malloc's thresholds.  One more block's worth of panels crosses 4
+    rng = np.random.default_rng(23)
+    truth = random_stable_system(rng, m=6, k=2, radius=0.5, controls_var1=True)
+    est = sv.estimate_svar_arrays(truth.spec, simulate_panel(truth, 400, rng), controls_var1=True)
+    replications, horizon = 141, 40  # two time loops of two blocks, then one of one
+    tracemalloc.start()
+    try:
+        bands = bs.bootstrap_irf(est, horizon=horizon, replications=replications, seed=5, joint_resampling=True)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    draws = 8 * replications * len(bands.shocks) * (horizon + 1) * est.m
+    assert peak <= draws + 4 * bs.BLOCK_PANEL_BYTES
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)

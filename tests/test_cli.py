@@ -737,6 +737,33 @@ def test_memory_error_exits_1_with_one_line(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/statm")
+def test_bootstrap_responses_fit_where_one_block_of_them_would_not(tmp_path):
+    # one replication's (H+1, n, n) moving-average array fills a block's byte
+    # budget, so one block of all 80 replications would hold 80 MiB of them,
+    # more than the 64 MiB of address space the probe leaves itself; the
+    # block's responses are computed in sub-slices under the budget instead
+    rng = np.random.default_rng(5)
+    T = 60
+    names = ["y", "s"] + [f"g{j}" for j in range(6)]
+    for name in names:
+        write_series(tmp_path / f"{name}.csv", quarter_labels(1989, T), rng.normal(size=T))
+    spec = {"ordering": ["y"], "lags": 1, "intervention": [True, True], "controls": names[2:]}
+    (tmp_path / "spec.json").write_text(json.dumps(spec), encoding="utf-8")
+    n = len(names)
+    config = write_config(tmp_path, {"model": {
+        "spec": "spec.json",
+        "data": {name: f"{name}.csv" for name in names},
+        "horizon": boot.BLOCK_PANEL_BYTES // (8 * n * n) - 1,
+        "method": "stacked",
+        "bootstrap": {"replications": 80, "seed": 1},
+    }})
+    run = run_python(_MEMORY_PROBE, "dynamics", "--config", config)
+    assert run.stdout.strip() == "0", run.stderr
+    meta = json.loads((tmp_path / "out" / "bootstrap_meta.json").read_text(encoding="utf-8"))
+    assert meta["replications"] + meta["dropped"] == 80
+
+
 _FAULT_PROBE = """
 import resource, sys
 from newsvar import cli

@@ -254,6 +254,35 @@ def test_lstsq_chain_matches_numpy_lstsq_fit_by_fit(problem):
 
 
 @KERNEL_PROPERTY
+@given(chain_problems(), st.data())
+def test_lstsq_chain_reads_a_column_major_stack_bit_for_bit(problem, data):
+    # the QR copies each design into LAPACK's column-major buffer from either
+    # layout, so a column-major stack gives the row-major call's numbers exactly
+    A, fits = problem
+    C, n, K = A.shape
+    for c in data.draw(st.lists(st.integers(0, C - 1), unique=True), label="non-finite panels"):
+        cell = data.draw(st.tuples(st.integers(0, n - 1), st.integers(0, K - 1)), label="cell")
+        A[(c, *cell)] = data.draw(st.sampled_from([np.nan, np.inf, -np.inf]), label="value")
+    F = np.empty((C, K, n)).transpose(0, 2, 1)
+    F[...] = A
+    assert all(panel.flags.f_contiguous for panel in F)
+    want, got = reg.lstsq_chain(A, fits), reg.lstsq_chain(F, fits)
+    for name in ("coefficients", "ssr", "rank", "R"):
+        assert np.array_equal(getattr(got, name), getattr(want, name), equal_nan=True), name
+
+
+@pytest.mark.parametrize(
+    "fits",
+    [[], [(0, 1)], [(2, 1)], [(1, 4)], [(3, 3)], [(1, 1), (2, 4)], [(2, 3), (3, 3)]],
+)
+def test_lstsq_chain_refuses_fits_outside_the_chain(fits):
+    # a (2, 4) chain: widths 1..2, each dependent column from its width to 3
+    with pytest.raises(ValueError) as info:
+        reg.lstsq_chain(np.ones((1, 2, 4)), fits)
+    assert str(info.value) == f"fits {fits} do not fit a (2, 4) chain"
+
+
+@KERNEL_PROPERTY
 @given(stacked_problems(min_k=2), st.data())
 def test_ols_names_a_planted_dependent_column(problem, data):
     X, Y = problem

@@ -529,7 +529,8 @@ def test_stacked_estimate_matches_equation_by_equation(problem):
 def test_chain_designs_built_by_slabs_equal_their_stacked_columns(problem):
     # each chain design is filled one slab per run of adjacent panel columns
     # at one lag; it equals the constant and the chain's columns stacked one
-    # by one, and no two neighbouring slabs could have been one
+    # by one, and no two neighbouring slabs could have been one.  Each panel's
+    # design is column-major, the layout the QR copies into LAPACK's buffer
     spec, controls_var1, Z = problem
     _, factored = sv._estimate_stack(spec, Z, controls_var1)
     col = {name: j for j, name in enumerate(spec.columns)}
@@ -538,7 +539,7 @@ def test_chain_designs_built_by_slabs_equal_their_stacked_columns(problem):
         A = factored[chain.equations[0]][0]
         columns = [Z[:, M - lag : N - lag, col[name]] for name, lag in chain.columns]
         want = np.stack([np.ones((len(Z), N - M))] + columns, axis=-1)
-        assert A.flags.c_contiguous
+        assert all(design.flags.f_contiguous for design in A)
         assert np.array_equal(A, want, equal_nan=True)
         assert chain.slabs[0][0] == 1
         assert sum(width for *_, width in chain.slabs) == len(chain.columns)
