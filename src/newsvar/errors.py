@@ -60,6 +60,3 @@ class ModelSpecError(NewsvarError):
 class BootstrapError(NewsvarError, RuntimeError):
     """Too many bootstrap replications failed to re-estimate."""
 
-
-class CoverageWarning(UserWarning):
-    """Non-fatal data coverage issue (e.g. a month with no publishing days)."""

@@ -10,7 +10,6 @@ nets entity-list additions against removals.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from datetime import date
 from enum import Enum
@@ -21,7 +20,6 @@ import numpy as np
 
 from .errors import (
     AlignmentError,
-    CoverageWarning,
     DegenerateDataError,
     GapError,
     NormalizationError,
@@ -214,9 +212,9 @@ class EntityFlowSeries:
 def monthly_mean_count(panel: ArticleCountPanel) -> CalendarSeries:
     """Grand mean of counts over outlets and publishing days, per month.
 
-    Months inside the panel span with no publishing days are reported via
-    :class:`CoverageWarning` and excluded; because exclusion leaves a hole in
-    the month run, a :class:`GapError` follows.
+    Months inside the panel span with no publishing days would leave a hole
+    in the month run, so they are refused with a :class:`GapError` that
+    names them.
     """
     first, days = panel.publishing_days()
     empty = np.flatnonzero(days == 0)
@@ -225,7 +223,6 @@ def monthly_mean_count(panel: ArticleCountPanel) -> CalendarSeries:
             PeriodLabel.from_index(first + int(m), Frequency.MONTHLY).format(Frequency.MONTHLY)
             for m in empty
         )
-        warnings.warn(f"months with no publishing days excluded: {labels}", CoverageWarning)
         raise GapError(f"excluded months leave an interior gap: {labels}")
     # float sums of integer counts are exact while a month's total stays below 2**53
     totals = np.bincount(panel.month - first, weights=panel.count, minlength=days.size)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
-from typing import Mapping, NamedTuple, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -51,18 +51,26 @@ def _labels(terms: Sequence[tuple[str, int]]) -> tuple[str, ...]:
 class SvarSpec:
     """Specification of the recursive system.
 
+    Every field is checked and normalized here, whether the spec is built by
+    keyword or read by :meth:`from_json`; a field of the wrong shape or
+    meaning is a :class:`ModelSpecError`.
+
     Args:
         ordering: endogenous variable names, causal order first to last.
-        lags: base lag order applied to every endogenous variable, either a
-            single int (all equations) or a per-equation mapping.  Lags 1 and
-            2 are supported.
+        lags: base lag order (1 or 2) of every equation, either a single int
+            or a per-equation mapping that names every equation.
         extra_lags: per-equation additional (variable, lag) terms beyond the
             base lags, e.g. a second own lag in one equation only.
         intervention: (current, lagged) inclusion flags for the intervention
-            series, either shared or per equation.
-        intervention_name: name of the intervention series in the data panel.
+            series, either shared or per equation; an equation the mapping
+            leaves out takes neither.
+        intervention_name: name of the intervention series in the data panel,
+            a non-empty string.
         controls: names of contemporaneous global controls (every equation
             includes all of them).
+
+    ``lags`` and ``intervention`` are held as mappings from every equation,
+    in causal order, to its lag order and its flags.
     """
 
     ordering: tuple[str, ...]
@@ -73,62 +81,63 @@ class SvarSpec:
     controls: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "ordering", tuple(self.ordering))
-        object.__setattr__(self, "controls", tuple(self.controls))
-        if not self.ordering:
+        # every field's shape first, then what the fields mean together
+        lags = _spec_per_equation(self.lags, "lags", _spec_int)
+        flags = _spec_per_equation(self.intervention, "intervention", _spec_flags)
+        if not isinstance(self.extra_lags, Mapping):
+            raise ModelSpecError("spec field 'per_equation_extras' must map equations to terms")
+        extras = {eq: _spec_terms(v, f"per_equation_extras.{eq}") for eq, v in self.extra_lags.items()}
+        ordering = _spec_names(self.ordering, "ordering")
+        controls = _spec_names(self.controls, "controls")
+        name = self.intervention_name
+        if not isinstance(name, str) or not name:
+            raise ModelSpecError(f"spec field 'intervention_name' must be a non-empty string, got {name!r}")
+        if not ordering:
             raise ModelSpecError("ordering must name at least one variable")
-        if len(set(self.ordering)) != len(self.ordering):
+        if len(set(ordering)) != len(ordering):
             raise ModelSpecError("ordering has duplicate variable names")
-        reserved = set(self.ordering) | {self.intervention_name}
-        if len(set(self.controls)) != len(self.controls):
+        if len(set(controls)) != len(controls):
             raise ModelSpecError("duplicate control names")
-        if reserved & set(self.controls):
+        if (set(ordering) | {name}) & set(controls):
             raise ModelSpecError("controls overlap endogenous or intervention names")
-        if self.intervention_name in self.ordering:
+        if name in ordering:
             raise ModelSpecError("intervention name clashes with an endogenous variable")
-        for eq in self.ordering:
-            if not 1 <= self.base_lags(eq) <= 2:
+        if isinstance(lags, int):
+            lags = dict.fromkeys(ordering, lags)
+        for eq in ordering:
+            if eq not in lags:
+                raise ModelSpecError(f"no lag order given for equation {eq!r}")
+            if not 1 <= lags[eq] <= 2:
                 raise ModelSpecError(f"base lag order for {eq!r} must be 1 or 2")
-        extras = {str(k): tuple(tuple(t) for t in v) for k, v in dict(self.extra_lags).items()}
         for eq, terms in extras.items():
-            if eq not in self.ordering:
+            if eq not in ordering:
                 raise ModelSpecError(f"extra lags reference unknown equation {eq!r}")
-            base = self.base_lags(eq)
             if len(set(terms)) != len(terms):
                 raise ModelSpecError(f"extra lags of {eq!r} list a term twice")
-            for name, lag_ in terms:
-                if name not in self.ordering:
-                    raise ModelSpecError(f"extra lag references unknown variable {name!r}")
-                if not 1 <= int(lag_) <= 2:
+            for term, lag_ in terms:
+                if term not in ordering:
+                    raise ModelSpecError(f"extra lag references unknown variable {term!r}")
+                if not 1 <= lag_ <= 2:
                     raise ModelSpecError("extra lags support orders 1 and 2 only")
-                if int(lag_) <= base:
+                if lag_ <= lags[eq]:
                     raise ModelSpecError(
-                        f"extra term {name}.L{lag_} already covered by base lags of {eq!r}"
+                        f"extra term {term}.L{lag_} already covered by base lags of {eq!r}"
                     )
-        object.__setattr__(
-            self,
-            "extra_lags",
-            {eq: tuple((str(n), int(l)) for n, l in terms) for eq, terms in extras.items()},
-        )
+        if not isinstance(flags, Mapping):
+            flags = dict.fromkeys(ordering, flags)
+        for what, given in (("lags", lags), ("intervention", flags)):
+            unknown = sorted((eq for eq in given if eq not in ordering), key=str)
+            if unknown:
+                raise ModelSpecError(f"spec field {what!r} names equations not in the ordering: {unknown}")
+        object.__setattr__(self, "ordering", ordering)
+        object.__setattr__(self, "controls", controls)
+        object.__setattr__(self, "lags", {eq: lags[eq] for eq in ordering})
+        object.__setattr__(self, "intervention", {eq: flags.get(eq, (False, False)) for eq in ordering})
+        object.__setattr__(self, "extra_lags", extras)
 
     @property
     def m(self) -> int:
         return len(self.ordering)
-
-    def base_lags(self, equation: str) -> int:
-        if isinstance(self.lags, int):
-            return self.lags
-        try:
-            return int(self.lags[equation])
-        except KeyError:
-            raise ModelSpecError(f"no lag order given for equation {equation!r}") from None
-
-    def intervention_flags(self, equation: str) -> tuple[bool, bool]:
-        if isinstance(self.intervention, Mapping):
-            flags = self.intervention.get(equation, (False, False))
-        else:
-            flags = self.intervention
-        return bool(flags[0]), bool(flags[1])
 
     @cached_property
     def columns(self) -> tuple[str, ...]:
@@ -155,10 +164,10 @@ class SvarSpec:
         """Ordered (name, lag) pairs entering this equation, intercept excluded."""
         i = self.ordering.index(equation)
         terms: list[tuple[str, int]] = [(v, 0) for v in self.ordering[:i]]
-        for lag_ in range(1, self.base_lags(equation) + 1):
+        for lag_ in range(1, self.lags[equation] + 1):
             terms.extend((v, lag_) for v in self.ordering)
         terms.extend(self.extra_lags.get(equation, ()))
-        current, lagged = self.intervention_flags(equation)
+        current, lagged = self.intervention[equation]
         if current:
             terms.append((self.intervention_name, 0))
         if lagged:
@@ -178,49 +187,30 @@ class SvarSpec:
 
     @staticmethod
     def from_json(payload: Mapping[str, object]) -> "SvarSpec":
+        """The spec a spec file's JSON object describes; the file's
+        ``per_equation_extras`` is the ``extra_lags`` field."""
         if not isinstance(payload, Mapping):
             raise ModelSpecError("spec file must hold a JSON object")
-        known = {
-            "ordering",
-            "lags",
-            "per_equation_extras",
-            "intervention",
-            "intervention_name",
-            "controls",
-        }
-        unknown = set(payload) - known
+        known = ("ordering", "lags", "per_equation_extras", "intervention", "intervention_name", "controls")
+        unknown = set(payload) - set(known)
         if unknown:
             raise ModelSpecError(f"unknown spec fields: {sorted(unknown)}")
         if "ordering" not in payload:
             raise ModelSpecError("spec file must name the variable ordering")
-        lags = payload.get("lags", 2)
-        if isinstance(lags, Mapping):
-            lags = {str(k): _spec_int(v, f"lags.{k}") for k, v in lags.items()}
-        else:
-            lags = _spec_int(lags, "lags")
-        intervention = payload.get("intervention", (True, True))
-        if isinstance(intervention, Mapping):
-            intervention = {
-                str(k): _spec_flags(v, f"intervention.{k}") for k, v in intervention.items()
-            }
-        else:
-            intervention = _spec_flags(intervention, "intervention")
-        extra = payload.get("per_equation_extras", {})
-        if not isinstance(extra, Mapping):
-            raise ModelSpecError("spec field 'per_equation_extras' must map equations to terms")
-        extra = {str(k): _spec_terms(v, f"per_equation_extras.{k}") for k, v in extra.items()}
-        return SvarSpec(
-            ordering=_spec_names(payload["ordering"], "ordering"),
-            lags=lags,
-            extra_lags=extra,
-            intervention=intervention,
-            intervention_name=str(payload.get("intervention_name", "s")),
-            controls=_spec_names(payload.get("controls", ()), "controls"),
-        )
+        renamed = {"per_equation_extras": "extra_lags"}
+        return SvarSpec(**{renamed.get(key, key): value for key, value in payload.items()})
 
 
-# Checked readers for the JSON spec fields: a field of the wrong shape is a
+# Checked readers for the spec fields: a field of the wrong shape is a
 # ModelSpecError, never a stray TypeError, or a string split into characters.
+
+
+def _spec_per_equation(value: object, what: str, read: Callable[[object, str], object]) -> object:
+    """``read`` of a field given once for every equation, or of each value of
+    its per-equation mapping."""
+    if isinstance(value, Mapping):
+        return {eq: read(v, f"{what}.{eq}") for eq, v in value.items()}
+    return read(value, what)
 
 
 def _spec_int(value: object, what: str) -> int:

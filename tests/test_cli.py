@@ -302,6 +302,22 @@ def test_build_index_undecodable_counts_file_is_data_error(index_workspace, caps
     assert_one_line_error(capsys, "bad.csv", "not UTF-8")
 
 
+def test_build_index_month_without_coverage_is_one_line(index_workspace):
+    # in a fresh interpreter, where a warning would reach stderr: the GapError
+    # is the one line, with no warning naming the same month before it
+    counts = index_workspace / "on.csv"
+    rows = counts.read_text(encoding="utf-8").splitlines(keepends=True)
+    counts.write_text("".join(row for row in rows if not row.startswith("1989-03-")), encoding="utf-8")
+    config = write_config(index_workspace, {"out_dir": "out", "index": {"on_counts": "on.csv"}})
+    run = run_python(
+        "import sys; from newsvar import cli; sys.exit(cli.main(sys.argv[1:]))",
+        "build-index", "--config", config, check=False,
+    )
+    assert run.returncode == 2
+    assert run.stderr == "error: excluded months leave an interior gap: 1989-03\n"
+    assert not (index_workspace / "out").exists()
+
+
 def explosive_workspace(tmp_path, T):
     """A model section with one domestic variable and an explosive
     intervention process over ``T`` quarters."""
@@ -629,6 +645,37 @@ def test_malformed_spec_field_is_model_error(tmp_path, capsys, field, value):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "field, value, fragment",
+    [
+        # equation names in another case used to drop the intervention from
+        # every equation without a word, so every s-shock response read 0
+        (
+            "intervention",
+            {"V0": [True, True], "V1": [True, True], "V2": [True, True]},
+            "spec field 'intervention' names equations not in the ordering: ['V0', 'V1', 'V2']",
+        ),
+        ("lags", {"v0": 2, "v1": 2, "v2": 2, "v3": 1}, "spec field 'lags' names equations not in the ordering: ['v3']"),
+        # these used to become the intervention names "None" and "5"
+        ("intervention_name", None, "spec field 'intervention_name' must be a non-empty string, got None"),
+        ("intervention_name", 5, "spec field 'intervention_name' must be a non-empty string, got 5"),
+        ("intervention_name", "", "spec field 'intervention_name' must be a non-empty string, got ''"),
+    ],
+    ids=["upper-cased-intervention", "unknown-lags-key", "null-name", "number-name", "empty-name"],
+)
+def test_spec_field_naming_nothing_in_the_system_is_model_error(tmp_path, capsys, field, value, fragment):
+    _, data_map = model_workspace(tmp_path, T=60)
+    spec = json.loads((tmp_path / "spec.json").read_text(encoding="utf-8"))
+    spec[field] = value
+    (tmp_path / "spec.json").write_text(json.dumps(spec), encoding="utf-8")
+    section = {"spec": "spec.json", "data": data_map, "horizon": 4}
+    config = write_config(tmp_path, {"out_dir": "out", "model": section})
+    for command in ("validate", "estimate", "dynamics"):
+        assert cli.main([command, "--config", str(config)]) == 2, command
+        assert_one_line_error(capsys, fragment)
+    assert not (tmp_path / "out").exists()
+
+
 _LOAD_PROBE = """
 import json, sys
 root = sys.argv[1]
@@ -641,13 +688,13 @@ print(json.dumps(report))
 """
 
 
-def run_python(code, *argv):
+def run_python(code, *argv, check=True):
     """``python -c code argv...`` in a fresh interpreter that imports this package."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     return subprocess.run(
         [sys.executable, "-c", code, *map(str, argv)],
-        env=env, capture_output=True, text=True, timeout=120, check=True,
+        env=env, capture_output=True, text=True, timeout=120, check=check,
     )
 
 

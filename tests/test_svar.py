@@ -73,6 +73,18 @@ def test_spec_validation():
         sv.SvarSpec(ordering=("a", "b"), lags=2, extra_lags={"a": (("b", 2),)})
     with pytest.raises(ModelSpecError, match="twice"):
         sv.SvarSpec(ordering=("a", "b"), lags=1, extra_lags={"a": (("b", 2), ("b", 2))})
+    # keyword construction takes the spec file's checks: a field of the wrong
+    # type is not a stray TypeError, nor a truthy value read as a flag
+    with pytest.raises(ModelSpecError, match="'lags' must be an integer"):
+        sv.SvarSpec(ordering=("a",), lags="2")
+    with pytest.raises(ModelSpecError, match="'intervention' must be a .current, lagged. pair"):
+        sv.SvarSpec(ordering=("a",), intervention=("yes", 0))
+    with pytest.raises(ModelSpecError, match="'intervention_name' must be a non-empty string"):
+        sv.SvarSpec(ordering=("a",), intervention_name=None)
+    with pytest.raises(ModelSpecError, match=r"'lags' names equations not in the ordering: \['c'\]"):
+        sv.SvarSpec(ordering=("a", "b"), lags={"a": 1, "b": 1, "c": 2})
+    with pytest.raises(ModelSpecError, match=r"'intervention' names equations not in the ordering: \['A'\]"):
+        sv.SvarSpec(ordering=("a", "b"), intervention={"A": (True, True)})
 
 
 def test_spec_reproduces_published_inflation_equation_layout():
@@ -125,6 +137,70 @@ def test_spec_json_round_trip():
     assert other == spec
     with pytest.raises(ModelSpecError):
         sv.SvarSpec.from_json({"ordering": ["a"], "bogus": 1})
+
+
+def test_spec_holds_lags_and_intervention_per_equation():
+    spec = sv.SvarSpec(ordering=("a", "b"), lags=1, intervention={"b": (True, False)})
+    assert spec.lags == {"a": 1, "b": 1}
+    assert spec.intervention == {"a": (False, False), "b": (True, False)}
+    assert spec == sv.SvarSpec(ordering=("a", "b"), lags={"b": 1, "a": 1}, intervention=spec.intervention)
+
+
+NAMES = ("a", "b", "c", "s", "g")
+JSON_LIKE = st.recursive(
+    st.none() | st.booleans() | st.integers(-1, 3) | st.floats() | st.sampled_from(NAMES + ("",)),
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(st.sampled_from(NAMES), children, max_size=4),
+    max_leaves=10,
+)
+FLAGS = st.tuples(st.booleans(), st.booleans())
+
+
+@st.composite
+def spec_objects(draw):
+    """Spec-file objects whose fields are each left out, near a valid value
+    (lag orders 0-3, an equation map that may miss an equation or name one
+    off the ordering, names that may clash) or any JSON value."""
+    names = st.sampled_from(NAMES)
+    lags = st.sampled_from([1, 2, 1, 2, 0, 3])
+    ordering = draw(st.lists(names, min_size=1, max_size=3, unique=True), label="ordering")
+
+    def per_equation(values):
+        mapping = draw(st.fixed_dictionaries({eq: values for eq in ordering}, optional={"A": values}))
+        mapping.pop(draw(st.sampled_from([None] * 4 + ordering)), None)
+        return mapping
+
+    near = {
+        "ordering": ordering,
+        "lags": draw(lags) if draw(st.booleans()) else per_equation(lags),
+        "per_equation_extras": per_equation(st.lists(st.tuples(names, lags), max_size=1)),
+        "intervention": draw(FLAGS) if draw(st.booleans()) else per_equation(FLAGS),
+        "intervention_name": draw(st.sampled_from(["s"] * 6 + ["a", "g", ""])),
+        "controls": draw(st.lists(st.sampled_from(["g", "h", "g", "a"]), max_size=2)),
+    }
+    payload = {}
+    for key, value in near.items():
+        how = draw(st.sampled_from(["near"] * 8 + ["omit", "any"]), label=key)
+        if how != "omit":
+            payload[key] = value if how == "near" else draw(JSON_LIKE)
+    if draw(st.sampled_from([False] * 9 + [True]), label="unknown field"):
+        payload["bogus"] = draw(JSON_LIKE)
+    return payload
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(spec_objects())
+def test_spec_file_is_a_spec_or_a_model_error(payload):
+    payload = json.loads(json.dumps(payload))
+    try:
+        spec = sv.SvarSpec.from_json(payload)
+    except ModelSpecError:
+        return
+    assert tuple(spec.lags) == tuple(spec.intervention) == spec.ordering
+    assert all(lag_ in (1, 2) for lag_ in spec.lags.values())
+    for terms in spec._terms:
+        assert all(name in spec.columns and lag_ in (0, 1, 2) for name, lag_ in terms)
+    # the normalized fields are a spec of their own, the same one
+    assert sv.SvarSpec(**{f.name: getattr(spec, f.name) for f in fields(spec)}) == spec
 
 
 # ---------------------------------------------------------------------------
