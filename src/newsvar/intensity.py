@@ -406,6 +406,27 @@ def sdn_index(flows: EntityFlowSeries, w: float = 0.4) -> IntensityIndex:
 _BLOCK_BYTES = 1 << 17
 # the low k bytes of a little-endian 8-byte word, for k = 0..8
 _LOW_BYTES = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)
+# a block reads a field from its runs of equal neighbouring cells when they
+# average this many rows or more, else from its sorted distinct cells: one
+# run costs a decoded and looked-up cell, about 0.22 us (a date's digits
+# cost less), and the sort about 0.03 us per row for each 8-byte piece of
+# the field (one CPU)
+_ROWS_PER_RUN = 8
+# a date cell's two words, "YYYY-MM-" and "DD" with the bytes after it, lie
+# bytewise between the first and the second pair of bounds; an ASCII byte b
+# reaches a lower bound lo where b + 0x80 - lo carries into its top bit, and
+# passes an upper bound hi where b + 0x7f - hi does
+_ISO_LOW, _ISO_HIGH = (
+    np.array([int.from_bytes(bytes(top - b for b in word), "little") for word in bounds], dtype=np.uint64)
+    for top, bounds in (
+        (0x80, (b"0000-00-", b"00" + b"\x00" * 6)),
+        (0x7F, (b"9999-99-", b"99" + b"\x7f" * 6)),
+    )
+)
+_TOP_BITS = np.uint64(0x8080808080808080)
+# the year, month and day from the 16 low halves of a date cell's two words
+_ISO_PLACES = np.zeros((16, 3))
+_ISO_PLACES[[0, 1, 2, 3, 5, 6, 8, 9], [0, 0, 0, 0, 1, 1, 2, 2]] = [1000, 100, 10, 1, 10, 1, 10, 1]
 
 
 def read_counts_csv(path: str | Path) -> ArticleCountPanel:
@@ -520,9 +541,12 @@ def _plain_block(
 
     A plain row is ASCII with no NUL, quote or CR, and has exactly two
     commas, a 10-byte date, a non-empty outlet and a count of 1-18 digits;
-    ``csv`` would split it at its commas.  Its date and outlet cells are
-    looked up as in :func:`_parse_row`, and a bad date or blank outlet
-    makes the block not valid.
+    ``csv`` would split it at its commas.  Each field's cells are read at
+    the rows :func:`_distinct_fields` picks, so a cell may be read more than
+    once.  A date in ``YYYY-MM-DD`` form gets its ordinal from its digits
+    (:func:`_iso_days`); other date cells and the outlet cells are looked up
+    as in :func:`_parse_row`.  A bad date or blank outlet makes the block
+    not valid.
     """
     if not _plain_bytes(data):
         return None
@@ -553,13 +577,16 @@ def _plain_block(
     # cover the longest outlet's last word
     padded = np.concatenate((buf, np.zeros(int(outlet_width.max()) + 8, dtype=np.uint8)))
     words = np.ndarray((padded.size - 7,), dtype="<u8", buffer=padded, strides=(1,))
-    date_at, date_id = _distinct_fields(words, start, np.full(end.size, 10))
+    date_at, date_id = _distinct_fields(words, start, 10)
     outlet_at, outlet_id = _distinct_fields(words, first + 1, outlet_width)
-    date_cells = [data[i : i + 10].decode("ascii") for i in start[date_at].tolist()]
+    date_day = _iso_days(words, start[date_at])
+    other = np.flatnonzero(date_day == 0)  # another ISO form, or no date
+    date_cells = [data[i : i + 10].decode("ascii") for i in start[date_at[other]].tolist()]
     outlet_bounds = zip((first[outlet_at] + 1).tolist(), second[outlet_at].tolist())
     outlet_cells = [data[i:j].decode("ascii") for i, j in outlet_bounds]
     _learn_cells(date_cells, outlet_cells, days, cells_to_code, codes)
-    day = np.array([days[cell] for cell in date_cells], dtype=np.int64)[date_id]
+    date_day[other] = [days[cell] for cell in date_cells]
+    day = date_day[date_id]
     code = np.array([cells_to_code[cell] for cell in outlet_cells], dtype=np.int64)[outlet_id]
     if not day.all() or (code < 0).any():
         return None
@@ -572,21 +599,66 @@ def _plain_bytes(data: bytes) -> bool:
 
 
 def _distinct_fields(
-    words: np.ndarray, start: np.ndarray, width: np.ndarray
+    words: np.ndarray, start: np.ndarray, width: np.ndarray | int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Row of the first of each distinct byte field, and each field's
-    position among them.
+    """Rows whose cells stand for all of a byte field's cells, and each
+    row's position among them.
+
+    When the field's runs of equal neighbouring cells average
+    ``_ROWS_PER_RUN`` rows or more, as the dates of a file grouped by day
+    do, these are the first rows of the runs, and a cell recurs among them
+    once for each of its runs.  Otherwise, as for the outlets of such a
+    file or any field of a shuffled one, they are the first rows of the
+    distinct cells, found by sorting.
 
     ``words`` holds the 8-byte word at every offset of NUL-free bytes, so
     fields compare as the integers of their zero-padded 8-byte pieces.
     """
-    for offset in range(0, int(width.max()), 8):
-        key = words[start + offset] & _LOW_BYTES[np.clip(width - offset, 0, 8)]
-        if offset:
-            # pairs of (earlier pieces' position, this piece's position)
-            key = ids * start.size + np.unique(key, return_inverse=True)[1]
+
+    def pieces():
+        for offset in range(0, int(np.max(width)), 8):
+            yield words[start + offset] & _LOW_BYTES[np.clip(width - offset, 0, 8)]
+
+    rows = start.size
+    head = np.zeros(rows, dtype=bool)
+    head[0] = True
+    keys = pieces()
+    for piece, key in enumerate(keys):
+        head[1:] |= key[1:] != key[:-1]
+        if np.count_nonzero(head) * _ROWS_PER_RUN > rows:
+            break
+    else:
+        at = np.flatnonzero(head)
+        return at, np.repeat(np.arange(at.size), np.diff(at, append=rows))
+    if piece:  # the sort starts again from the first piece
+        keys = pieces()
+        key = next(keys)
+    _, first, ids = np.unique(key, return_index=True, return_inverse=True)
+    for key in keys:
+        # pairs of (earlier pieces' position, this piece's position)
+        key = ids * rows + np.unique(key, return_inverse=True)[1]
         _, first, ids = np.unique(key, return_index=True, return_inverse=True)
     return first, ids
+
+
+def _iso_days(words: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """Day ordinals of the 10-byte ASCII cells at offsets ``at`` that are
+    dates in ``YYYY-MM-DD`` form, and 0 for every other cell.
+
+    ``words`` is as for :func:`_distinct_fields`.  An ordinal is the cell's
+    ``date.fromisoformat(...).toordinal()``, got from its digits.
+    """
+    cells = np.stack((words[at], words[at + 8]), axis=1)  # "YYYY-MM-", "DD..."
+    form = ((cells + _ISO_LOW) & ~(cells + _ISO_HIGH) & _TOP_BITS) == _TOP_BITS  # within the bounds
+    year, month, day = ((cells.view(np.uint8) & 0xF) @ _ISO_PLACES).astype(np.int64).T
+    real = form[:, 0] & form[:, 1] & (year >= 1) & (month >= 1) & (month <= 12)
+    # the first days of the month and of the next, since 1970-01-01
+    months = np.where(real, (year - 1970) * 12 + month - 1, 0)
+    first, after = (
+        (months + k).astype("datetime64[M]").astype("datetime64[D]").astype(np.int64) for k in (0, 1)
+    )
+    real &= (day >= 1) & (day <= after - first)
+    return np.where(real, first + day - 1 + _EPOCH_ORDINAL, 0)
 
 
 def _parse_row(

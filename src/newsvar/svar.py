@@ -85,8 +85,8 @@ class SvarSpec:
         lags = _spec_per_equation(self.lags, "lags", _spec_int)
         flags = _spec_per_equation(self.intervention, "intervention", _spec_flags)
         if not isinstance(self.extra_lags, Mapping):
-            raise ModelSpecError("spec field 'per_equation_extras' must map equations to terms")
-        extras = {eq: _spec_terms(v, f"per_equation_extras.{eq}") for eq, v in self.extra_lags.items()}
+            raise ModelSpecError("spec field 'per_equation_extras' (keyword extra_lags) must map equations to terms")
+        extras = {eq: _spec_terms(v, eq) for eq, v in self.extra_lags.items()}
         ordering = _spec_names(self.ordering, "ordering")
         controls = _spec_names(self.controls, "controls")
         name = self.intervention_name
@@ -237,12 +237,21 @@ def _spec_flags(value: object, what: str) -> tuple[bool, bool]:
     return value[0], value[1]
 
 
-def _spec_terms(value: object, what: str) -> tuple[tuple[str, int], ...]:
+def _spec_terms(value: object, equation: str) -> tuple[tuple[str, int], ...]:
+    """One equation's extra terms, named by the spec file's key and the keyword."""
     if not isinstance(value, (list, tuple)) or not all(
-        isinstance(t, (list, tuple)) and len(t) == 2 and isinstance(t[0], str) for t in value
+        isinstance(t, (list, tuple))
+        and len(t) == 2
+        and isinstance(t[0], str)
+        and isinstance(t[1], int)
+        and not isinstance(t[1], bool)
+        for t in value
     ):
-        raise ModelSpecError(f"spec field {what!r} must be a list of [name, lag] pairs, got {value!r}")
-    return tuple((name, _spec_int(lag_, what)) for name, lag_ in value)
+        raise ModelSpecError(
+            f"spec field 'per_equation_extras.{equation}' (keyword extra_lags[{equation!r}]) "
+            f"must be a list of [name, lag] pairs, got {value!r}"
+        )
+    return tuple((name, lag_) for name, lag_ in value)
 
 
 @dataclass(frozen=True)

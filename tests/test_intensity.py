@@ -480,6 +480,66 @@ def counts_files(draw):
 def test_read_counts_csv_matches_row_reference(text, block_bytes):
     # small blocks put failing rows and repeated outlet-days in different
     # blocks, and hand the file from the byte path to csv mid-file
+    assert_reads_as_reference(text, block_bytes)
+
+
+# Outlets of one to three 8-byte pieces, the long ones alike in their first
+# piece, and 10-byte date cells that are plain but not ``YYYY-MM-DD`` dates:
+# other ISO forms, which ``date.fromisoformat`` reads, and bad dates.
+ORDERED_OUTLETS = [*"abcdefg", "outlet01", "outlet02", "outlet_long_a", "outlet_long_b", "outlet_longest_name"]
+ODD_DATE_CELLS = ["2000-W01-1", " 20000103 ", "20000104  ", "2000-02-30", "0000-01-01", "2000-13-01"]
+
+
+@st.composite
+def ordered_counts_files(draw):
+    """Plain CSV text of every outlet on every day, in one of three orders.
+
+    Date-major files repeat each date over consecutive rows and outlet-major
+    files each outlet, so a block reads such a field from its runs; shuffled
+    files read both fields by sorting.  A few rows are then dropped, moved
+    (splitting a run in two), repeated, given a blank outlet or given an
+    odd date cell.
+    """
+    first = date(2000, 1, 1).toordinal() + draw(st.integers(0, 400))
+    days = [date.fromordinal(first + d).isoformat() for d in range(draw(st.integers(1, 12)))]
+    outlets = draw(st.lists(st.sampled_from(ORDERED_OUTLETS), min_size=1, max_size=12, unique=True))
+    order = draw(st.sampled_from(["date-major", "outlet-major", "shuffled"]))
+    if order == "outlet-major":
+        cells = [[day, outlet] for outlet in outlets for day in days]
+    else:
+        cells = [[day, outlet] for day in days for outlet in outlets]
+    if order == "shuffled":
+        cells = draw(st.permutations(cells))
+    rows = [[*cell, str(draw(st.integers(0, 99)))] for cell in cells]
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(rows) - 1))
+        change = draw(st.sampled_from(["drop", "move", "repeat", "blank outlet", "odd date"]))
+        if change == "drop" and len(rows) > 1:
+            del rows[at]
+        elif change == "move":
+            rows.insert(draw(st.integers(0, len(rows) - 1)), rows.pop(at))
+        elif change == "repeat":
+            rows.insert(draw(st.integers(0, len(rows))), list(rows[at]))
+        elif change == "blank outlet":
+            rows[at][1] = " "
+        elif change == "odd date":
+            rows[at][0] = draw(st.sampled_from(ODD_DATE_CELLS))
+    return "date,outlet,count\n" + "".join(",".join(row) + "\n" for row in rows)
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(
+    text=ordered_counts_files(),
+    block_bytes=st.sampled_from([16, 40, 100, 300, 1_000, 1 << 17]),
+)
+def test_read_counts_csv_matches_row_reference_in_any_row_order(text, block_bytes):
+    # small blocks cut runs of one date or outlet at block boundaries
+    assert_reads_as_reference(text, block_bytes)
+
+
+def assert_reads_as_reference(text: str, block_bytes: int) -> None:
+    """The file reads as :func:`read_counts_reference` reads it, with
+    ``_BLOCK_BYTES`` at ``block_bytes``: the same panel or the same error."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "counts.csv"
         path.write_bytes(text.encode("utf-8"))
@@ -498,6 +558,82 @@ def test_read_counts_csv_matches_row_reference(text, block_bytes):
     assert panel.outlets == outlets
     assert panel_to_mapping(panel) == counts
     assert_as_public(panel)
+
+
+def words_of(data: bytes) -> np.ndarray:
+    """The 8-byte word at every offset of ``data``, as ``_plain_block``
+    builds them, with zeros past its end."""
+    padded = np.frombuffer(data + bytes(8), dtype=np.uint8)
+    return np.ndarray((padded.size - 7,), dtype="<u8", buffer=padded, strides=(1,))
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(
+    runs=st.lists(
+        st.tuples(st.sampled_from([b"a", b"b", b"2000-01-01", b"outlet_long_a", b"outlet_long_b"]), st.integers(1, 12)),
+        min_size=1,
+        max_size=12,
+    )
+)
+def test_distinct_fields_reads_runs_or_sorts(runs):
+    cells = [cell for cell, length in runs for _ in range(length)]
+    width = np.array([len(cell) for cell in cells])
+    start = np.concatenate(([0], np.cumsum(width + 1)[:-1]))
+    # as in _plain_block, the zeros past the cells cover the widest's last word
+    at, ids = ix._distinct_fields(words_of(b"\n".join(cells) + bytes(int(width.max()))), start, width)
+    # every row's cell is the cell of the row that stands for it
+    assert [cells[i] for i in at[ids]] == cells
+    heads = [i for i in range(len(cells)) if i == 0 or cells[i] != cells[i - 1]]
+    if len(heads) * ix._ROWS_PER_RUN <= len(cells):
+        assert at.tolist() == heads
+    else:
+        assert sorted(at.tolist()) == sorted(cells.index(cell) for cell in set(cells))
+
+
+def iso_reference(cell: str) -> int:
+    """The ordinal ``_iso_days`` gives a 10-byte cell: ``date.fromisoformat``'s
+    for a ``YYYY-MM-DD`` cell it reads, else 0."""
+    if not re.fullmatch(r"\d{4}-\d{2}-\d{2}", cell):
+        return 0
+    try:
+        return date.fromisoformat(cell.strip()).toordinal()
+    except ValueError:
+        return 0
+
+
+def test_iso_days_matches_fromisoformat_on_every_date():
+    day = np.arange(1 - ix._EPOCH_ORDINAL, date.max.toordinal() + 1 - ix._EPOCH_ORDINAL).astype("datetime64[D]")
+    month = day.astype("datetime64[M]")
+    year = month.astype("datetime64[Y]").astype(np.int64) + 1970
+    month_of_year = month.astype(np.int64) % 12 + 1
+    day_of_month = (day - month).astype(np.int64) + 1
+    dash = np.full(day.size, ord("-") - ord("0"))
+    cells = np.stack(
+        [year // 1000, year // 100 % 10, year // 10 % 10, year % 10, dash,
+         month_of_year // 10, month_of_year % 10, dash, day_of_month // 10, day_of_month % 10],
+        axis=1,
+    ).astype(np.uint8) + ord("0")
+    data = cells.tobytes()
+    text = data.decode("ascii")
+    assert text[:10] == "0001-01-01" and text[-10:] == "9999-12-31"
+    expected = [date.fromisoformat(text[i : i + 10].strip()).toordinal() for i in range(0, len(text), 10)]
+    assert ix._iso_days(words_of(data), np.arange(0, len(data), 10)).tolist() == expected
+
+
+@pytest.mark.parametrize(
+    "cell",
+    [
+        "0000-01-01", "1900-02-29", "2000-02-29", "2100-02-29", "2400-02-29", "2021-02-29",
+        "2021-00-01", "2021-13-01", "2021-01-00", "2021-01-32", "2021-04-31", "2021-12-31",
+        "2021-W01-1", "2021-W53-7", "20210101  ", "  20210101", " 20210101 ",
+        "2021/01/01", "2021+01-01", "2021-01 01", "2021-1-01 ", "2021-01-1:", "2021-0:-01", "202:-01-01",
+        "2021-01-0/", "+021-01-01",
+    ],
+)
+def test_iso_days_reads_only_real_dates_in_their_iso_form(tmp_path, cell):
+    assert ix._iso_days(words_of(cell.encode()), np.array([0])).tolist() == [iso_reference(cell)]
+    # a cell it leaves goes to date.fromisoformat, so the file reads as the reference reads it
+    assert_reads_as_reference(f"date,outlet,count\n{cell},a,1\n2000-01-01,a,2\n", 1 << 17)
 
 
 def test_read_counts_csv_reports_first_failure_across_blocks(tmp_path):

@@ -1,5 +1,6 @@
 import importlib
 import json
+import re
 from dataclasses import fields
 from pathlib import Path
 
@@ -85,6 +86,18 @@ def test_spec_validation():
         sv.SvarSpec(ordering=("a", "b"), lags={"a": 1, "b": 1, "c": 2})
     with pytest.raises(ModelSpecError, match=r"'intervention' names equations not in the ordering: \['A'\]"):
         sv.SvarSpec(ordering=("a", "b"), intervention={"A": (True, True)})
+    # a refusal of the keyword field names it beside the spec file's key
+    with pytest.raises(ModelSpecError) as refused:
+        sv.SvarSpec(ordering=("a",), extra_lags={"a": "b"})
+    assert str(refused.value) == (
+        "spec field 'per_equation_extras.a' (keyword extra_lags['a']) "
+        "must be a list of [name, lag] pairs, got 'b'"
+    )
+    with pytest.raises(ModelSpecError) as refused:
+        sv.SvarSpec(ordering=("a",), extra_lags=[1])
+    assert str(refused.value) == "spec field 'per_equation_extras' (keyword extra_lags) must map equations to terms"
+    with pytest.raises(ModelSpecError, match=re.escape("extra_lags['a']) must be a list of [name, lag] pairs")):
+        sv.SvarSpec(ordering=("a", "b"), extra_lags={"a": [("b", True)]})
 
 
 def test_spec_reproduces_published_inflation_equation_layout():
