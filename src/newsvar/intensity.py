@@ -633,12 +633,13 @@ def _distinct_fields(
     if piece:  # the sort starts again from the first piece
         keys = pieces()
         key = next(keys)
-    _, first, ids = np.unique(key, return_index=True, return_inverse=True)
+    ids = np.unique(key, return_inverse=True)[1]
     for key in keys:
         # pairs of (earlier pieces' position, this piece's position)
-        key = ids * rows + np.unique(key, return_inverse=True)[1]
-        _, first, ids = np.unique(key, return_index=True, return_inverse=True)
-    return first, ids
+        ids = np.unique(ids * rows + np.unique(key, return_inverse=True)[1], return_inverse=True)[1]
+    at = np.empty(ids.max() + 1, dtype=np.int64)
+    at[ids] = np.arange(rows)  # one of the rows of each distinct cell
+    return at, ids
 
 
 def _iso_days(words: np.ndarray, at: np.ndarray) -> np.ndarray:
