@@ -407,10 +407,12 @@ _BLOCK_BYTES = 1 << 17
 # the low k bytes of a little-endian 8-byte word, for k = 0..8
 _LOW_BYTES = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)
 # a block reads a field from its runs of equal neighbouring cells when they
-# average this many rows or more, else from its sorted distinct cells: one
-# run costs a decoded and looked-up cell, about 0.22 us (a date's digits
-# cost less), and the sort about 0.03 us per row for each 8-byte piece of
-# the field (one CPU)
+# average this many rows or more, else from its sorted distinct cells.
+# Reading a run's cell costs about as much as sorting 16 rows of an outlet
+# field (decoding and looking it up, 245 ns; the sort, 15 ns a row) and 1
+# row of a date field (its digits; two 8-byte pieces to sort), so outlets in
+# runs of 8 cost at most 1.6x their sort, and the dates of a file with 8 or
+# more outlets a day are read from their runs (one CPU)
 _ROWS_PER_RUN = 8
 # a date cell's two words, "YYYY-MM-" and "DD" with the bytes after it, lie
 # bytewise between the first and the second pair of bounds; an ASCII byte b
@@ -608,8 +610,8 @@ def _distinct_fields(
     ``_ROWS_PER_RUN`` rows or more, as the dates of a file grouped by day
     do, these are the first rows of the runs, and a cell recurs among them
     once for each of its runs.  Otherwise, as for the outlets of such a
-    file or any field of a shuffled one, they are the first rows of the
-    distinct cells, found by sorting.
+    file or any field of a shuffled one, they are one row of each distinct
+    cell, found by sorting.
 
     ``words`` holds the 8-byte word at every offset of NUL-free bytes, so
     fields compare as the integers of their zero-padded 8-byte pieces.

@@ -85,7 +85,9 @@ class SvarSpec:
         lags = _spec_per_equation(self.lags, "lags", _spec_int)
         flags = _spec_per_equation(self.intervention, "intervention", _spec_flags)
         if not isinstance(self.extra_lags, Mapping):
-            raise ModelSpecError("spec field 'per_equation_extras' (keyword extra_lags) must map equations to terms")
+            raise ModelSpecError(
+                "spec field 'per_equation_extras' (keyword extra_lags) must map equations to terms"
+            )
         extras = {eq: _spec_terms(v, eq) for eq, v in self.extra_lags.items()}
         ordering = _spec_names(self.ordering, "ordering")
         controls = _spec_names(self.controls, "controls")
