@@ -69,10 +69,17 @@ _EPOCH_ORDINAL = date(1970, 1, 1).toordinal()
 _MAX_ORDINAL = date.max.toordinal()
 
 
+def _run_heads(values: np.ndarray) -> np.ndarray:
+    """Positions where a run of equal neighbouring values of a non-empty array starts."""
+    return np.flatnonzero(np.concatenate(([True], values[1:] != values[:-1])))
+
+
 def _ordinal_months(day: np.ndarray) -> np.ndarray:
-    """Absolute month index ``year * 12 + month - 1`` of proleptic Gregorian ordinals."""
-    months = (day - _EPOCH_ORDINAL).astype("datetime64[D]").astype("datetime64[M]")
-    return months.astype(np.int64) + 1970 * 12
+    """Absolute month index ``year * 12 + month - 1`` of proleptic Gregorian
+    ordinals, converted once per run of equal days."""
+    heads = _run_heads(day)
+    months = (day[heads] - _EPOCH_ORDINAL).astype("datetime64[D]").astype("datetime64[M]")
+    return np.repeat(months.astype(np.int64) + 1970 * 12, np.diff(heads, append=day.size))
 
 
 def _first_repeat(outlet: np.ndarray, day: np.ndarray) -> int | None:
@@ -80,6 +87,8 @@ def _first_repeat(outlet: np.ndarray, day: np.ndarray) -> int | None:
     if outlet.size < 2:
         return None
     key = (day - day.min()) * (int(outlet.max()) + 1) + outlet
+    if (key[1:] > key[:-1]).all():  # strictly ascending, as in a date-major file
+        return None
     # a stable sort keeps equal pairs in array order, so every entry of a run
     # of equal keys but the first repeats an earlier one
     order = np.argsort(key, kind="stable")
@@ -160,8 +169,9 @@ class ArticleCountPanel:
     def publishing_days(self) -> tuple[int, np.ndarray]:
         """First covered month and the count of distinct publishing days in
         each month from it to the last covered month (0 for uncovered ones)."""
-        _, first_seen = np.unique(self.day, return_index=True)
-        months = self.month[first_seen]  # ascending, as the days are
+        heads = _run_heads(self.day)
+        _, first_seen = np.unique(self.day[heads], return_index=True)
+        months = self.month[heads[first_seen]]  # ascending, as the days are
         return int(months[0]), np.bincount(months - months[0])
 
 

@@ -145,9 +145,155 @@ def test_one_draw_call_matches_one_call_per_equation(n_obs, n_state):
         rng = np.random.default_rng(seed)
         each = np.column_stack([rng.integers(0, n_obs, n_obs) for _ in range(n_state)])
         assert np.array_equal(one, each)
+        # and so is one call of a flat size, in equation-major order
+        flat = np.random.default_rng(seed).integers(0, n_obs, n_state * n_obs)
+        assert np.array_equal(flat.reshape(n_state, n_obs).T, each)
         # a joint draw of whole rows is one row of indices, the stream of one equation
         row = np.random.default_rng(seed).integers(0, n_obs, (1, n_obs)).ravel()
         assert np.array_equal(row, np.random.default_rng(seed).integers(0, n_obs, n_obs))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**160) | st.sampled_from([2**32 - 1, 2**32, 2**64]),
+    back=st.integers(0, 3),
+    count=st.integers(1, 4),
+    n_obs=st.integers(1, 40),
+    n_state=st.integers(1, 3),
+    joint=st.booleans(),
+)
+def test_seed_states_and_draws_equal_numpy_seeding(seed, back, count, n_obs, n_state, joint):
+    # this guards the coupling to numpy's SeedSequence and PCG64 seeding:
+    # the states computed for a run of seeds, here one that may cross 2**32 or
+    # 2**64, are numpy's, and a generator reseeded from them draws
+    # default_rng's stream, odd and even sizes alike, whatever it drew before
+    first = max(0, seed - back)
+    states = list(bs._pcg64_states(first, count))
+    assert states == [
+        (s["state"], s["inc"]) for s in (np.random.PCG64(first + i).state["state"] for i in range(count))
+    ]
+    # a residual that is its own row index shows the indices drawn
+    U = np.repeat(np.arange(n_obs, dtype=float)[:, None], n_state, axis=1)
+    out = np.empty((n_obs, count, n_state))
+    rng = np.random.default_rng(0)
+    rng.integers(0, 7, 3)  # leaves half a 64-bit draw buffered
+    bs._resample(U, first, out, joint, rng)
+    for i in range(count):
+        want = np.random.default_rng(first + i).integers(0, n_obs, n_obs if joint else (n_state, n_obs))
+        got = out[:, i, 0] if joint else out[:, i].T
+        assert np.array_equal(got, want), i
+        if joint:
+            assert np.array_equal(out[:, i], U[want])
+
+
+def resample_reference(U, first_seed, out, joint, rng):
+    """The draws as one ``default_rng(seed + r)`` per replication made them,
+    one call per equation in turn."""
+    n_obs, n_state = U.shape
+    for i in range(out.shape[1]):
+        own = np.random.default_rng(first_seed + i)
+        if joint:
+            out[:, i] = U[own.integers(0, n_obs, n_obs)]
+        else:
+            for e in range(n_state):
+                out[:, i, e] = U[own.integers(0, n_obs, n_obs), e]
+
+
+@pytest.mark.parametrize(
+    "joint, replications, seed, group_bytes",
+    [
+        pytest.param(False, 23, 9, None, id="per-equation"),
+        pytest.param(False, 23, 9, 3 * 8 * 4 * 98, id="per-equation-ends-mid-group"),
+        pytest.param(True, 23, 9, None, id="joint"),
+        pytest.param(False, 1, 9, None, id="one-replication"),
+        pytest.param(True, 1, 9, None, id="joint-one-replication"),
+        pytest.param(False, 23, 2**32 - 11, None, id="seeds-straddle-2**32"),
+        pytest.param(False, 23, 2**64 - 5, 1, id="groups-of-one-straddle-2**64"),
+        pytest.param(False, 23, 2**128 - 2, 3 * 8 * 4 * 98, id="groups-of-three-straddle-2**128"),
+    ],
+)
+def test_bands_equal_one_generator_per_replication_bit_for_bit(monkeypatch, joint, replications, seed, group_bytes):
+    # time loops of 10, 10 and 3 replications (blocks of 5); groups of 3 end
+    # each loop of 10 with a group of one
+    _, est, Z = fitted_system(seed=14, T=100)
+    assert est.residuals.shape == (98, 4)
+    monkeypatch.setattr(sv, "SLICE_DESIGN_BYTES", 5 * 8 * (Z.shape[0] - 2) * 9)
+    monkeypatch.setattr(bs, "BLOCK_PANEL_BYTES", 1)
+    if group_bytes is not None:
+        monkeypatch.setattr(bs, "_DRAW_GROUP_BYTES", group_bytes)
+    kwargs = dict(horizon=5, replications=replications, seed=seed, joint_resampling=joint)
+    bands = bs.bootstrap_irf(est, **kwargs)
+    monkeypatch.setattr(bs, "_resample", resample_reference)
+    reference = bs.bootstrap_irf(est, **kwargs)
+    assert bands.replications == reference.replications == replications
+    for shock in bands.shocks:
+        for name in ("lower", "upper", "median"):
+            assert np.array_equal(getattr(bands, name)[shock], getattr(reference, name)[shock]), (shock, name)
+
+
+def test_no_generator_is_built_per_replication(monkeypatch):
+    _, est, Z = fitted_system(seed=14, T=100)
+    monkeypatch.setattr(bs, "BLOCK_PANEL_BYTES", 4 * 8 * Z.size)  # time loops of 8
+    built = {"default_rng": 0, "Generator": 0, "PCG64": 0, "SeedSequence": 0}
+    for name in built:
+        original = getattr(np.random, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            built[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, name, counted)
+    for joint in (False, True):
+        bs.bootstrap_irf(est, horizon=4, replications=30, seed=3, joint_resampling=joint)
+    assert built == {"default_rng": 2, "Generator": 0, "PCG64": 0, "SeedSequence": 0}
+
+
+def test_time_loop_keeps_the_bits_of_one_matmul_per_lag(monkeypatch):
+    # the panels the bootstrap re-estimates equal a time loop that forms
+    # z_{t-1} Phi1' and then z_{t-2} Phi2' in their own matmuls and adds each
+    # in place, in that order, on a buffer of the same shape and time rows
+    _, est, Z = fitted_system(seed=14, T=100)
+    replications, seed = 23, 9  # one time loop of all 23
+    captured = capture_panels(monkeypatch)
+    bs.bootstrap_irf(est, horizon=4, replications=replications, seed=seed)
+    system = dyn.build_stacked(est)
+    M, (n_obs, n_state) = est.spec.max_lag, est.residuals.shape
+    assert M == 2
+    N = n_obs + M
+    sim = np.empty((N, replications, n_state))
+    sim[:M] = est.initial[:, None, :]
+    resample_reference(est.residuals, seed, sim[M:], False, None)
+    chunk = max(1, N * sv.stack_slice(est.spec, n_obs) // replications)
+    product = np.empty(sim.shape[1:])
+    for first_row in range(M, N, chunk):
+        u = sim[first_row : first_row + chunk]
+        np.matmul(u, system.impact.T, out=u)
+        u += system.c
+        for t in range(first_row, first_row + len(u)):
+            np.matmul(sim[t - 1], system.Phi1.T, out=product)
+            sim[t] += product
+            np.matmul(sim[t - 2], system.Phi2.T, out=product)
+            sim[t] += product
+    assert np.array_equal(np.stack(captured), sim.transpose(1, 0, 2))
+
+
+@pytest.mark.parametrize("rows", [2, 3, 141, 282])
+@pytest.mark.parametrize("n_state", [1, 4, 9])
+def test_one_lag_matmul_matches_one_per_lag(rows, n_state):
+    # the time loop forms both lag products of a step in one matmul over a
+    # stack of the two lag matrices; on the numpy this package runs on, each
+    # is the bits of its own matmul, on the panel buffer's strided rows too
+    rng = np.random.default_rng(rows * n_state)
+    buffer = rng.normal(size=(5, rows + 3, n_state))
+    panels = buffer[:, :rows]
+    B1T, B2T = rng.normal(size=(2, n_state, n_state))
+    both = np.empty((2, rows + 3, n_state))[:, :rows]
+    np.matmul(panels[1:3], np.stack([B2T, B1T]), out=both)
+    one = np.empty((rows, n_state))
+    np.matmul(panels[2], B1T, out=one)
+    assert np.array_equal(both[1], one)
+    np.matmul(panels[1], B2T, out=one)
+    assert np.array_equal(both[0], one)
 
 
 def test_joint_resampling_preserves_cross_equation_dependence():

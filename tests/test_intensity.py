@@ -649,6 +649,60 @@ def test_read_counts_csv_reports_first_failure_across_blocks(tmp_path):
             ix.read_counts_csv(p)
 
 
+def first_repeat_per_row(outlet, day):
+    """``_first_repeat`` as it was: a stable sort of every row's key."""
+    if outlet.size < 2:
+        return None
+    key = (day - day.min()) * (int(outlet.max()) + 1) + outlet
+    order = np.argsort(key, kind="stable")
+    ranked = key[order]
+    repeats = order[1:][ranked[1:] == ranked[:-1]]
+    return int(repeats.min()) if repeats.size else None
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(
+    outlets=st.integers(1, 4),
+    days=st.lists(st.integers(1, date.max.toordinal()), min_size=1, max_size=30),
+    order=st.sampled_from(["date-major", "shuffled"]),
+    repeats=st.lists(st.integers(0, 200), max_size=2),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_run_forms_equal_the_per_row_forms(outlets, days, order, repeats, seed):
+    # every outlet on every drawn day, date-major (sorted) or shuffled, with
+    # some rows repeated; the run forms of _first_repeat, _ordinal_months and
+    # publishing_days give what converting or sorting every row gave
+    day = np.repeat(np.array(sorted(days), dtype=np.int64), outlets)
+    outlet = np.tile(np.arange(outlets, dtype=np.int64), len(days))
+    for r in repeats:
+        day, outlet = np.insert(day, r % day.size, day[r % day.size]), np.insert(outlet, r % day.size, outlet[r % day.size])
+    if order == "shuffled":
+        perm = np.random.default_rng(seed).permutation(day.size)
+        day, outlet = day[perm], outlet[perm]
+    assert ix._first_repeat(outlet, day) == first_repeat_per_row(outlet, day)
+    months = (day - ix._EPOCH_ORDINAL).astype("datetime64[D]").astype("datetime64[M]").astype(np.int64) + 1970 * 12
+    assert np.array_equal(ix._ordinal_months(day), months)
+    panel = ix.ArticleCountPanel._checked(("o",) * outlets, day, outlet, np.zeros_like(day), months)
+    _, first_seen = np.unique(day, return_index=True)
+    per_row = months[first_seen]
+    first, counted = panel.publishing_days()
+    assert first == per_row[0] and np.array_equal(counted, np.bincount(per_row - per_row[0]))
+
+
+def test_read_counts_csv_names_the_line_of_a_repeat_in_a_shuffled_file(tmp_path):
+    lines = plain_counts_text(outlets=3, days=50).splitlines()
+    body = lines[1:]
+    np.random.default_rng(3).shuffle(body)
+    body.insert(120, body[40])  # the repeat is line 122, its first row line 42
+    p = tmp_path / "counts.csv"
+    p.write_text("\n".join([lines[0], *body]) + "\n", encoding="utf-8")
+    day, outlet, _ = body[40].split(",")
+    for block_bytes in (200, 1 << 17):
+        with mock.patch.object(ix, "_BLOCK_BYTES", block_bytes):
+            with pytest.raises(SeriesError, match=rf":122: duplicate row for {outlet} {day}$"):
+                ix.read_counts_csv(p)
+
+
 def plain_counts_text(outlets: int = 3, days: int = 400) -> str:
     """A counts file shaped like the benchmark's: every outlet on every day."""
     first = date(2000, 1, 1).toordinal()
