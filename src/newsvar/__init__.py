@@ -7,7 +7,6 @@ Submodules:
     svar:       recursive structural VAR estimation
     dynamics:   impulse responses and variance decompositions
     bootstrap:  residual-resampling confidence bands
-    factors:    weighted cross-section factor proxies
     cli:        config-driven command line front end
 """
 
@@ -17,7 +16,6 @@ __all__ = [
     "bootstrap",
     "dynamics",
     "errors",
-    "factors",
     "intensity",
     "regression",
     "svar",

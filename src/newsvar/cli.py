@@ -188,7 +188,7 @@ def _parse_window(
 def _index_series(panel: ix.ArticleCountPanel, variant: str, target: ts.Frequency) -> ts.CalendarSeries:
     """The variant's monthly means of the panel, averaged to ``target``."""
     monthly = (ix.standardized_monthly_count if variant == "standardized" else ix.monthly_mean_count)(panel)
-    return monthly if target is ts.Frequency.MONTHLY else ts.aggregate(monthly, target, "mean")
+    return monthly if target is ts.Frequency.MONTHLY else ts.aggregate(monthly, target)
 
 
 def _mask_panel_months(

@@ -45,12 +45,8 @@ class NonstationaryError(NewsvarError):
     """Dynamics requested from a nonstationary process."""
 
 
-class CoverageError(NewsvarError):
-    """A member has no data inside the required window."""
-
-
 class GapError(NewsvarError):
-    """All members missing at some period, or exclusions break contiguity."""
+    """Months with no publishing days leave a gap in the month run."""
 
 
 class ModelSpecError(NewsvarError):

@@ -727,7 +727,7 @@ def read_flows_csv(path: str | Path) -> EntityFlowSeries:
     """Read entity flows from a ``period,additions,removals`` CSV
     (see :func:`~newsvar.timeseries.read_period_table`)."""
     path = Path(path)
-    freq, start, _, table = read_period_table(path, ("additions", "removals"))
+    freq, start, table = read_period_table(path, ("additions", "removals"))
     try:
         return EntityFlowSeries(freq, start, table[:, 0], table[:, 1])
     except SeriesError as exc:

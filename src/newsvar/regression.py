@@ -1,7 +1,6 @@
 """Least-squares engine with the diagnostics the rest of the toolkit leans on.
 
-Classical (homoskedastic) standard errors are the default to match hand
-calculations; heteroskedasticity-robust errors sit behind a flag.
+Standard errors are classical (homoskedastic), to match hand calculations.
 
 Every model fit in the package runs through one kernel,
 :func:`lstsq_chain`: the equation chains, :func:`ols` (a chain of one fit)
@@ -193,7 +192,6 @@ def ols(
     X: np.ndarray | Sequence[Sequence[float]] | None,
     names: Sequence[str] | None = None,
     intercept: bool = True,
-    robust: bool = False,
 ) -> RegressionFit:
     """Ordinary least squares with classical standard errors.
 
@@ -206,8 +204,6 @@ def ols(
             for an intercept-only fit.
         names: regressor names matching X's columns; generated when omitted.
         intercept: prepend a constant column named ``const``.
-        robust: use HC1 heteroskedasticity-robust standard errors instead of
-            the classical ``sigma^2 (X'X)^{-1}``.
 
     Raises:
         CollinearityError: rank-deficient design, message names the dependent
@@ -250,12 +246,12 @@ def ols(
             "design matrix is rank deficient; dependent columns: "
             + ", ".join(dependent)
         )
-    return chain_fit(A, fit, 0, k, np.arange(k), names, intercept, robust)
+    return chain_fit(A, fit, 0, k, np.arange(k), names, intercept)
 
 
 def chain_fit(
     A: np.ndarray, chain: ChainLstsq, j: int, column: int, order: np.ndarray,
-    names: tuple[str, ...], intercept: bool = True, robust: bool = False,
+    names: tuple[str, ...], intercept: bool = True,
 ) -> RegressionFit:
     """The :class:`RegressionFit` of fit j, of column ``column`` on the first
     ``p_j = len(order)`` columns, from ``chain = lstsq_chain(A, ...)`` on one
@@ -272,12 +268,7 @@ def chain_fit(
     residuals = stacked[0, :, 0]
     sigma2 = ssr / (n - k)
     L = np.linalg.inv(chain.R[0, :k, :k])[order]  # R is triangular: LU needs no pivoting here
-    if robust:
-        # (X'X)^{-1} X' diag(e^2) X (X'X)^{-1} = L (Q' diag(e^2) Q) L' with Q = X L
-        scaled = (design @ L) * residuals[:, None]
-        covariance = L @ (scaled.T @ scaled) @ L.T * (n / (n - k))
-    else:
-        covariance = sigma2 * (L @ L.T)
+    covariance = sigma2 * (L @ L.T)
     y = A[0, :, column]
     if intercept:
         tss = float(np.sum((y - y.mean()) ** 2))
@@ -392,23 +383,16 @@ class LongRunEffect(NamedTuple):
 def long_run_effect(
     fit: RegressionFit,
     effect: str | Sequence[str],
-    persistence: str | None,
+    persistence: str,
 ) -> LongRunEffect:
     """Cumulative effect of a permanent unit change in the named regressor(s).
 
     theta = (sum of effect coefficients) / (1 - persistence coefficient), with
-    a delta-method standard error from the fit's coefficient covariance.  Pass
-    ``persistence=None`` for a static regression (theta is then just the
-    summed coefficient and its own standard error).
+    a delta-method standard error from the fit's coefficient covariance.
     """
     effect_names = [effect] if isinstance(effect, str) else list(effect)
     idx = [fit.index_of(name) for name in effect_names]
     beta_sum = float(fit.coefficients[idx].sum())
-    if persistence is None:
-        if len(idx) == 1:
-            return LongRunEffect(beta_sum, float(fit.standard_errors[idx[0]]))
-        var = float(np.ones(len(idx)) @ fit.covariance[np.ix_(idx, idx)] @ np.ones(len(idx)))
-        return LongRunEffect(beta_sum, math.sqrt(var))
     lam_idx = fit.index_of(persistence)
     lam = float(fit.coefficients[lam_idx])
     if abs(lam) >= 1.0:

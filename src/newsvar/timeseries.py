@@ -299,17 +299,9 @@ def convert_iranian_monthly(series: CalendarSeries) -> CalendarSeries:
 _FINENESS = {Frequency.MONTHLY: 3, Frequency.QUARTERLY: 2, Frequency.ANNUAL: 1}
 
 
-def aggregate(
-    series: CalendarSeries,
-    target: Frequency,
-    method: str = "mean",
-) -> CalendarSeries:
-    """Aggregate to a coarser frequency; partial head/tail windows are dropped.
-
-    ``method`` is one of ``mean``, ``sum``, ``last``.
-    """
-    if method not in ("mean", "sum", "last"):
-        raise ValueError(f"unknown aggregation method {method!r}")
+def aggregate(series: CalendarSeries, target: Frequency) -> CalendarSeries:
+    """Mean over each period of a coarser frequency; partial head/tail
+    windows are dropped."""
     if _FINENESS[target] >= _FINENESS[series.frequency]:
         raise FrequencyError(
             f"target frequency {target.value} is not coarser than {series.frequency.value}"
@@ -323,13 +315,7 @@ def aggregate(
     blocks = usable // step
     if blocks < 1:
         raise SeriesError("series does not cover a single whole target period")
-    chunk = series.values[head : head + blocks * step].reshape(blocks, step)
-    if method == "mean":
-        out = chunk.mean(axis=1)
-    elif method == "sum":
-        out = chunk.sum(axis=1)
-    else:
-        out = chunk[:, -1]
+    out = series.values[head : head + blocks * step].reshape(blocks, step).mean(axis=1)
     new_start = PeriodLabel.from_index((start_idx + head) // step, target)
     return series.replace_values(out, start=new_start, frequency=target)
 
@@ -410,16 +396,15 @@ def csv_rows(path: Path, start: int = 0) -> Iterator[Iterator[list[str]]]:
 
 
 def read_period_table(
-    path: str | Path, columns: tuple[str, ...] | None = None
-) -> tuple[Frequency, PeriodLabel, tuple[str, ...], np.ndarray]:
+    path: str | Path, columns: tuple[str, ...]
+) -> tuple[Frequency, PeriodLabel, np.ndarray]:
     """Read a ``period,column1,...`` CSV: one frequency, each period once, no gaps.
 
-    ``columns`` fixes the header after ``period`` (in any case); without it
-    the header names the members, which must be non-empty and distinct.
-    Blank rows are skipped and every other row has the header's width. A
-    cell is a number, or ``nan`` or blank for a missing value; ``inf`` is
-    refused. Returns the frequency, the first period, the column names and
-    a ``(periods, columns)`` float array in period order. Every
+    ``columns``, in lower case, fixes the header after ``period`` (in any
+    case). Blank rows are skipped and every other row has the header's
+    width. A cell is a number, or ``nan`` or blank for a missing value;
+    ``inf`` is refused. Returns the frequency, the first period and a
+    ``(periods, columns)`` float array in period order. Every
     :class:`SeriesError` names the file, and the line where one is at fault.
     """
     path = Path(path)
@@ -427,13 +412,9 @@ def read_period_table(
     cells: list[float] = []  # row by row, in file order
     freq: Frequency | None = None
     with csv_rows(path) as reader:
-        header = [cell.strip() for cell in next(reader, [])]
-        names = tuple(header[1:]) if columns is None else tuple(h.lower() for h in header[1:])
-        if [h.lower() for h in header[:1]] != ["period"] or not names or columns not in (None, names):
-            shown = ",".join(columns or ("member1", "..."))
-            raise SeriesError(f"{path}: expected header 'period,{shown}'")
-        if "" in names or len(set(names)) != len(names):
-            raise SeriesError(f"{path}: member names must be non-empty and distinct, got {list(names)}")
+        header = [cell.strip().lower() for cell in next(reader, [])]
+        if header != ["period", *columns]:
+            raise SeriesError(f"{path}: expected header 'period,{','.join(columns)}'")
         for lineno, row in enumerate(reader, start=2):
             if not any(cell.strip() for cell in row):
                 continue
@@ -467,8 +448,8 @@ def read_period_table(
         shown = PeriodLabel.from_index(gap, freq).format(freq)
         raise SeriesError(f"{path}: periods not contiguous (first gap at {shown})")
     order = [rows[i][0] for i in range(first, last + 1)]
-    table = np.array(cells).reshape(len(rows), len(names))[order]
-    return freq, PeriodLabel.from_index(first, freq), names, table
+    table = np.array(cells).reshape(len(rows), len(columns))[order]
+    return freq, PeriodLabel.from_index(first, freq), table
 
 
 def read_series_csv(
@@ -478,7 +459,7 @@ def read_series_csv(
     """Read a ``period,value`` CSV into a series (see :func:`read_period_table`);
     missing values may stand only at the series' edges."""
     path = Path(path)
-    freq, start, _, table = read_period_table(path, ("value",))
+    freq, start, table = read_period_table(path, ("value",))
     try:
         return CalendarSeries(freq, calendar, start, table[:, 0])
     except SeriesError as exc:

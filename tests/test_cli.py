@@ -740,17 +740,26 @@ def test_dynamics_never_loads_numpy_ma(bands_config):
     assert report == {"import": [], "dynamics": [0, []]}, stderr
 
 
-def test_import_and_commands_never_load_factors(index_workspace, bands_config):
-    # the package imports a submodule on first use, and no command reads
-    # factor proxies
+def test_every_module_is_loaded_by_the_import_or_a_command(index_workspace, bands_config):
+    # structural guard on dead code: a package module that neither
+    # ``import newsvar.cli`` nor any command loads is surface no user reaches
     index_config = write_config(
         index_workspace,
         {"index": {"on_counts": "on.csv", "off_counts": "off.csv", "output_growth": "dy.csv"}},
     )
-    report, stderr = modules_loaded(
-        "newsvar.factors", [("build-index", index_config), ("dynamics", bands_config)]
-    )
-    assert report == {"import": [], "build-index": [0, []], "dynamics": [0, []]}, stderr
+    rf_dir = index_workspace / "reduced_form"
+    rf_dir.mkdir()
+    rf_config = write_config(rf_dir, reduced_form_workspace(rf_dir))
+    commands = [
+        ("build-index", index_config), ("estimate", bands_config),
+        ("dynamics", bands_config), ("reduced-form", rf_config),
+    ]
+    report, stderr = modules_loaded("newsvar", commands)
+    assert [report[command][0] for command, _ in commands] == [0, 0, 0, 0], stderr
+    loaded = set(report["import"]).union(*(report[command][1] for command, _ in commands))
+    package = Path(cli.__file__).parent
+    modules = {"newsvar"} | {f"newsvar.{p.stem}" for p in package.glob("*.py") if p.stem != "__init__"}
+    assert sorted(modules - loaded) == [], stderr
 
 
 _MEMORY_PROBE = """
@@ -1078,13 +1087,15 @@ def run_quietly(argv):
         ("index", {"target_frequency": "annual"}, {}, 1, "grid search needs target_frequency 'quarterly', got 'annual'"),
         # an empty out_dir was the config's own directory: the outputs landed among the inputs
         ("calendar", {}, {"out_dir": ""}, 1, "config key 'out_dir': empty output directory"),
+        ("calendar", {}, {"calendar": None}, 1, "config lacks a 'calendar' section"),
+        # a list for ``top`` is the whole config file: a JSON array
+        ("calendar", {}, [], 1, "--config: top level must be a JSON object"),
     ],
 )
 def test_validate_refuses_what_the_command_refuses(tmp_path, section, edits, top, code, fragment):
     command, payload = section_workspace(tmp_path, section)
     payload[section].update(edits)
-    payload.update(top)
-    config = write_config(tmp_path, payload)
+    config = write_config(tmp_path, {**payload, **top} if isinstance(top, dict) else [payload])
     before = sorted(tmp_path.iterdir())
     refused = run_quietly([command, "--config", str(config)])
     assert refused == run_quietly(["validate", "--config", str(config)])

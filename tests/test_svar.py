@@ -460,6 +460,54 @@ def test_failed_exogenous_fit_raises_the_error_of_its_cause(intervention, edit, 
     assert not sv.estimate_svar_stack(spec, Z[None], controls_var1=controls_var1).ok[0]
 
 
+_TWO = sv.SvarSpec(ordering=("a", "b"), lags=2, controls=("g0",))
+
+
+def _estimate_with_A0(A0):
+    """A two-equation estimate, zero but for ``A0``."""
+    zeros = np.zeros((2, 2))
+    return sv.SvarEstimate(
+        spec=_TWO, A0=A0, A1=zeros, A2=zeros, gamma0s=np.zeros(2), gamma1s=np.zeros(2),
+        Dw=np.zeros((2, 1)), a_q=np.zeros(2), sigma=np.ones(2), s_rho=0.5, s_intercept=0.0,
+        s_omega=1.0, c_transition=np.zeros((1, 1)), c_intercept=np.zeros(1), c_sd=np.ones(1),
+    )
+
+
+_PANEL = np.random.default_rng(0).normal(size=(60, 4))
+
+
+@pytest.mark.parametrize(
+    "refused, error, message",
+    [
+        (lambda: sv.SvarSpec(ordering=("a", "b", "a")), ModelSpecError, "ordering has duplicate variable names"),
+        (
+            lambda: sv.SvarSpec(ordering=("a", "b"), lags=1, extra_lags={"a": (("b", 3),)}),
+            ModelSpecError,
+            "extra lags support orders 1 and 2 only",
+        ),
+        (lambda: sv.SvarSpec.from_json(["a", "b"]), ModelSpecError, "spec file must hold a JSON object"),
+        # a panel of as many periods as the lag order leaves none to estimate on
+        (lambda: sv.estimate_svar_arrays(_TWO, _PANEL[:2, :]), SampleError, "aligned sample shorter than the lag order"),
+        (lambda: sv.estimate_svar_stack(_TWO, _PANEL[None, :2]), SampleError, "aligned sample shorter than the lag order"),
+        (lambda: sv.estimate_svar_arrays(_TWO, _PANEL[:, :3]), ModelSpecError, "data matrix must have 4 columns"),
+        (lambda: sv.estimate_svar_arrays(_TWO, _PANEL[None]), ModelSpecError, "data matrix must have 4 columns"),
+        (lambda: sv.estimate_svar_stack(_TWO, _PANEL[None, :, :3]), ModelSpecError, "data stack must be (panels, periods, 4)"),
+        (lambda: sv.estimate_svar_stack(_TWO, _PANEL), ModelSpecError, "data stack must be (panels, periods, 4)"),
+        (lambda: _estimate_with_A0(np.eye(2)[:, :1]), ModelSpecError, "A0 must be m x m"),
+        (lambda: _estimate_with_A0(2.0 * np.eye(2)), ModelSpecError, "A0 diagonal must be exactly 1"),
+        (lambda: _estimate_with_A0(np.array([[1.0, 0.5], [0.0, 1.0]])), ModelSpecError, "A0 must be lower triangular"),
+    ],
+    ids=[
+        "duplicate-ordering", "extra-lag-3", "spec-not-object", "arrays-short", "stack-short",
+        "arrays-columns", "arrays-3d", "stack-columns", "stack-2d", "A0-not-square", "A0-diagonal", "A0-upper",
+    ],
+)
+def test_model_refusals_raise_their_error(refused, error, message):
+    with pytest.raises(NewsvarError) as info:
+        refused()
+    assert (type(info.value), str(info.value)) == (error, message)
+
+
 # ---------------------------------------------------------------------------
 # reduced form
 # ---------------------------------------------------------------------------

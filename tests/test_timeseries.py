@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from newsvar import factors, intensity
+from newsvar import intensity
 from newsvar import timeseries as ts
 from newsvar.errors import AlignmentError, DomainError, FrequencyError, SeriesError
 
@@ -182,39 +182,30 @@ def test_conversion_errors():
 
 def test_aggregate_monthly_mean_to_quarterly():
     s = series([1, 2, 3, 4, 5, 6], freq=ts.Frequency.MONTHLY, cal=ts.CalendarKind.GREGORIAN, year=2000)
-    out = ts.aggregate(s, ts.Frequency.QUARTERLY, "mean")
+    out = ts.aggregate(s, ts.Frequency.QUARTERLY)
     assert np.array_equal(out.values, [2.0, 5.0])
     assert out.start == ts.PeriodLabel(2000, 1)
 
 
-def test_aggregate_quarterly_sum_to_annual():
-    s = series([1, 1, 1, 1], freq=ts.Frequency.QUARTERLY, cal=ts.CalendarKind.GREGORIAN, year=2000)
-    out = ts.aggregate(s, ts.Frequency.ANNUAL, "sum")
-    assert np.array_equal(out.values, [4.0])
-    assert out.start == ts.PeriodLabel(2000)
-
-
 def test_aggregate_drops_partial_head():
     s = series(np.arange(1.0, 15.0), freq=ts.Frequency.MONTHLY, cal=ts.CalendarKind.GREGORIAN, year=2000, sub=2)
-    out = ts.aggregate(s, ts.Frequency.QUARTERLY, "mean")
+    out = ts.aggregate(s, ts.Frequency.QUARTERLY)
     assert len(out) == 4
     assert out.start == ts.PeriodLabel(2000, 2)
     assert np.array_equal(out.values, [4.0, 7.0, 10.0, 13.0])
 
 
-def test_aggregate_last_and_constant_mean():
+def test_aggregate_constant_mean():
     s = series([5.0] * 12, freq=ts.Frequency.MONTHLY, cal=ts.CalendarKind.GREGORIAN, year=2001)
-    assert np.array_equal(ts.aggregate(s, ts.Frequency.ANNUAL, "mean").values, [5.0])
-    ramp = series(np.arange(12.0), freq=ts.Frequency.MONTHLY, cal=ts.CalendarKind.GREGORIAN, year=2001)
-    assert np.array_equal(ts.aggregate(ramp, ts.Frequency.QUARTERLY, "last").values, [2, 5, 8, 11])
+    assert np.array_equal(ts.aggregate(s, ts.Frequency.ANNUAL).values, [5.0])
 
 
 def test_aggregate_finer_target_rejected():
     s = series([1.0, 2.0], freq=ts.Frequency.QUARTERLY, cal=ts.CalendarKind.GREGORIAN)
     with pytest.raises(FrequencyError):
-        ts.aggregate(s, ts.Frequency.MONTHLY, "mean")
+        ts.aggregate(s, ts.Frequency.MONTHLY)
     with pytest.raises(FrequencyError):
-        ts.aggregate(s, ts.Frequency.QUARTERLY, "mean")
+        ts.aggregate(s, ts.Frequency.QUARTERLY)
 
 
 # ---------------------------------------------------------------------------
@@ -369,26 +360,15 @@ def test_csv_errors_after_the_rows_name_the_file(tmp_path, body, message):
          ": entity flow counts must be finite"),
         (intensity.read_flows_csv, "period,additions,removals\n2006Q1,1,0\n2006Q1,2,0\n2006Q2,1,0\n",
          ":3: duplicate period 2006Q1 (first on line 2)"),
-        (factors.read_wide_panel_csv, "period,a,b\n2006Q1,1,2\n2006Q1,3,4\n2006Q2,1,2\n",
-         ":3: duplicate period 2006Q1 (first on line 2)"),
         (intensity.read_flows_csv, "period,additions,removals\n2006Q1,x,0\n", ":2: bad value 'x'"),
-        (factors.read_wide_panel_csv, "period,a,b\n2006Q1,1,inf\n2006Q2,3,4\n", ":2: value 'inf' is infinite"),
-        (factors.read_wide_panel_csv, "period,a,a\n2006Q1,1,2\n",
-         ": member names must be non-empty and distinct, got ['a', 'a']"),
-        (factors.read_wide_panel_csv, "period,a,\n2006Q1,1,2\n",
-         ": member names must be non-empty and distinct, got ['a', '']"),
         (ts.read_series_csv, "period,value\n1989,1\n1990,2,3\n", ":3: 3 cells, expected 2"),
         (intensity.read_flows_csv, "period,additions,removals\n2006Q1,1,0,7\n", ":2: 4 cells, expected 3"),
-        (factors.read_wide_panel_csv, "period,a,b\n2006Q1,1,2,3\n", ":2: 4 cells, expected 3"),
-        (factors.read_wide_panel_csv, "period,a,b\n2006Q1,1,2\n2006Q2,1\n", ":3: 2 cells, expected 3"),
-        (factors.read_wide_panel_csv, "period,a,b\n2006Q1,1,2\n2006Q2,,3\n2006Q3,1,4\n",
-         ": member 'a': missing markers are permitted only at the edges"),
+        (intensity.read_flows_csv, "period,additions,removals\n2006Q1,1,0\n2006Q2,1\n", ":3: 2 cells, expected 3"),
         (ts.read_series_csv, "period,value,x\n1989,1,2\n", ": expected header 'period,value'"),
     ],
     ids=[
-        "flows-inf", "flows-blank", "flows-repeat", "wide-repeat", "flows-bad-number", "wide-inf",
-        "wide-repeated-member", "wide-empty-member", "series-long-row", "flows-long-row", "wide-long-row",
-        "wide-short-row", "wide-interior-blank", "series-extra-column",
+        "flows-inf", "flows-blank", "flows-repeat", "flows-bad-number", "series-long-row", "flows-long-row",
+        "flows-short-row", "series-extra-column",
     ],
 )
 def test_period_tables_share_one_set_of_rules(tmp_path, reader, body, message):
@@ -408,11 +388,11 @@ def test_blank_edge_cells_are_missing_values(tmp_path):
     assert ts.read_series_csv(p).values.tolist() == [1.5]
 
 
-def test_read_period_table_orders_rows_and_names_members(tmp_path):
-    p = tmp_path / "wide.csv"
+def test_read_period_table_orders_rows(tmp_path):
+    p = tmp_path / "table.csv"
     p.write_text(" Period ,US, uk\n2000-02,2,\n\n2000-01,1,nan\n2000-03,3,6\n", encoding="utf-8")
-    freq, start, members, table = ts.read_period_table(p)
-    assert (freq, start, members) == (ts.Frequency.MONTHLY, ts.PeriodLabel(2000, 1), ("US", "uk"))
+    freq, start, table = ts.read_period_table(p, ("us", "uk"))
+    assert (freq, start) == (ts.Frequency.MONTHLY, ts.PeriodLabel(2000, 1))
     assert np.array_equal(table, [[1, np.nan], [2, np.nan], [3, 6]], equal_nan=True)
 
 
@@ -427,7 +407,6 @@ _BAD_VALUES = ["inf", "-inf", "1e999", "abc", "1,5", "0x10"]
 _READERS = [
     (ts.read_series_csv, ("value",), ts.CalendarSeries),
     (intensity.read_flows_csv, ("additions", "removals"), intensity.EntityFlowSeries),
-    (factors.read_wide_panel_csv, ("us", "uk"), dict),
 ]
 
 
@@ -484,8 +463,8 @@ def test_period_csv_readers_return_their_type_or_name_the_file(data):
     assert isinstance(result, kind)
     if kind is intensity.EntityFlowSeries:
         assert np.isfinite(result.additions).all() and np.isfinite(result.removals).all()
-    for series in [result] if kind is ts.CalendarSeries else result.values() if kind is dict else []:
-        assert np.isfinite(series.values).any()
+    if kind is ts.CalendarSeries:
+        assert np.isfinite(result.values).any()
 
 
 @pytest.mark.parametrize(
@@ -494,7 +473,6 @@ def test_period_csv_readers_return_their_type_or_name_the_file(data):
         (ts.read_series_csv, b"period,value"),
         (intensity.read_counts_csv, b"date,outlet,count"),
         (intensity.read_flows_csv, b"period,additions,removals"),
-        (factors.read_wide_panel_csv, b"period,a"),
     ],
 )
 def test_csv_readers_refuse_undecodable_bytes(tmp_path, reader, header):

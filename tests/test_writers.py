@@ -16,7 +16,6 @@ import numpy as np
 
 from newsvar import bootstrap as boot
 from newsvar import dynamics as dyn
-from newsvar import factors as fx
 from newsvar import intensity as ix
 from newsvar import regression as reg
 from newsvar import timeseries as ts
@@ -66,7 +65,7 @@ def test_fit_csv_bytes_with_extra_rows(tmp_path):
         has_intercept=True,
     )
     path = tmp_path / "fit.csv"
-    reg.write_fit_csv(fit, path, extra_rows=(("bg_p_value", "0.123456"), ("note", "a,b")))
+    reg.write_fit_csv(fit, path, extra_rows=(("bg_p_value", "0.123456"), ("note", "a,b"), ("quote", 'q"x')))
     assert path.read_bytes() == (
         b"name,coefficient,se,stars\n"
         b"const,1.500000,0.150000,***\n"
@@ -75,6 +74,7 @@ def test_fit_csv_bytes_with_extra_rows(tmp_path):
         b"nobs,22,,\n"
         b"bg_p_value,0.123456,,\n"
         b'note,"a,b",,\n'
+        b'quote,"q""x",,\n'
     )
     reg.write_fit_csv(fit, path)
     assert path.read_bytes().endswith(b"nobs,22,,\n")
@@ -146,13 +146,6 @@ def test_fevd_csv_bytes(tmp_path):
         b"b,e1,1,0.1\n"
         b"b,s,1,0.9\n"
     )
-
-
-def test_weights_csv_bytes(tmp_path):
-    scheme = fx.WeightScheme(members=("de", 'q"x', "r,s"), weights=np.array([0.5, 0.25, 0.25]), window="2000-2004")
-    path = tmp_path / "w.csv"
-    fx.write_weights_csv(scheme, path)
-    assert path.read_bytes() == b'member,weight\nde,0.5\n"q""x",0.25\n"r,s",0.25\n'
 
 
 def test_json_bytes(tmp_path):
