@@ -410,19 +410,23 @@ def sdn_index(flows: EntityFlowSeries, w: float = 0.4) -> IntensityIndex:
 # ---------------------------------------------------------------------------
 
 
-# bytes read at a time on the byte path, cut back to the last line end; a
-# block's index arrays take a few times its size, and at this size the
-# reader's peak memory stays below the csv path's
-_BLOCK_BYTES = 1 << 17
+# bytes read at a time on the byte path, cut back to the last line end.  A
+# block takes about 7 times its size while it is read: its bytes as read and
+# as cut, and its index arrays (tracemalloc, 22-byte rows).  Reading 232k
+# rows peaks at the panel's columns plus 3.0, 2.4 and 4.1 block sizes with
+# blocks of 128 KiB, 512 KiB and 1 MiB, and a build-index on two such files
+# at 46-48 MB in a fresh interpreter with each (VmHWM)
+_BLOCK_BYTES = 1 << 19
 # the low k bytes of a little-endian 8-byte word, for k = 0..8
 _LOW_BYTES = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)
-# a block reads a field from its runs of equal neighbouring cells when they
-# average this many rows or more, else from its sorted distinct cells.
-# Reading a run's cell costs about as much as sorting 16 rows of an outlet
-# field (decoding and looking it up, 245 ns; the sort, 15 ns a row) and 1
-# row of a date field (its digits; two 8-byte pieces to sort), so outlets in
-# runs of 8 cost at most 1.6x their sort, and the dates of a file with 8 or
-# more outlets a day are read from their runs (one CPU)
+# a block reads its outlets from their runs of equal neighbouring cells when
+# they average this many rows or more, as in a file grouped by outlet.
+# Reading a run's cell costs about as much as sorting 16 rows of outlets
+# (decoding and looking it up, 245 ns; the sort, 15 ns a row), so runs of 8
+# cost at most 1.6x the sort (one CPU).  Dates are read from their runs at
+# any length: a run's date, got from its digits, costs less than sorting one
+# row's two 8-byte pieces (runs vs sort per 128 KiB block: 649 vs 1038 us
+# with a new date every row, 240 vs 631 us every 6 rows)
 _ROWS_PER_RUN = 8
 # a date cell's two words, "YYYY-MM-" and "DD" with the bytes after it, lie
 # bytewise between the first and the second pair of bounds; an ASCII byte b
@@ -439,6 +443,9 @@ _TOP_BITS = np.uint64(0x8080808080808080)
 # the year, month and day from the 16 low halves of a date cell's two words
 _ISO_PLACES = np.zeros((16, 3))
 _ISO_PLACES[[0, 1, 2, 3, 5, 6, 8, 9], [0, 0, 0, 0, 1, 1, 2, 2]] = [1000, 100, 10, 1, 10, 1, 10, 1]
+# a cell's key is the sum of its k-th pieces times this to the k, modulo
+# 2**64; any base serves, as a lookup checks every piece
+_KEY_BASE = 0x9E3779B97F4A7C15
 
 
 def read_counts_csv(path: str | Path) -> ArticleCountPanel:
@@ -459,7 +466,8 @@ def read_counts_csv(path: str | Path) -> ArticleCountPanel:
     days: dict[str, int] = {}  # date cell -> day ordinal, 0 when unparseable
     cells_to_code: dict[str, int] = {}  # outlet cell -> outlet code, -1 when blank
     codes: dict[str, int] = {}  # outlet name -> code, in order of appearance
-    blocks: list[tuple] = []  # columns (line, day, outlet code, count) of each block
+    # each block's first line (its line per row, on the csv path), day, outlet code and count
+    blocks: list[tuple] = []
     start, first_line = _read_plain_blocks(path, blocks, days, cells_to_code, codes)
     failure = None
     if start is not None:
@@ -480,25 +488,33 @@ def read_counts_csv(path: str | Path) -> ArticleCountPanel:
                     day, code, count = parsed
                     add_line(lineno), add_day(day), add_code(code), add_count(count)
         del columns, add_line, add_day, add_code, add_count  # blocks holds the only reference
-    if not any(len(block[0]) for block in blocks):
+    if not any(len(block[1]) for block in blocks):
         raise SeriesError(failure or f"{path}: no data rows")
-    line, day, code, count = (np.concatenate(column) for column in zip(*blocks))
-    # freed before the checks and the panel's columns, which sets the peak memory
+    lines, *parts = zip(*blocks)
+    sizes = [len(part) for part in parts[0]]
     del blocks
+    # joined a column at a time, each freeing its blocks' parts, so that no
+    # more columns are held than the panel's four
+    day, code, count = (np.concatenate(parts.pop(0)) for _ in range(3))
     # every row read lies before a failing line, so a repeat among them fails first
+    # outlet codes follow their first rows, so a file grouped by day that
+    # lists its outlets in one order skips the search's sort
     repeat_at = _first_repeat(code, day)
     if repeat_at is not None:
+        line = np.concatenate(
+            [np.arange(first, first + size) if isinstance(first, int) else first for first, size in zip(lines, sizes)]
+        )
         outlet = next(name for name, c in codes.items() if c == code[repeat_at])
         raise SeriesError(
             f"{path}:{line[repeat_at]}: duplicate row for {outlet} {date.fromordinal(int(day[repeat_at]))}"
         )
     if failure:
         raise SeriesError(failure)
-    del line
     outlets = tuple(sorted(codes))
     rank = np.empty(len(outlets), dtype=np.int64)
     rank[[codes[name] for name in outlets]] = np.arange(len(outlets))
-    return ArticleCountPanel._checked(outlets, day, rank[code], count, _ordinal_months(day))
+    code = rank[code]  # before the months, so the old codes are freed first
+    return ArticleCountPanel._checked(outlets, day, code, count, _ordinal_months(day))
 
 
 def _check_header(path: Path, header: list[str] | None) -> None:
@@ -512,7 +528,7 @@ def _check_header(path: Path, header: list[str] | None) -> None:
 
 def _read_plain_blocks(
     path: Path,
-    blocks: list[tuple[np.ndarray, ...]],
+    blocks: list[tuple],
     days: dict[str, int],
     cells_to_code: dict[str, int],
     codes: dict[str, int],
@@ -523,6 +539,7 @@ def _read_plain_blocks(
     ``csv`` (offset 0 and line 1 when the header is not a plain line), or
     ``None`` and the line after the last when every line was read.
     """
+    table = _CellTable()
     with path.open("rb") as raw:
         header = raw.readline()
         if not (header.endswith(b"\n") and _plain_bytes(header)):
@@ -532,11 +549,11 @@ def _read_plain_blocks(
         data = raw.read(_BLOCK_BYTES)
         while data:
             end = data.rfind(b"\n") + 1
-            block = _plain_block(data[:end], first_line, days, cells_to_code, codes) if end else None
+            block = _plain_block(data[:end], first_line, days, cells_to_code, codes, table) if end else None
             if block is None:
                 return start, first_line
             blocks.append(block)
-            start, first_line = start + end, first_line + len(block[0])
+            start, first_line = start + end, first_line + block[1].size
             data = data[end:] + raw.read(_BLOCK_BYTES)
     return None, first_line
 
@@ -547,18 +564,21 @@ def _plain_block(
     days: dict[str, int],
     cells_to_code: dict[str, int],
     codes: dict[str, int],
-) -> tuple[np.ndarray, ...] | None:
-    """Columns (line, day, outlet code, count) of whole lines of bytes, or
-    ``None`` unless every line is a plain, valid row.
+    table: _CellTable,
+) -> tuple | None:
+    """Columns (first line, day, outlet code, count) of whole lines of
+    bytes, or ``None`` unless every line is a plain, valid row.
 
     A plain row is ASCII with no NUL, quote or CR, and has exactly two
     commas, a 10-byte date, a non-empty outlet and a count of 1-18 digits;
-    ``csv`` would split it at its commas.  Each field's cells are read at
-    the rows :func:`_distinct_fields` picks, so a cell may be read more than
-    once.  A date in ``YYYY-MM-DD`` form gets its ordinal from its digits
-    (:func:`_iso_days`); other date cells and the outlet cells are looked up
-    as in :func:`_parse_row`.  A bad date or blank outlet makes the block
-    not valid.
+    ``csv`` would split it at its commas.  Dates are read at the first row
+    of each run of equal neighbouring cells (:func:`_runs`), a date in
+    ``YYYY-MM-DD`` form from its digits (:func:`_iso_days`); outlets too
+    when their runs are long, else from ``table`` when it holds every
+    outlet cell of the block, else at one row of each distinct cell
+    (:func:`_distinct_fields`), which then join ``table``.  A cell read at
+    a row is looked up as in :func:`_parse_row`, so it may be read more than
+    once.  A bad date or blank outlet makes the block not valid.
     """
     if not _plain_bytes(data):
         return None
@@ -589,20 +609,28 @@ def _plain_block(
     # cover the longest outlet's last word
     padded = np.concatenate((buf, np.zeros(int(outlet_width.max()) + 8, dtype=np.uint8)))
     words = np.ndarray((padded.size - 7,), dtype="<u8", buffer=padded, strides=(1,))
-    date_at, date_id = _distinct_fields(words, start, 10)
-    outlet_at, outlet_id = _distinct_fields(words, first + 1, outlet_width)
+    date_at, date_id = _runs(_pieces(words, start, 10), 1)
     date_day = _iso_days(words, start[date_at])
     other = np.flatnonzero(date_day == 0)  # another ISO form, or no date
     date_cells = [data[i : i + 10].decode("ascii") for i in start[date_at[other]].tolist()]
-    outlet_bounds = zip((first[outlet_at] + 1).tolist(), second[outlet_at].tolist())
-    outlet_cells = [data[i:j].decode("ascii") for i, j in outlet_bounds]
-    _learn_cells(date_cells, outlet_cells, days, cells_to_code, codes)
+    _learn_cells(date_cells, (), days, cells_to_code, codes)
     date_day[other] = [days[cell] for cell in date_cells]
     day = date_day[date_id]
-    code = np.array([cells_to_code[cell] for cell in outlet_cells], dtype=np.int64)[outlet_id]
+    outlet = _pieces(words, first + 1, outlet_width)
+    runs = _runs(outlet, _ROWS_PER_RUN)
+    code = None if runs else table.codes_of(outlet)
+    if code is None:
+        outlet_at, outlet_id = runs or _distinct_fields(outlet)
+        outlet_bounds = zip((first[outlet_at] + 1).tolist(), second[outlet_at].tolist())
+        outlet_cells = [data[i:j].decode("ascii") for i, j in outlet_bounds]
+        _learn_cells((), outlet_cells, days, cells_to_code, codes)
+        cell_codes = np.array([cells_to_code[cell] for cell in outlet_cells], dtype=np.int64)
+        if not runs:
+            table.add([piece[outlet_at] for piece in outlet], cell_codes)
+        code = cell_codes[outlet_id]
     if not day.all() or (code < 0).any():
         return None
-    return first_line + np.arange(end.size), day, code, count
+    return first_line, day, code, count
 
 
 def _plain_bytes(data: bytes) -> bool:
@@ -610,55 +638,93 @@ def _plain_bytes(data: bytes) -> bool:
     return data.isascii() and not any(byte in data for byte in (b"\0", b'"', b"\r"))
 
 
-def _distinct_fields(
-    words: np.ndarray, start: np.ndarray, width: np.ndarray | int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Rows whose cells stand for all of a byte field's cells, and each
-    row's position among them.
-
-    When the field's runs of equal neighbouring cells average
-    ``_ROWS_PER_RUN`` rows or more, as the dates of a file grouped by day
-    do, these are the first rows of the runs, and a cell recurs among them
-    once for each of its runs.  Otherwise, as for the outlets of such a
-    file or any field of a shuffled one, they are one row of each distinct
-    cell, found by sorting.
+def _pieces(words: np.ndarray, start: np.ndarray, width: np.ndarray | int) -> list[np.ndarray]:
+    """The cells of a byte field as the integers of their zero-padded 8-byte
+    pieces, one array per piece.
 
     ``words`` holds the 8-byte word at every offset of NUL-free bytes, so
-    fields compare as the integers of their zero-padded 8-byte pieces.
+    two cells are equal where all their pieces are.
     """
+    return [words[start + offset] & _LOW_BYTES[np.clip(width - offset, 0, 8)] for offset in range(0, int(np.max(width)), 8)]
 
-    def pieces():
-        for offset in range(0, int(np.max(width)), 8):
-            yield words[start + offset] & _LOW_BYTES[np.clip(width - offset, 0, 8)]
 
-    rows = start.size
+def _runs(pieces: list[np.ndarray], rows_per_run: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """First rows of a field's runs of equal neighbouring cells and each
+    row's run, or ``None`` when the runs average fewer than
+    ``rows_per_run`` rows.  A cell recurs once for each of its runs."""
+    rows = pieces[0].size
     head = np.zeros(rows, dtype=bool)
     head[0] = True
-    keys = pieces()
-    for piece, key in enumerate(keys):
+    for key in pieces:
         head[1:] |= key[1:] != key[:-1]
-        if np.count_nonzero(head) * _ROWS_PER_RUN > rows:
-            break
-    else:
-        at = np.flatnonzero(head)
-        return at, np.repeat(np.arange(at.size), np.diff(at, append=rows))
-    if piece:  # the sort starts again from the first piece
-        keys = pieces()
-        key = next(keys)
-    ids = np.unique(key, return_inverse=True)[1]
-    for key in keys:
+        if np.count_nonzero(head) * rows_per_run > rows:
+            return None
+    at = np.flatnonzero(head)
+    return at, np.repeat(np.arange(at.size), np.diff(at, append=rows))
+
+
+def _distinct_fields(pieces: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """First rows of a field's distinct cells, ascending, and each row's
+    position among them, found by sorting."""
+    rows = pieces[0].size
+    _, at, ids = np.unique(pieces[0], return_index=True, return_inverse=True)
+    for key in pieces[1:]:
         # pairs of (earlier pieces' position, this piece's position)
-        ids = np.unique(ids * rows + np.unique(key, return_inverse=True)[1], return_inverse=True)[1]
-    at = np.empty(ids.max() + 1, dtype=np.int64)
-    at[ids] = np.arange(rows)  # one of the rows of each distinct cell
-    return at, ids
+        pairs = ids * rows + np.unique(key, return_inverse=True)[1]
+        _, at, ids = np.unique(pairs, return_index=True, return_inverse=True)
+    order = np.argsort(at)
+    position = np.empty_like(order)
+    position[order] = np.arange(order.size)
+    return at[order], position[ids]
+
+
+def _cell_keys(pieces: list[np.ndarray]) -> np.ndarray:
+    """Each cell's key (see ``_KEY_BASE``), unchanged by trailing zero pieces."""
+    key = pieces[0]
+    for k, piece in enumerate(pieces[1:], 1):
+        key = key + piece * np.uint64(pow(_KEY_BASE, k, 1 << 64))
+    return key
+
+
+class _CellTable:
+    """The outlet cells one file's byte path has learned, with their codes,
+    sorted by key (:func:`_cell_keys`) and held as their pieces.
+
+    A lookup checks every piece, so a cell is found only where the table
+    holds the same bytes; of two cells with one key, only the first joins.
+    """
+
+    def __init__(self) -> None:
+        self.keys = np.empty(0, dtype=np.uint64)
+        self.pieces = np.empty((0, 0), dtype=np.uint64)  # one row per piece
+        self.codes = np.empty(0, dtype=np.int64)
+
+    def codes_of(self, pieces: list[np.ndarray]) -> np.ndarray | None:
+        """Each cell's code, or ``None`` when the table lacks a cell."""
+        if len(pieces) > len(self.pieces):  # a cell longer than every known one
+            return None
+        at = np.minimum(np.searchsorted(self.keys, _cell_keys(pieces)), self.keys.size - 1)
+        for k, known in enumerate(self.pieces):
+            if not (known[at] == (pieces[k] if k < len(pieces) else 0)).all():
+                return None
+        return self.codes[at]
+
+    def add(self, pieces: list[np.ndarray], codes: np.ndarray) -> None:
+        """Add the cells with these pieces and codes."""
+        size = self.keys.size
+        grown = np.zeros((max(len(pieces), len(self.pieces)), size + codes.size), dtype=np.uint64)
+        grown[: len(self.pieces), :size] = self.pieces
+        grown[: len(pieces), size:] = pieces
+        keys = np.concatenate((self.keys, _cell_keys(pieces)))
+        _, first = np.unique(keys, return_index=True)
+        self.keys, self.pieces, self.codes = keys[first], grown[:, first], np.concatenate((self.codes, codes))[first]
 
 
 def _iso_days(words: np.ndarray, at: np.ndarray) -> np.ndarray:
     """Day ordinals of the 10-byte ASCII cells at offsets ``at`` that are
     dates in ``YYYY-MM-DD`` form, and 0 for every other cell.
 
-    ``words`` is as for :func:`_distinct_fields`.  An ordinal is the cell's
+    ``words`` is as for :func:`_pieces`.  An ordinal is the cell's
     ``date.fromisoformat(...).toordinal()``, got from its digits.
     """
     cells = np.stack((words[at], words[at + 8]), axis=1)  # "YYYY-MM-", "DD..."
@@ -718,9 +784,10 @@ def _learn_cells(
             days[cell] = date.fromisoformat(cell.strip()).toordinal()
         except ValueError:
             days[cell] = 0
-    for cell in set(outlet_cells).difference(cells_to_code):
-        name = cell.strip()
-        cells_to_code[cell] = codes.setdefault(name, len(codes)) if name else -1
+    for cell in outlet_cells:  # in order, so codes follow the outlets' first rows
+        if cell not in cells_to_code:
+            name = cell.strip()
+            cells_to_code[cell] = codes.setdefault(name, len(codes)) if name else -1
 
 
 def read_flows_csv(path: str | Path) -> EntityFlowSeries:

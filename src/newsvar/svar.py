@@ -315,7 +315,7 @@ class SvarEstimate(_System):
         m = self.m
         if self.A0.shape != (m, m):
             raise ModelSpecError("A0 must be m x m")
-        if not np.allclose(np.diag(self.A0), 1.0):
+        if not (np.diag(self.A0) == 1.0).all():
             raise ModelSpecError("A0 diagonal must be exactly 1")
         if np.any(np.triu(self.A0, 1) != 0.0):
             raise ModelSpecError("A0 must be lower triangular")

@@ -1,6 +1,7 @@
 import re
 import string
 import tempfile
+import tracemalloc
 from datetime import date
 from pathlib import Path
 from unittest import mock
@@ -475,7 +476,7 @@ def counts_files(draw):
 @settings(derandomize=True, database=None, max_examples=400, deadline=None)
 @given(
     text=counts_files(),
-    block_bytes=st.sampled_from([16, 24, 40, 64, 1 << 17]),
+    block_bytes=st.sampled_from([16, 24, 40, 64, 1 << 17, 1 << 19]),
 )
 def test_read_counts_csv_matches_row_reference(text, block_bytes):
     # small blocks put failing rows and repeated outlet-days in different
@@ -498,7 +499,11 @@ def ordered_counts_files(draw):
     files each outlet, so a block reads such a field from its runs; shuffled
     files read both fields by sorting.  A few rows are then dropped, moved
     (splitting a run in two), repeated, given a blank outlet or given an
-    odd date cell.
+    odd date cell; a row and its next are swapped (a descent) or the row is
+    repeated next to itself, either of which may straddle a block boundary;
+    two rows, the second in the file's later half, get a blank outlet; or
+    one outlet's rows in the later half get an outlet no earlier row has,
+    after earlier blocks have learned the others.
     """
     first = date(2000, 1, 1).toordinal() + draw(st.integers(0, 400))
     days = [date.fromordinal(first + d).isoformat() for d in range(draw(st.integers(1, 12)))]
@@ -513,7 +518,9 @@ def ordered_counts_files(draw):
     rows = [[*cell, str(draw(st.integers(0, 99)))] for cell in cells]
     for _ in range(draw(st.integers(0, 2))):
         at = draw(st.integers(0, len(rows) - 1))
-        change = draw(st.sampled_from(["drop", "move", "repeat", "blank outlet", "odd date"]))
+        change = draw(st.sampled_from(
+            ["drop", "move", "repeat", "blank outlet", "odd date", "swap next", "repeat next", "blank twice", "new outlet"]
+        ))
         if change == "drop" and len(rows) > 1:
             del rows[at]
         elif change == "move":
@@ -524,13 +531,27 @@ def ordered_counts_files(draw):
             rows[at][1] = " "
         elif change == "odd date":
             rows[at][0] = draw(st.sampled_from(ODD_DATE_CELLS))
+        elif change == "swap next" and at + 1 < len(rows):
+            rows[at], rows[at + 1] = rows[at + 1], rows[at]
+        elif change == "repeat next":
+            rows.insert(at + 1, list(rows[at]))
+        elif change == "blank twice":
+            later = draw(st.integers(len(rows) // 2, len(rows) - 1))
+            rows[min(at, later)][1] = rows[later][1] = " "
+        elif change == "new outlet" and len(outlets) < len(ORDERED_OUTLETS):
+            later = draw(st.integers(len(rows) // 2, len(rows) - 1))
+            new, old = draw(st.sampled_from([name for name in ORDERED_OUTLETS if name not in outlets])), rows[later][1]
+            for row in rows[later:]:
+                row[1] = new if row[1] == old else row[1]
     return "date,outlet,count\n" + "".join(",".join(row) + "\n" for row in rows)
 
 
-@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+# 720 examples over nine changes draw each change about as often as 400
+# examples drew each of the first five when they were all the changes
+@settings(derandomize=True, database=None, max_examples=720, deadline=None)
 @given(
     text=ordered_counts_files(),
-    block_bytes=st.sampled_from([16, 40, 100, 300, 1_000, 1 << 17]),
+    block_bytes=st.sampled_from([16, 40, 100, 300, 1_000, 1 << 17, 1 << 19]),
 )
 def test_read_counts_csv_matches_row_reference_in_any_row_order(text, block_bytes):
     # small blocks cut runs of one date or outlet at block boundaries
@@ -567,6 +588,14 @@ def words_of(data: bytes) -> np.ndarray:
     return np.ndarray((padded.size - 7,), dtype="<u8", buffer=padded, strides=(1,))
 
 
+def cell_pieces(cells: list[bytes]) -> list[np.ndarray]:
+    """The pieces of ``cells`` as ``_plain_block`` takes them: one cell a
+    line, and zeros past the cells to cover the widest's last word."""
+    width = np.array([len(cell) for cell in cells])
+    start = np.concatenate(([0], np.cumsum(width + 1)[:-1]))
+    return ix._pieces(words_of(b"\n".join(cells) + bytes(int(width.max()))), start, width)
+
+
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
 @given(
     runs=st.lists(
@@ -577,17 +606,45 @@ def words_of(data: bytes) -> np.ndarray:
 )
 def test_distinct_fields_reads_runs_or_sorts(runs):
     cells = [cell for cell, length in runs for _ in range(length)]
-    width = np.array([len(cell) for cell in cells])
-    start = np.concatenate(([0], np.cumsum(width + 1)[:-1]))
-    # as in _plain_block, the zeros past the cells cover the widest's last word
-    at, ids = ix._distinct_fields(words_of(b"\n".join(cells) + bytes(int(width.max()))), start, width)
-    # every row's cell is the cell of the row that stands for it
-    assert [cells[i] for i in at[ids]] == cells
+    pieces = cell_pieces(cells)
     heads = [i for i in range(len(cells)) if i == 0 or cells[i] != cells[i - 1]]
+    firsts = sorted(cells.index(cell) for cell in set(cells))
+    # dates are read from their runs at any length; outlets from runs of
+    # _ROWS_PER_RUN rows or more, else at the first row of each distinct cell
+    read = [(ix._runs(pieces, 1), heads)]
     if len(heads) * ix._ROWS_PER_RUN <= len(cells):
-        assert at.tolist() == heads
-    else:  # one row of each distinct cell
-        assert sorted(cells[i] for i in at) == sorted(set(cells))
+        read.append((ix._runs(pieces, ix._ROWS_PER_RUN), heads))
+    else:
+        assert ix._runs(pieces, ix._ROWS_PER_RUN) is None
+        read.append((ix._distinct_fields(pieces), firsts))
+    for (at, ids), rows in read:
+        assert at.tolist() == rows
+        # every row's cell is the cell of the row that stands for it
+        assert [cells[i] for i in at[ids]] == cells
+
+
+# cells of one to three pieces, some the first piece of another or alike in it
+TABLE_CELLS = [b"a", b"outlet01", b"outlet_l", b"outlet_long_a", b"outlet_long_b", b"outlet_longest_name", b" "]
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(
+    learned=st.lists(st.lists(st.sampled_from(TABLE_CELLS), min_size=1, max_size=4), max_size=3),
+    looked_up=st.lists(st.sampled_from(TABLE_CELLS), min_size=1, max_size=6),
+)
+def test_cell_table_finds_only_the_cells_it_holds(learned, looked_up):
+    # cells join in batches, as blocks learn them; a lookup gives every
+    # cell's code only when the table holds each one's exact bytes
+    table, codes = ix._CellTable(), {}
+    for batch in learned:
+        for cell in batch:
+            codes.setdefault(cell, len(codes) - 1)  # the first, like a blank cell, gets -1
+        table.add(cell_pieces(batch), np.array([codes[cell] for cell in batch], dtype=np.int64))
+    found = table.codes_of(cell_pieces(looked_up))
+    if all(cell in codes for cell in looked_up):
+        assert found.tolist() == [codes[cell] for cell in looked_up]
+    else:
+        assert found is None
 
 
 def iso_reference(cell: str) -> int:
@@ -751,7 +808,7 @@ def assert_same_panel(panel: ix.ArticleCountPanel, expected: ix.ArticleCountPane
         assert np.array_equal(getattr(panel, column), getattr(expected, column))
 
 
-@pytest.mark.parametrize("block_bytes", [1_000, ix._BLOCK_BYTES])
+@pytest.mark.parametrize("block_bytes", [1_000, 1 << 17, ix._BLOCK_BYTES])
 def test_read_counts_csv_reads_a_plain_file_on_bytes(tmp_path, block_bytes):
     p = tmp_path / "counts.csv"
     p.write_text(plain_counts_text(), encoding="utf-8")
@@ -761,6 +818,76 @@ def test_read_counts_csv_reads_a_plain_file_on_bytes(tmp_path, block_bytes):
         panel = ix.read_counts_csv(p)
     parse.assert_not_called()
     assert_same_panel(panel, read_through_csv(p))
+
+
+def test_read_counts_csv_sorts_outlets_only_in_the_first_block(tmp_path):
+    # a date-major file names all its outlets in its first block; later
+    # blocks look their outlets up, and its (day, outlet code) pairs ascend,
+    # so the repeat search ends without its stable sort
+    p = tmp_path / "counts.csv"
+    p.write_text(plain_counts_text(), encoding="utf-8")
+    plain_block, unique, argsort = ix._plain_block, np.unique, np.argsort
+    blocks, sorted_in, stable_sorts = [], [], []
+
+    def spy_block(*args):
+        blocks.append(args[1])
+        return plain_block(*args)
+
+    def spy_unique(*args, **kwargs):
+        sorted_in.append(len(blocks))
+        return unique(*args, **kwargs)
+
+    def spy_argsort(*args, **kwargs):
+        stable_sorts.append(kwargs.get("kind") == "stable")
+        return argsort(*args, **kwargs)
+
+    with mock.patch.object(ix, "_BLOCK_BYTES", 1_000), mock.patch.object(ix, "_plain_block", spy_block), \
+            mock.patch.object(np, "unique", spy_unique), mock.patch.object(np, "argsort", spy_argsort):
+        panel = ix.read_counts_csv(p)
+    assert len(blocks) > 20 and sorted_in and set(sorted_in) == {1}
+    assert not any(stable_sorts)
+    assert_same_panel(panel, read_through_csv(p))
+
+
+@pytest.mark.parametrize(
+    "rows, error",
+    [
+        # lines 3 and 4, one outlet-day, end one block and start the next
+        (["2000-01-01,a,1", "2000-01-02,a,1", "2000-01-02,a,2", "2000-01-03,a,1"], ":4: duplicate row for a 2000-01-02"),
+        # line 4 descends from line 3, which line 5 repeats; each block ascends alone
+        (["2000-01-01,a,1", "2000-01-02,a,1", "2000-01-01,b,2", "2000-01-02,a,3"], ":5: duplicate row for a 2000-01-02"),
+        (["2000-01-01,a,1", "2000-01-02,a,1", "2000-01-01,b,2", "2000-01-02,b,3"], None),
+    ],
+    ids=["repeat", "descent-then-repeat", "descent"],
+)
+def test_read_counts_csv_checks_order_across_blocks(tmp_path, rows, error):
+    p = tmp_path / "counts.csv"
+    p.write_text("date,outlet,count\n" + "".join(row + "\n" for row in rows), encoding="utf-8")
+    with mock.patch.object(ix, "_BLOCK_BYTES", 30):  # two 15-byte lines a block
+        if error:
+            with pytest.raises(SeriesError, match=rf"{error}$"):
+                ix.read_counts_csv(p)
+        else:
+            assert_same_panel(ix.read_counts_csv(p), read_through_csv(p))
+
+
+def test_read_counts_csv_traced_peak_holds_the_panel_and_a_few_blocks(tmp_path):
+    # the benchmark's counts shape, grouped by day; numpy reports its arrays
+    # to tracemalloc.  A block takes about 7 times its size while it is read
+    # (see _BLOCK_BYTES), but the first blocks are read while few columns
+    # are held, and the last ones are small: the peak is the panel's four
+    # columns plus 2.4 _BLOCK_BYTES.  Holding the blocks' columns and their
+    # joined copies at once (7.1), or a line column (7.8), crosses the bound
+    p = tmp_path / "counts.csv"
+    p.write_text(plain_counts_text(outlets=20, days=11_596), encoding="utf-8")
+    tracemalloc.start()
+    try:
+        panel = ix.read_counts_csv(p)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    columns = sum(getattr(panel, name).nbytes for name in ("day", "outlet", "count", "month"))
+    assert peak <= columns + 4 * ix._BLOCK_BYTES
 
 
 def test_read_counts_csv_hands_only_the_quoted_block_to_csv(tmp_path):

@@ -495,11 +495,13 @@ _PANEL = np.random.default_rng(0).normal(size=(60, 4))
         (lambda: sv.estimate_svar_stack(_TWO, _PANEL), ModelSpecError, "data stack must be (panels, periods, 4)"),
         (lambda: _estimate_with_A0(np.eye(2)[:, :1]), ModelSpecError, "A0 must be m x m"),
         (lambda: _estimate_with_A0(2.0 * np.eye(2)), ModelSpecError, "A0 diagonal must be exactly 1"),
+        (lambda: _estimate_with_A0(np.diag([1.000005, 1.0])), ModelSpecError, "A0 diagonal must be exactly 1"),
         (lambda: _estimate_with_A0(np.array([[1.0, 0.5], [0.0, 1.0]])), ModelSpecError, "A0 must be lower triangular"),
     ],
     ids=[
         "duplicate-ordering", "extra-lag-3", "spec-not-object", "arrays-short", "stack-short",
-        "arrays-columns", "arrays-3d", "stack-columns", "stack-2d", "A0-not-square", "A0-diagonal", "A0-upper",
+        "arrays-columns", "arrays-3d", "stack-columns", "stack-2d", "A0-not-square", "A0-diagonal",
+        "A0-diagonal-near-1", "A0-upper",
     ],
 )
 def test_model_refusals_raise_their_error(refused, error, message):
