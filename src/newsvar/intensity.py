@@ -69,9 +69,13 @@ _EPOCH_ORDINAL = date(1970, 1, 1).toordinal()
 _MAX_ORDINAL = date.max.toordinal()
 
 
-def _run_heads(values: np.ndarray) -> np.ndarray:
-    """Positions where a run of equal neighbouring values of a non-empty array starts."""
-    return np.flatnonzero(np.concatenate(([True], values[1:] != values[:-1])))
+def _run_heads(*columns: np.ndarray) -> np.ndarray:
+    """Positions where a run of neighbouring rows equal in every column
+    starts, for non-empty columns of one length."""
+    change = np.zeros(columns[0].size - 1, dtype=bool)
+    for column in columns:
+        change |= column[1:] != column[:-1]
+    return np.flatnonzero(np.concatenate(([True], change)))
 
 
 def _ordinal_months(day: np.ndarray) -> np.ndarray:
@@ -419,15 +423,6 @@ def sdn_index(flows: EntityFlowSeries, w: float = 0.4) -> IntensityIndex:
 _BLOCK_BYTES = 1 << 19
 # the low k bytes of a little-endian 8-byte word, for k = 0..8
 _LOW_BYTES = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)
-# a block reads its outlets from their runs of equal neighbouring cells when
-# they average this many rows or more, as in a file grouped by outlet.
-# Reading a run's cell costs about as much as sorting 16 rows of outlets
-# (decoding and looking it up, 245 ns; the sort, 15 ns a row), so runs of 8
-# cost at most 1.6x the sort (one CPU).  Dates are read from their runs at
-# any length: a run's date, got from its digits, costs less than sorting one
-# row's two 8-byte pieces (runs vs sort per 128 KiB block: 649 vs 1038 us
-# with a new date every row, 240 vs 631 us every 6 rows)
-_ROWS_PER_RUN = 8
 # a date cell's two words, "YYYY-MM-" and "DD" with the bytes after it, lie
 # bytewise between the first and the second pair of bounds; an ASCII byte b
 # reaches a lower bound lo where b + 0x80 - lo carries into its top bit, and
@@ -444,7 +439,7 @@ _TOP_BITS = np.uint64(0x8080808080808080)
 _ISO_PLACES = np.zeros((16, 3))
 _ISO_PLACES[[0, 1, 2, 3, 5, 6, 8, 9], [0, 0, 0, 0, 1, 1, 2, 2]] = [1000, 100, 10, 1, 10, 1, 10, 1]
 # a cell's key is the sum of its k-th pieces times this to the k, modulo
-# 2**64; any base serves, as a lookup checks every piece
+# 2**64; any base serves, as a lookup or a sort by key checks every piece
 _KEY_BASE = 0x9E3779B97F4A7C15
 
 
@@ -457,24 +452,25 @@ def read_counts_csv(path: str | Path) -> ArticleCountPanel:
     row for one outlet-day, checked in that order within a row.
 
     The file is parsed on its bytes, block by block, while every line is a
-    plain row (see :func:`_plain_block`).  From the first block that is
-    not, the rest of the file goes through ``csv`` row by row (see
-    :func:`_parse_row`), which reads every row that the byte path does not
-    and reports every error.
+    plain, valid row with a ``YYYY-MM-DD`` date (see :func:`_plain_block`).
+    From the first block that is not, the rest of the file goes through
+    ``csv`` row by row (see :func:`_parse_row`), which reads every row that
+    the byte path does not, other ISO date forms among them, and reports
+    every error.
     """
     path = Path(path)
-    days: dict[str, int] = {}  # date cell -> day ordinal, 0 when unparseable
     cells_to_code: dict[str, int] = {}  # outlet cell -> outlet code, -1 when blank
     codes: dict[str, int] = {}  # outlet name -> code, in order of appearance
     # each block's first line (its line per row, on the csv path), day, outlet code and count
     blocks: list[tuple] = []
-    start, first_line = _read_plain_blocks(path, blocks, days, cells_to_code, codes)
+    start, first_line = _read_plain_blocks(path, blocks, cells_to_code, codes)
     failure = None
     if start is not None:
         from array import array  # loaded only where a file reaches the csv path
         columns = tuple(array("q") for _ in range(4))  # line, day, outlet code, count
         blocks.append(columns)
         add_line, add_day, add_code, add_count = (column.append for column in columns)
+        days: dict[str, int] = {}  # date cell -> day ordinal, 0 when unparseable
         with csv_rows(path, start) as reader:
             if first_line == 1:
                 _check_header(path, next(reader, None))
@@ -529,7 +525,6 @@ def _check_header(path: Path, header: list[str] | None) -> None:
 def _read_plain_blocks(
     path: Path,
     blocks: list[tuple],
-    days: dict[str, int],
     cells_to_code: dict[str, int],
     codes: dict[str, int],
 ) -> tuple[int | None, int]:
@@ -549,7 +544,7 @@ def _read_plain_blocks(
         data = raw.read(_BLOCK_BYTES)
         while data:
             end = data.rfind(b"\n") + 1
-            block = _plain_block(data[:end], first_line, days, cells_to_code, codes, table) if end else None
+            block = _plain_block(data[:end], first_line, cells_to_code, codes, table) if end else None
             if block is None:
                 return start, first_line
             blocks.append(block)
@@ -561,7 +556,6 @@ def _read_plain_blocks(
 def _plain_block(
     data: bytes,
     first_line: int,
-    days: dict[str, int],
     cells_to_code: dict[str, int],
     codes: dict[str, int],
     table: _CellTable,
@@ -571,14 +565,14 @@ def _plain_block(
 
     A plain row is ASCII with no NUL, quote or CR, and has exactly two
     commas, a 10-byte date, a non-empty outlet and a count of 1-18 digits;
-    ``csv`` would split it at its commas.  Dates are read at the first row
-    of each run of equal neighbouring cells (:func:`_runs`), a date in
-    ``YYYY-MM-DD`` form from its digits (:func:`_iso_days`); outlets too
-    when their runs are long, else from ``table`` when it holds every
-    outlet cell of the block, else at one row of each distinct cell
-    (:func:`_distinct_fields`), which then join ``table``.  A cell read at
-    a row is looked up as in :func:`_parse_row`, so it may be read more than
-    once.  A bad date or blank outlet makes the block not valid.
+    ``csv`` would split it at its commas.  Dates are read from their digits
+    (:func:`_iso_days`) at the first row of each run of equal neighbouring
+    cells (:func:`_run_heads`); a date cell not in ``YYYY-MM-DD`` form, or
+    not a real date, makes the block not valid.  Outlets are looked up in
+    ``table`` when it holds every outlet cell of the block, else read at one
+    row of each distinct cell (:func:`_distinct_fields`) as in
+    :func:`_parse_row`, and those cells then join ``table``; a blank outlet,
+    or two cells that share a key, makes the block not valid.
     """
     if not _plain_bytes(data):
         return None
@@ -609,26 +603,25 @@ def _plain_block(
     # cover the longest outlet's last word
     padded = np.concatenate((buf, np.zeros(int(outlet_width.max()) + 8, dtype=np.uint8)))
     words = np.ndarray((padded.size - 7,), dtype="<u8", buffer=padded, strides=(1,))
-    date_at, date_id = _runs(_pieces(words, start, 10), 1)
+    date_at = _run_heads(*_pieces(words, start, 10))
     date_day = _iso_days(words, start[date_at])
-    other = np.flatnonzero(date_day == 0)  # another ISO form, or no date
-    date_cells = [data[i : i + 10].decode("ascii") for i in start[date_at[other]].tolist()]
-    _learn_cells(date_cells, (), days, cells_to_code, codes)
-    date_day[other] = [days[cell] for cell in date_cells]
-    day = date_day[date_id]
+    if not date_day.all():
+        return None
+    day = np.repeat(date_day, np.diff(date_at, append=end.size))
     outlet = _pieces(words, first + 1, outlet_width)
-    runs = _runs(outlet, _ROWS_PER_RUN)
-    code = None if runs else table.codes_of(outlet)
+    code = table.codes_of(outlet)
     if code is None:
-        outlet_at, outlet_id = runs or _distinct_fields(outlet)
+        distinct = _distinct_fields(outlet)
+        if distinct is None:
+            return None
+        outlet_at, outlet_id = distinct
         outlet_bounds = zip((first[outlet_at] + 1).tolist(), second[outlet_at].tolist())
         outlet_cells = [data[i:j].decode("ascii") for i, j in outlet_bounds]
-        _learn_cells((), outlet_cells, days, cells_to_code, codes)
+        _learn_outlets(outlet_cells, cells_to_code, codes)
         cell_codes = np.array([cells_to_code[cell] for cell in outlet_cells], dtype=np.int64)
-        if not runs:
-            table.add([piece[outlet_at] for piece in outlet], cell_codes)
+        table.add([piece[outlet_at] for piece in outlet], cell_codes)
         code = cell_codes[outlet_id]
-    if not day.all() or (code < 0).any():
+    if (code < 0).any():
         return None
     return first_line, day, code, count
 
@@ -648,30 +641,13 @@ def _pieces(words: np.ndarray, start: np.ndarray, width: np.ndarray | int) -> li
     return [words[start + offset] & _LOW_BYTES[np.clip(width - offset, 0, 8)] for offset in range(0, int(np.max(width)), 8)]
 
 
-def _runs(pieces: list[np.ndarray], rows_per_run: int) -> tuple[np.ndarray, np.ndarray] | None:
-    """First rows of a field's runs of equal neighbouring cells and each
-    row's run, or ``None`` when the runs average fewer than
-    ``rows_per_run`` rows.  A cell recurs once for each of its runs."""
-    rows = pieces[0].size
-    head = np.zeros(rows, dtype=bool)
-    head[0] = True
-    for key in pieces:
-        head[1:] |= key[1:] != key[:-1]
-        if np.count_nonzero(head) * rows_per_run > rows:
-            return None
-    at = np.flatnonzero(head)
-    return at, np.repeat(np.arange(at.size), np.diff(at, append=rows))
-
-
-def _distinct_fields(pieces: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+def _distinct_fields(pieces: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray] | None:
     """First rows of a field's distinct cells, ascending, and each row's
-    position among them, found by sorting."""
-    rows = pieces[0].size
-    _, at, ids = np.unique(pieces[0], return_index=True, return_inverse=True)
-    for key in pieces[1:]:
-        # pairs of (earlier pieces' position, this piece's position)
-        pairs = ids * rows + np.unique(key, return_inverse=True)[1]
-        _, at, ids = np.unique(pairs, return_index=True, return_inverse=True)
+    position among them, found by sorting the cells' keys
+    (:func:`_cell_keys`); ``None`` when two different cells share a key."""
+    _, at, ids = np.unique(_cell_keys(pieces), return_index=True, return_inverse=True)
+    if not all((piece[at[ids]] == piece).all() for piece in pieces):
+        return None
     order = np.argsort(at)
     position = np.empty_like(order)
     position[order] = np.arange(order.size)
@@ -753,8 +729,13 @@ def _parse_row(
     if len(row) < 3:
         return "expected 'date,outlet,count'" if "".join(row).strip() else None
     date_cell, outlet_cell, count_cell = row[0], row[1], row[2]
-    if date_cell not in days or outlet_cell not in cells_to_code:
-        _learn_cells((date_cell,), (outlet_cell,), days, cells_to_code, codes)
+    if date_cell not in days:
+        try:
+            days[date_cell] = date.fromisoformat(date_cell.strip()).toordinal()
+        except ValueError:
+            days[date_cell] = 0
+    if outlet_cell not in cells_to_code:
+        _learn_outlets((outlet_cell,), cells_to_code, codes)
     day, code = days[date_cell], cells_to_code[outlet_cell]
     if not day:
         return f"bad date {date_cell!r}" if "".join(row).strip() else None
@@ -771,19 +752,8 @@ def _parse_row(
     return day, code, count
 
 
-def _learn_cells(
-    date_cells: list[str],
-    outlet_cells: list[str],
-    days: dict[str, int],
-    cells_to_code: dict[str, int],
-    codes: dict[str, int],
-) -> None:
-    """Add the date and outlet cells not yet looked up to the lookup dicts."""
-    for cell in set(date_cells).difference(days):
-        try:
-            days[cell] = date.fromisoformat(cell.strip()).toordinal()
-        except ValueError:
-            days[cell] = 0
+def _learn_outlets(outlet_cells: list[str], cells_to_code: dict[str, int], codes: dict[str, int]) -> None:
+    """Add the outlet cells not yet looked up to the lookup dicts."""
     for cell in outlet_cells:  # in order, so codes follow the outlets' first rows
         if cell not in cells_to_code:
             name = cell.strip()

@@ -495,15 +495,16 @@ ODD_DATE_CELLS = ["2000-W01-1", " 20000103 ", "20000104  ", "2000-02-30", "0000-
 def ordered_counts_files(draw):
     """Plain CSV text of every outlet on every day, in one of three orders.
 
-    Date-major files repeat each date over consecutive rows and outlet-major
-    files each outlet, so a block reads such a field from its runs; shuffled
-    files read both fields by sorting.  A few rows are then dropped, moved
-    (splitting a run in two), repeated, given a blank outlet or given an
-    odd date cell; a row and its next are swapped (a descent) or the row is
-    repeated next to itself, either of which may straddle a block boundary;
-    two rows, the second in the file's later half, get a blank outlet; or
-    one outlet's rows in the later half get an outlet no earlier row has,
-    after earlier blocks have learned the others.
+    Date-major files repeat each date over consecutive rows, so a block
+    reads its dates at few run heads, and name every outlet in their first
+    block; outlet-major files name a new outlet after each outlet's days, so
+    later blocks still learn outlets; shuffled files do neither.  A few rows
+    are then dropped, moved (splitting a run in two), repeated, given a
+    blank outlet or given an odd date cell; a row and its next are swapped
+    (a descent) or the row is repeated next to itself, either of which may
+    straddle a block boundary; two rows, the second in the file's later
+    half, get a blank outlet; or one outlet's rows in the later half get an
+    outlet no earlier row has, after earlier blocks have learned the others.
     """
     first = date(2000, 1, 1).toordinal() + draw(st.integers(0, 400))
     days = [date.fromordinal(first + d).isoformat() for d in range(draw(st.integers(1, 12)))]
@@ -605,22 +606,17 @@ def cell_pieces(cells: list[bytes]) -> list[np.ndarray]:
     )
 )
 def test_distinct_fields_reads_runs_or_sorts(runs):
+    # dates are read at the heads of their runs, whatever the runs' length;
+    # outlets at the first row of each distinct cell, found by sorting
     cells = [cell for cell, length in runs for _ in range(length)]
     pieces = cell_pieces(cells)
-    heads = [i for i in range(len(cells)) if i == 0 or cells[i] != cells[i - 1]]
-    firsts = sorted(cells.index(cell) for cell in set(cells))
-    # dates are read from their runs at any length; outlets from runs of
-    # _ROWS_PER_RUN rows or more, else at the first row of each distinct cell
-    read = [(ix._runs(pieces, 1), heads)]
-    if len(heads) * ix._ROWS_PER_RUN <= len(cells):
-        read.append((ix._runs(pieces, ix._ROWS_PER_RUN), heads))
-    else:
-        assert ix._runs(pieces, ix._ROWS_PER_RUN) is None
-        read.append((ix._distinct_fields(pieces), firsts))
-    for (at, ids), rows in read:
-        assert at.tolist() == rows
-        # every row's cell is the cell of the row that stands for it
-        assert [cells[i] for i in at[ids]] == cells
+    heads = ix._run_heads(*pieces)
+    assert heads.tolist() == [i for i in range(len(cells)) if i == 0 or cells[i] != cells[i - 1]]
+    at, ids = ix._distinct_fields(pieces)
+    assert at.tolist() == sorted(cells.index(cell) for cell in set(cells))
+    # every row's cell is the cell of the row that stands for it
+    for stands_for in (np.repeat(heads, np.diff(heads, append=len(cells))), at[ids]):
+        assert [cells[i] for i in stands_for] == cells
 
 
 # cells of one to three pieces, some the first piece of another or alike in it
@@ -689,7 +685,8 @@ def test_iso_days_matches_fromisoformat_on_every_date():
 )
 def test_iso_days_reads_only_real_dates_in_their_iso_form(tmp_path, cell):
     assert ix._iso_days(words_of(cell.encode()), np.array([0])).tolist() == [iso_reference(cell)]
-    # a cell it leaves goes to date.fromisoformat, so the file reads as the reference reads it
+    # a cell it leaves makes its block go to csv, which reads it with
+    # date.fromisoformat, so the file reads as the reference reads it
     assert_reads_as_reference(f"date,outlet,count\n{cell},a,1\n2000-01-01,a,2\n", 1 << 17)
 
 
@@ -808,15 +805,44 @@ def assert_same_panel(panel: ix.ArticleCountPanel, expected: ix.ArticleCountPane
         assert np.array_equal(getattr(panel, column), getattr(expected, column))
 
 
-@pytest.mark.parametrize("block_bytes", [1_000, 1 << 17, ix._BLOCK_BYTES])
-def test_read_counts_csv_reads_a_plain_file_on_bytes(tmp_path, block_bytes):
+@pytest.mark.parametrize(
+    "block_bytes, order",
+    [
+        pytest.param(size, order, id=str(size) if order == "by day" else f"{size}-by-outlet")
+        for order in ("by day", "by outlet")
+        for size in (1_000, 1 << 17, ix._BLOCK_BYTES)
+    ],
+)
+def test_read_counts_csv_reads_a_plain_file_on_bytes(tmp_path, block_bytes, order):
+    header, *rows = plain_counts_text().splitlines()
+    if order == "by outlet":
+        rows.sort(key=lambda row: row.split(",")[1])  # a stable sort keeps each outlet's days in order
     p = tmp_path / "counts.csv"
-    p.write_text(plain_counts_text(), encoding="utf-8")
+    p.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
     with mock.patch.object(ix, "_BLOCK_BYTES", block_bytes), mock.patch.object(
         ix, "_parse_row", wraps=ix._parse_row
     ) as parse:
         panel = ix.read_counts_csv(p)
     parse.assert_not_called()
+    assert_same_panel(panel, read_through_csv(p))
+
+
+@pytest.mark.parametrize("blocks", ["one block", "separate blocks"])
+def test_read_counts_csv_reads_outlets_that_share_a_key(tmp_path, blocks):
+    # with a key base of 0 a cell's key is its first piece, which the two
+    # names share.  A block that holds both is not plain and goes to csv; a
+    # block that holds the name the table lacks sorts its outlets again
+    rows = [f"2000-01-{d:02d},{name},{d % 10}" for name in ("outlet_long_a", "outlet_long_b") for d in range(1, 11)]
+    if blocks == "one block":
+        rows.sort()
+    p = tmp_path / "counts.csv"
+    p.write_text("date,outlet,count\n" + "".join(row + "\n" for row in rows), encoding="utf-8")
+    with mock.patch.object(ix, "_KEY_BASE", 0), mock.patch.object(ix, "_parse_row", wraps=ix._parse_row) as parse:
+        assert np.array_equal(*(ix._cell_keys(cell_pieces([name])) for name in (b"outlet_long_a", b"outlet_long_b")))
+        # two 27-byte rows a block, so in the second file no block holds both names
+        with mock.patch.object(ix, "_BLOCK_BYTES", 1 << 17 if blocks == "one block" else 54):
+            panel = ix.read_counts_csv(p)
+    assert parse.called == (blocks == "one block")
     assert_same_panel(panel, read_through_csv(p))
 
 
