@@ -69,7 +69,6 @@ class BootstrapBands:
     shocks: tuple[str, ...]
     lower: Mapping[str, np.ndarray]
     upper: Mapping[str, np.ndarray]
-    median: Mapping[str, np.ndarray]
     joint_resampling: bool
 
 
@@ -91,7 +90,7 @@ def bootstrap_irf(
         horizon: IRF horizon for the bands.
         replications: number of bootstrap samples.
         quantiles: (lower, upper) band quantiles; the point IRF need not lie
-            inside the band, but the replication median does by construction.
+            inside the band.
         seed: base RNG seed; replication r uses ``seed + r``.
         joint_resampling: resample whole residual rows instead of each
             equation independently, preserving any cross-equation
@@ -188,7 +187,7 @@ def bootstrap_irf(
                 draws[kept : kept + part.ok.size] = stacked_responses(build_stacked(part), horizon, shock_cols, m)
                 kept += part.ok.size
 
-    lower, upper, median = _quantiles(draws[:kept], [*quantiles, 0.5])
+    lower, upper = _quantiles(draws[:kept], list(quantiles))
     return BootstrapBands(
         replications=kept,
         requested=replications,
@@ -200,7 +199,6 @@ def bootstrap_irf(
         shocks=shocks,
         lower={s: lower[i] for i, s in enumerate(shocks)},
         upper={s: upper[i] for i, s in enumerate(shocks)},
-        median={s: median[i] for i, s in enumerate(shocks)},
         joint_resampling=joint_resampling,
     )
 

@@ -451,32 +451,29 @@ def read_counts_csv(path: str | Path) -> ArticleCountPanel:
     date, an empty outlet, a bad, negative or over-64-bit count, or a second
     row for one outlet-day, checked in that order within a row.
 
-    The file is parsed on its bytes, block by block, while every line is a
-    plain, valid row with a ``YYYY-MM-DD`` date (see :func:`_plain_block`).
-    From the first block that is not, the rest of the file goes through
-    ``csv`` row by row (see :func:`_parse_row`), which reads every row that
-    the byte path does not, other ISO date forms among them, and reports
-    every error.
+    The route is chosen once per file.  A file whose every line is a plain,
+    valid row with a ``YYYY-MM-DD`` date is parsed on its bytes, block by
+    block (see :func:`_plain_block`).  Any other file goes through ``csv``
+    row by row from its first line (see :func:`_parse_row`), which reads
+    every row that the byte path does not, other ISO date forms and a
+    leading byte order mark among them, and reports every error.
     """
     path = Path(path)
-    cells_to_code: dict[str, int] = {}  # outlet cell -> outlet code, -1 when blank
     codes: dict[str, int] = {}  # outlet name -> code, in order of appearance
-    # each block's first line (its line per row, on the csv path), day, outlet code and count
-    blocks: list[tuple] = []
-    start, first_line = _read_plain_blocks(path, blocks, cells_to_code, codes)
-    failure = None
-    if start is not None:
+    blocks = _read_plain_blocks(path, codes)  # each block's day, outlet code and count
+    lines = failure = None  # on the byte path, row i is line i + 2
+    if blocks is None:
         from array import array  # loaded only where a file reaches the csv path
-        columns = tuple(array("q") for _ in range(4))  # line, day, outlet code, count
-        blocks.append(columns)
-        add_line, add_day, add_code, add_count = (column.append for column in columns)
+        codes = {}  # afresh, as csv reads the file from its first line
         days: dict[str, int] = {}  # date cell -> day ordinal, 0 when unparseable
-        with csv_rows(path, start) as reader:
-            if first_line == 1:
-                _check_header(path, next(reader, None))
-                first_line = 2
+        cells_to_code: dict[str, int] = {}  # outlet cell -> outlet code, -1 when blank
+        lines, *columns = (array("q") for _ in range(4))  # line, day, outlet code, count
+        blocks = [tuple(columns)]
+        add_line, add_day, add_code, add_count = (column.append for column in (lines, *columns))
+        with csv_rows(path) as reader:
+            _check_header(path, next(reader, None))
             parsed_rows = map(_parse_row, reader, repeat(days), repeat(cells_to_code), repeat(codes))
-            for lineno, parsed in enumerate(parsed_rows, first_line):
+            for lineno, parsed in enumerate(parsed_rows, 2):
                 if isinstance(parsed, str):
                     failure = f"{path}:{lineno}: {parsed}"
                     break
@@ -484,10 +481,9 @@ def read_counts_csv(path: str | Path) -> ArticleCountPanel:
                     day, code, count = parsed
                     add_line(lineno), add_day(day), add_code(code), add_count(count)
         del columns, add_line, add_day, add_code, add_count  # blocks holds the only reference
-    if not any(len(block[1]) for block in blocks):
+    if not any(len(block[0]) for block in blocks):
         raise SeriesError(failure or f"{path}: no data rows")
-    lines, *parts = zip(*blocks)
-    sizes = [len(part) for part in parts[0]]
+    parts = list(zip(*blocks))
     del blocks
     # joined a column at a time, each freeing its blocks' parts, so that no
     # more columns are held than the panel's four
@@ -497,12 +493,10 @@ def read_counts_csv(path: str | Path) -> ArticleCountPanel:
     # lists its outlets in one order skips the search's sort
     repeat_at = _first_repeat(code, day)
     if repeat_at is not None:
-        line = np.concatenate(
-            [np.arange(first, first + size) if isinstance(first, int) else first for first, size in zip(lines, sizes)]
-        )
+        line = repeat_at + 2 if lines is None else lines[repeat_at]
         outlet = next(name for name, c in codes.items() if c == code[repeat_at])
         raise SeriesError(
-            f"{path}:{line[repeat_at]}: duplicate row for {outlet} {date.fromordinal(int(day[repeat_at]))}"
+            f"{path}:{line}: duplicate row for {outlet} {date.fromordinal(int(day[repeat_at]))}"
         )
     if failure:
         raise SeriesError(failure)
@@ -522,46 +516,33 @@ def _check_header(path: Path, header: list[str] | None) -> None:
         raise SeriesError(f"{path}: expected header 'date,outlet,count'")
 
 
-def _read_plain_blocks(
-    path: Path,
-    blocks: list[tuple],
-    cells_to_code: dict[str, int],
-    codes: dict[str, int],
-) -> tuple[int | None, int]:
-    """Append the columns of the file's leading plain blocks to ``blocks``.
-
-    Returns the byte offset and line number of the first line left for
-    ``csv`` (offset 0 and line 1 when the header is not a plain line), or
-    ``None`` and the line after the last when every line was read.
-    """
+def _read_plain_blocks(path: Path, codes: dict[str, int]) -> list[tuple] | None:
+    """The columns of every block of the file after its header, or ``None``
+    as soon as a line, the header among them, is not plain (see
+    :func:`_plain_block`).  A last line with no line end is read as if it
+    had one, as ``csv`` reads it."""
     table = _CellTable()
+    blocks = []
     with path.open("rb") as raw:
         header = raw.readline()
         if not (header.endswith(b"\n") and _plain_bytes(header)):
-            return 0, 1
+            return None
         _check_header(path, header[:-1].decode("ascii").split(","))
-        start, first_line = len(header), 2
         data = raw.read(_BLOCK_BYTES)
         while data:
             end = data.rfind(b"\n") + 1
-            block = _plain_block(data[:end], first_line, cells_to_code, codes, table) if end else None
+            block = _plain_block(data[:end], codes, table) if end else None
             if block is None:
-                return start, first_line
+                return None
             blocks.append(block)
-            start, first_line = start + end, first_line + block[1].size
-            data = data[end:] + raw.read(_BLOCK_BYTES)
-    return None, first_line
+            rest = data[end:]
+            data = rest + (raw.read(_BLOCK_BYTES) or b"\n" * bool(rest))
+    return blocks
 
 
-def _plain_block(
-    data: bytes,
-    first_line: int,
-    cells_to_code: dict[str, int],
-    codes: dict[str, int],
-    table: _CellTable,
-) -> tuple | None:
-    """Columns (first line, day, outlet code, count) of whole lines of
-    bytes, or ``None`` unless every line is a plain, valid row.
+def _plain_block(data: bytes, codes: dict[str, int], table: _CellTable) -> tuple | None:
+    """Columns (day, outlet code, count) of whole lines of bytes, or
+    ``None`` unless every line is a plain, valid row.
 
     A plain row is ASCII with no NUL, quote or CR, and has exactly two
     commas, a 10-byte date, a non-empty outlet and a count of 1-18 digits;
@@ -571,8 +552,9 @@ def _plain_block(
     not a real date, makes the block not valid.  Outlets are looked up in
     ``table`` when it holds every outlet cell of the block, else read at one
     row of each distinct cell (:func:`_distinct_fields`) as in
-    :func:`_parse_row`, and those cells then join ``table``; a blank outlet,
-    or two cells that share a key, makes the block not valid.
+    :func:`_parse_row`, coded into ``codes``, and those cells then join
+    ``table``; a blank outlet, or two cells that share a key, makes the
+    block not valid.
     """
     if not _plain_bytes(data):
         return None
@@ -616,14 +598,14 @@ def _plain_block(
             return None
         outlet_at, outlet_id = distinct
         outlet_bounds = zip((first[outlet_at] + 1).tolist(), second[outlet_at].tolist())
-        outlet_cells = [data[i:j].decode("ascii") for i, j in outlet_bounds]
-        _learn_outlets(outlet_cells, cells_to_code, codes)
-        cell_codes = np.array([cells_to_code[cell] for cell in outlet_cells], dtype=np.int64)
+        names = [data[i:j].decode("ascii").strip() for i, j in outlet_bounds]
+        if not all(names):
+            return None
+        # in order, so codes follow the outlets' first rows
+        cell_codes = np.array([codes.setdefault(name, len(codes)) for name in names], dtype=np.int64)
         table.add([piece[outlet_at] for piece in outlet], cell_codes)
         code = cell_codes[outlet_id]
-    if (code < 0).any():
-        return None
-    return first_line, day, code, count
+    return day, code, count
 
 
 def _plain_bytes(data: bytes) -> bool:
@@ -735,7 +717,8 @@ def _parse_row(
         except ValueError:
             days[date_cell] = 0
     if outlet_cell not in cells_to_code:
-        _learn_outlets((outlet_cell,), cells_to_code, codes)
+        name = outlet_cell.strip()
+        cells_to_code[outlet_cell] = codes.setdefault(name, len(codes)) if name else -1
     day, code = days[date_cell], cells_to_code[outlet_cell]
     if not day:
         return f"bad date {date_cell!r}" if "".join(row).strip() else None
@@ -750,14 +733,6 @@ def _parse_row(
     if count >= 2**63:
         return f"count {count_cell!r} does not fit in 64 bits"
     return day, code, count
-
-
-def _learn_outlets(outlet_cells: list[str], cells_to_code: dict[str, int], codes: dict[str, int]) -> None:
-    """Add the outlet cells not yet looked up to the lookup dicts."""
-    for cell in outlet_cells:  # in order, so codes follow the outlets' first rows
-        if cell not in cells_to_code:
-            name = cell.strip()
-            cells_to_code[cell] = codes.setdefault(name, len(codes)) if name else -1
 
 
 def read_flows_csv(path: str | Path) -> EntityFlowSeries:

@@ -73,7 +73,6 @@ class RegressionFit:
     nobs: int
     nregressors: int
     design: np.ndarray
-    has_intercept: bool
 
     def index_of(self, name: str) -> int:
         try:
@@ -191,19 +190,18 @@ def ols(
     y: np.ndarray | Sequence[float],
     X: np.ndarray | Sequence[Sequence[float]] | None,
     names: Sequence[str] | None = None,
-    intercept: bool = True,
 ) -> RegressionFit:
-    """Ordinary least squares with classical standard errors.
+    """Ordinary least squares on a constant, named ``const``, and ``X``,
+    with classical standard errors.
 
     The fit is :func:`lstsq_chain` on ``[X, y]`` with the one fit
     ``(k, k)``, read off by :func:`chain_fit` with the columns in order.
 
     Args:
         y: dependent variable, length n.
-        X: regressor matrix (n, k) without the intercept column; may be None
-            for an intercept-only fit.
+        X: regressor matrix (n, k) without the constant column; may be None
+            for a constant-only fit.
         names: regressor names matching X's columns; generated when omitted.
-        intercept: prepend a constant column named ``const``.
 
     Raises:
         CollinearityError: rank-deficient design, message names the dependent
@@ -225,14 +223,9 @@ def ols(
         names = tuple(names)
     if len(names) != X.shape[1]:
         raise ValueError("names must match the number of regressor columns")
-    if intercept:
-        design = np.column_stack([np.ones(y.size), X])
-        names = ("const",) + names
-    else:
-        design = X
+    design = np.column_stack([np.ones(y.size), X])
+    names = ("const",) + names
     n, k = design.shape
-    if k == 0:
-        raise ValueError("regression needs at least one regressor or an intercept")
     if n <= k:
         raise SampleError(f"need more than {k} observations, got {n}")
     A = np.column_stack([design, y])[None]
@@ -246,18 +239,19 @@ def ols(
             "design matrix is rank deficient; dependent columns: "
             + ", ".join(dependent)
         )
-    return chain_fit(A, fit, 0, k, np.arange(k), names, intercept)
+    return chain_fit(A, fit, 0, k, np.arange(k), names)
 
 
 def chain_fit(
     A: np.ndarray, chain: ChainLstsq, j: int, column: int, order: np.ndarray,
-    names: tuple[str, ...], intercept: bool = True,
+    names: tuple[str, ...],
 ) -> RegressionFit:
     """The :class:`RegressionFit` of fit j, of column ``column`` on the first
     ``p_j = len(order)`` columns, from ``chain = lstsq_chain(A, ...)`` on one
     panel ``A`` (1, n, K).  Coefficient i, named ``names[i]``, is that of
     chain column ``order[i]``; ``(X'X)^{-1} = L L'`` in that order, with
-    ``L = inv(R[:p_j, :p_j])[order]``."""
+    ``L = inv(R[:p_j, :p_j])[order]``.  The design holds a constant, so R^2
+    is taken about the dependent column's mean."""
     n, k = A.shape[1], len(order)
     design = A[0][:, order]
     # the SSR is summed from these stacked (1, n, 1) residuals of the chain's
@@ -270,10 +264,7 @@ def chain_fit(
     L = np.linalg.inv(chain.R[0, :k, :k])[order]  # R is triangular: LU needs no pivoting here
     covariance = sigma2 * (L @ L.T)
     y = A[0, :, column]
-    if intercept:
-        tss = float(np.sum((y - y.mean()) ** 2))
-    else:
-        tss = float(y @ y)
+    tss = float(np.sum((y - y.mean()) ** 2))
     r2 = 1.0 - ssr / tss if tss > 0 else 0.0
     adjusted = 1.0 - (1.0 - r2) * (n - 1) / (n - k)
     return RegressionFit(
@@ -288,7 +279,6 @@ def chain_fit(
         nobs=n,
         nregressors=k,
         design=design,
-        has_intercept=intercept,
     )
 
 
@@ -327,10 +317,7 @@ def breusch_godfrey(fit: RegressionFit, lags: int = 4) -> BreuschGodfreyResult:
     aux = np.column_stack([fit.design, lagged])
     coef, _, _, _ = np.linalg.lstsq(aux, e, rcond=None)
     aux_resid = e - aux @ coef
-    if fit.has_intercept:
-        tss = float(np.sum((e - e.mean()) ** 2))
-    else:
-        tss = float(e @ e)
+    tss = float(np.sum((e - e.mean()) ** 2))
     if tss == 0.0:
         return BreuschGodfreyResult(0.0, 1.0, lags, n)
     r2 = 1.0 - float(aux_resid @ aux_resid) / tss

@@ -14,7 +14,6 @@ Period label grammar: annual ``YYYY``, quarterly ``YYYYQn``, monthly
 from __future__ import annotations
 
 import csv
-import io
 import json
 import math
 import re
@@ -380,19 +379,17 @@ def align(*series: CalendarSeries) -> tuple[list[np.ndarray], PeriodLabel]:
 
 
 @contextmanager
-def csv_rows(path: Path, start: int = 0) -> Iterator[Iterator[list[str]]]:
-    """A ``csv.reader`` over a UTF-8 file from byte ``start``, which begins a
-    line; bytes that do not decode, and what ``csv`` cannot split, raise
+def csv_rows(path: Path) -> Iterator[Iterator[list[str]]]:
+    """A ``csv.reader`` over a UTF-8 file, less a leading byte order mark;
+    bytes that do not decode, and what ``csv`` cannot split, raise
     :class:`SeriesError` naming the file."""
-    with path.open("rb") as raw:
-        raw.seek(start)
-        with io.TextIOWrapper(raw, encoding="utf-8", newline="") as handle:
-            try:
-                yield csv.reader(handle)
-            except UnicodeDecodeError as exc:
-                raise SeriesError(f"{path}: not UTF-8 text ({exc.reason})") from exc
-            except csv.Error as exc:
-                raise SeriesError(f"{path}: {exc}") from exc
+    with path.open(encoding="utf-8-sig", newline="") as handle:
+        try:
+            yield csv.reader(handle)
+        except UnicodeDecodeError as exc:
+            raise SeriesError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+        except csv.Error as exc:
+            raise SeriesError(f"{path}: {exc}") from exc
 
 
 def read_period_table(

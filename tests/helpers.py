@@ -411,7 +411,6 @@ def bootstrap_reference(
     lo, hi = quantiles
     lower = np.quantile(draws, lo, axis=0)
     upper = np.quantile(draws, hi, axis=0)
-    median = np.quantile(draws, 0.5, axis=0)
     return BootstrapBands(
         replications=kept,
         requested=replications,
@@ -423,7 +422,6 @@ def bootstrap_reference(
         shocks=shocks,
         lower={s: lower[i] for i, s in enumerate(shocks)},
         upper={s: upper[i] for i, s in enumerate(shocks)},
-        median={s: median[i] for i, s in enumerate(shocks)},
         joint_resampling=joint_resampling,
     )
 
@@ -453,11 +451,12 @@ def read_counts_reference(path: str | Path) -> tuple[tuple[str, ...], dict[str, 
     """The row-at-a-time counts reader: sorted outlets and outlet -> day -> count.
 
     Kept as the reference for :func:`newsvar.intensity.read_counts_csv`,
-    which must raise the same first error or read the same counts.
+    which must raise the same first error or read the same counts.  A
+    leading byte order mark is dropped.
     """
     path = Path(path)
     counts: dict[str, dict[date, int]] = {}
-    with path.open(newline="", encoding="utf-8") as handle:
+    with path.open(newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
         header = next(reader, None)
         if header is None or [h.strip().lower() for h in header[:3]] != [

@@ -164,7 +164,6 @@ def test_criterion_06_printed_value_arithmetic():
         nobs=4,
         nregressors=3,
         design=np.zeros((4, 3)),
-        has_intercept=True,
     )
     theta, _ = reg.long_run_effect(fit, "s.L1", "dy.L1")
     checks.append(("long-run effect", theta, abs(theta - (-0.0312)) <= 1e-3 and abs(theta - (-0.031)) <= 1e-3))

@@ -46,10 +46,12 @@ def test_bands_are_ordered_and_contain_median():
     bands = bs.bootstrap_irf(est, horizon=8, replications=60, seed=3)
     assert bands.replications == 60
     assert bands.dropped == 0
+    # the same draws with the median as the upper quantile
+    median = bs.bootstrap_irf(est, horizon=8, replications=60, seed=3, quantiles=(0.05, 0.5)).upper
     for shock in bands.shocks:
         assert np.all(bands.lower[shock] <= bands.upper[shock])
-        assert np.all(bands.lower[shock] <= bands.median[shock])
-        assert np.all(bands.median[shock] <= bands.upper[shock])
+        assert np.all(bands.lower[shock] <= median[shock])
+        assert np.all(median[shock] <= bands.upper[shock])
 
 
 def test_vanishing_residual_variance_collapses_bands_to_point():
@@ -227,7 +229,7 @@ def test_bands_equal_one_generator_per_replication_bit_for_bit(monkeypatch, join
     reference = bs.bootstrap_irf(est, **kwargs)
     assert bands.replications == reference.replications == replications
     for shock in bands.shocks:
-        for name in ("lower", "upper", "median"):
+        for name in ("lower", "upper"):
             assert np.array_equal(getattr(bands, name)[shock], getattr(reference, name)[shock]), (shock, name)
 
 
@@ -436,7 +438,7 @@ def test_chunked_bootstrap_matches_one_at_a_time_reference(case):
     assert batched.shocks == reference.shocks
     assert (batched.replications, batched.dropped) == (reference.replications, reference.dropped)
     for shock in batched.shocks:
-        for name in ("lower", "upper", "median"):
+        for name in ("lower", "upper"):
             got = getattr(batched, name)[shock]
             want = getattr(reference, name)[shock]
             assert np.max(np.abs(got - want)) <= 1e-12, (shock, name)
@@ -462,7 +464,7 @@ def test_chained_bootstrap_bands_match_reference_to_rounding():
     reference = bootstrap_reference(est, Z, **kwargs)
     assert chained.replications == reference.replications == 40
     for shock in chained.shocks:
-        for name in ("lower", "upper", "median"):
+        for name in ("lower", "upper"):
             got = getattr(chained, name)[shock]
             want = getattr(reference, name)[shock]
             assert np.max(np.abs(got - want)) < 1e-14, (shock, name)
@@ -534,7 +536,7 @@ def test_block_boundaries_do_not_move_a_bit(monkeypatch, block_bytes, slice_pane
     assert (blocked.replications, blocked.dropped) == (unblocked.replications, unblocked.dropped)
     assert blocked.replications == reference.replications == 23
     for shock in blocked.shocks:
-        for name in ("lower", "upper", "median"):
+        for name in ("lower", "upper"):
             got = getattr(blocked, name)[shock]
             assert np.array_equal(got, getattr(unblocked, name)[shock]), (shock, name)
             assert np.max(np.abs(got - getattr(reference, name)[shock])) <= 1e-12, (shock, name)
@@ -595,7 +597,7 @@ def test_responses_sub_sliced_under_the_block_budget_do_not_move_a_bit(monkeypat
     for bands in runs.values():
         assert bands.replications == 23
         for shock in bands.shocks:
-            for name in ("lower", "upper", "median"):
+            for name in ("lower", "upper"):
                 assert np.array_equal(getattr(bands, name)[shock], getattr(one_call, name)[shock]), (shock, name)
 
 

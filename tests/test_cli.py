@@ -12,6 +12,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 from datetime import date
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -1279,3 +1280,84 @@ def test_build_index_checks_each_counts_file_once(index_workspace, monkeypatch):
         monkeypatch.setattr(owner, name, counted)
     assert cli.main(["build-index", "--config", str(config)]) == 0
     assert calls == {"_first_repeat": 2, "__post_init__": 0}
+
+
+# ---------------------------------------------------------------------------
+# metamorphic properties: inputs that differ only where their format leaves
+# a choice give byte-identical outputs
+# ---------------------------------------------------------------------------
+
+
+INDEX_CONFIG = {
+    "out_dir": "out",
+    "index": {
+        "on_counts": "on.csv",
+        "off_counts": "off.csv",
+        "variant": "standardized",
+        "off_windows": [["1989Q1", "1989Q4"], ["1991Q3", "1992Q2"]],
+        "output_growth": "dy.csv",
+    },
+}
+
+
+def command_outputs(command, config):
+    """Run ``command`` on ``config`` (``out_dir`` "out") and return its output files' bytes by name."""
+    assert cli.main([command, "--config", str(config)]) == 0
+    outputs = {p.name: p.read_bytes() for p in (config.parent / "out").iterdir()}
+    assert outputs
+    return outputs
+
+
+def rewrite_counts(path, change):
+    """Rewrite a counts file written by :func:`write_counts`, grouped by outlet."""
+    header, *rows = path.read_text(encoding="utf-8").splitlines()
+    if change == "by day":
+        rows.sort(key=lambda row: row.split(",")[0])  # a stable sort keeps each day's outlets in order
+    elif change == "shuffled":
+        rows = [rows[i] for i in np.random.default_rng(5).permutation(len(rows))]
+    elif change == "quoted":
+        day, outlet, count = rows[2].split(",")
+        rows[2] = f'{day},"{outlet}",{count}'
+    path.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
+
+
+@pytest.mark.parametrize("change", ["by day", "shuffled", "quoted"])
+def test_build_index_outputs_do_not_depend_on_counts_row_order_or_route(index_workspace, change):
+    # a quoted cell sends the whole file through csv; the others are read on bytes
+    config = write_config(index_workspace, INDEX_CONFIG)
+    expected = command_outputs("build-index", config)
+    for name in ("on.csv", "off.csv"):
+        rewrite_counts(index_workspace / name, change)
+    with mock.patch.object(ix, "_parse_row", wraps=ix._parse_row) as parse:
+        assert command_outputs("build-index", config) == expected
+    assert parse.called == (change == "quoted")
+
+
+def reversed_keys(value):
+    """``value`` with the keys of every mapping in it in reverse order."""
+    if isinstance(value, dict):
+        return {key: reversed_keys(value[key]) for key in reversed(value)}
+    return value
+
+
+@pytest.mark.parametrize("command", ["build-index", "dynamics"])
+def test_outputs_do_not_depend_on_config_key_order(tmp_path, command):
+    if command == "build-index":
+        write_index_inputs(tmp_path)
+        payload = INDEX_CONFIG
+    else:
+        _, data_map = model_workspace(tmp_path, T=120)
+        payload = {
+            "out_dir": "out",
+            "model": {
+                "spec": "spec.json",
+                "data": data_map,
+                "horizon": 4,
+                "method": "both",
+                "bootstrap": {"replications": 10, "seed": 1},
+            },
+        }
+    expected = command_outputs(command, write_config(tmp_path, payload))
+    shutil.rmtree(tmp_path / "out")
+    assert list(reversed_keys(payload)) == ["index" if command == "build-index" else "model", "out_dir"]
+    assert command_outputs(command, write_config(tmp_path, reversed_keys(payload))) == expected

@@ -692,8 +692,8 @@ def test_iso_days_reads_only_real_dates_in_their_iso_form(tmp_path, cell):
 
 def test_read_counts_csv_reports_first_failure_across_blocks(tmp_path):
     p = tmp_path / "counts.csv"
-    # a repeat on line 4 comes before a bad date on line 6; lines 2 and 3 are
-    # read on bytes, and the rest through csv from the blank line's block
+    # a repeat on line 4 comes before a bad date on line 6; the blank line's
+    # block sends the whole file through csv
     p.write_text(
         "date,outlet,count\n2000-01-01,a,1\n2000-01-02,a,1\n2000-01-01, a,2\n\nnope,a,1\n",
         encoding="utf-8",
@@ -916,9 +916,12 @@ def test_read_counts_csv_traced_peak_holds_the_panel_and_a_few_blocks(tmp_path):
     assert peak <= columns + 4 * ix._BLOCK_BYTES
 
 
-def test_read_counts_csv_hands_only_the_quoted_block_to_csv(tmp_path):
+def test_read_counts_csv_hands_a_file_with_a_quoted_row_to_csv(tmp_path):
+    # the blocks are read on bytes up to the quoted row's, which is not
+    # plain; then csv reads every data row, from the file's first line
     p = tmp_path / "counts.csv"
-    p.write_text(plain_counts_text() + '2002-01-01,"outlet01",5\n', encoding="utf-8")
+    text = plain_counts_text() + '2002-01-01,"outlet01",5\n'
+    p.write_text(text, encoding="utf-8")
     plain_block, seen = ix._plain_block, []
 
     def spy(data, *rest):
@@ -926,11 +929,38 @@ def test_read_counts_csv_hands_only_the_quoted_block_to_csv(tmp_path):
         seen.append((b'"' in data, block is None))
         return block
 
-    with mock.patch.object(ix, "_BLOCK_BYTES", 1_000), mock.patch.object(ix, "_plain_block", spy):
+    with mock.patch.object(ix, "_BLOCK_BYTES", 1_000), mock.patch.object(ix, "_plain_block", spy), \
+            mock.patch.object(ix, "_parse_row", wraps=ix._parse_row) as parse:
         panel = ix.read_counts_csv(p)
     assert len(seen) > 20
     assert seen == [(False, False)] * (len(seen) - 1) + [(True, True)]
+    rows = [line.split(",") for line in text.splitlines()[1:-1]] + [["2002-01-01", "outlet01", "5"]]
+    assert [call.args[0] for call in parse.call_args_list] == rows
     assert_same_panel(panel, read_through_csv(p))
+
+
+def test_read_counts_csv_reads_a_last_line_with_no_line_end_on_bytes(tmp_path):
+    p = tmp_path / "counts.csv"
+    p.write_text(plain_counts_text().rstrip("\n"), encoding="utf-8")
+    for block_bytes in (1_000, ix._BLOCK_BYTES):
+        with mock.patch.object(ix, "_BLOCK_BYTES", block_bytes), mock.patch.object(
+            ix, "_parse_row", wraps=ix._parse_row
+        ) as parse:
+            panel = ix.read_counts_csv(p)
+        parse.assert_not_called()
+        assert_same_panel(panel, read_through_csv(p))
+    assert panel.day.size == 3 * 400
+
+
+def test_read_counts_csv_reads_a_file_that_starts_with_a_byte_order_mark(tmp_path):
+    # as a spreadsheet's "CSV UTF-8" export writes it; the header is not
+    # ASCII, so the file goes through csv, which drops the mark
+    p = tmp_path / "counts.csv"
+    text = plain_counts_text(days=40)
+    p.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    panel = ix.read_counts_csv(p)
+    p.write_text(text, encoding="utf-8")
+    assert_same_panel(panel, ix.read_counts_csv(p))
 
 
 @pytest.mark.parametrize(
@@ -954,9 +984,10 @@ def test_read_counts_csv_leaves_nul_and_cr_to_csv(tmp_path, rows):
     assert outcome(ix.read_counts_csv) == outcome(read_through_csv)
 
 
-def test_read_counts_csv_reports_a_repeat_on_bytes_before_a_later_csv_failure(tmp_path):
+def test_read_counts_csv_reports_a_repeat_before_a_later_failure_through_csv(tmp_path):
     p = tmp_path / "counts.csv"
-    # lines 2-5 are plain and read on bytes, two to a block; line 6 is not
+    # lines 2-5 are plain, two to a block; line 6 is not, so csv reads the
+    # whole file, up to line 6, and the repeat on line 4 is reported first
     p.write_text(
         "date,outlet,count\n2000-01-01,a,1\n2000-01-02,a,1\n2000-01-01,a,2\n2000-01-03,a,1\nnope,a,1\n",
         encoding="utf-8",
@@ -966,8 +997,9 @@ def test_read_counts_csv_reports_a_repeat_on_bytes_before_a_later_csv_failure(tm
     ) as parse:
         with pytest.raises(SeriesError, match=r":4: duplicate row for a 2000-01-01"):
             ix.read_counts_csv(p)
-    # csv reads line 6 alone
-    assert [call.args[0] for call in parse.call_args_list] == [["nope", "a", "1"]]
+    assert [call.args[0][0] for call in parse.call_args_list] == [
+        "2000-01-01", "2000-01-02", "2000-01-01", "2000-01-03", "nope"
+    ]
 
 
 def test_read_counts_csv_refuses_a_latin1_byte_past_the_first_block(tmp_path):

@@ -388,6 +388,14 @@ def test_blank_edge_cells_are_missing_values(tmp_path):
     assert ts.read_series_csv(p).values.tolist() == [1.5]
 
 
+def test_read_series_csv_drops_a_leading_byte_order_mark(tmp_path):
+    # as a spreadsheet's "CSV UTF-8" export writes it
+    p = tmp_path / "series.csv"
+    p.write_bytes(b"\xef\xbb\xbfperiod,value\n1990,1.5\n1991,2.5\n")
+    s = ts.read_series_csv(p)
+    assert s.start == ts.PeriodLabel(1990) and s.values.tolist() == [1.5, 2.5]
+
+
 def test_read_period_table_orders_rows(tmp_path):
     p = tmp_path / "table.csv"
     p.write_text(" Period ,US, uk\n2000-02,2,\n\n2000-01,1,nan\n2000-03,3,6\n", encoding="utf-8")

@@ -62,7 +62,6 @@ def test_fit_csv_bytes_with_extra_rows(tmp_path):
         nobs=22,
         nregressors=2,
         design=np.zeros((22, 2)),
-        has_intercept=True,
     )
     path = tmp_path / "fit.csv"
     reg.write_fit_csv(fit, path, extra_rows=(("bg_p_value", "0.123456"), ("note", "a,b"), ("quote", 'q"x')))
@@ -93,7 +92,7 @@ def irf_bands():
     upper = {"e1": np.array([[1.5, 1.0], [0.5, 0.0]]), "s": np.array([[0.5, 3.0], [0.2, 0.3]])}
     return boot.BootstrapBands(
         replications=9, requested=10, dropped=1, quantiles=(0.05, 0.95), seed=7, horizon=1,
-        variables=("a", "b"), shocks=("e1", "s"), lower=lower, upper=upper, median=upper,
+        variables=("a", "b"), shocks=("e1", "s"), lower=lower, upper=upper,
         joint_resampling=False,
     )
 
