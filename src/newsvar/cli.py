@@ -163,7 +163,8 @@ def _flag(value: object, what: str) -> bool:
 def _parse_window(
     values: object, what: str, frequency: ts.Frequency
 ) -> tuple[ts.PeriodLabel | None, ts.PeriodLabel | None]:
-    """A [start, end] pair of period labels, each of the given frequency or null."""
+    """A [start, end] pair of period labels, each of the given frequency or
+    null, whose start does not come after its end."""
     if values is None:
         return (None, None)
     if not isinstance(values, (list, tuple)) or len(values) != 2:
@@ -177,6 +178,8 @@ def _parse_window(
             out.append(ts.PeriodLabel.parse(str(v), frequency)[0])
         except NewsvarError as exc:
             raise UsageError(f"{what}: {exc}") from exc
+    if None not in out and out[0].to_index(frequency) > out[1].to_index(frequency):
+        raise UsageError(f"{what} {list(values)}: start comes after end")
     return out[0], out[1]
 
 
@@ -185,10 +188,14 @@ def _parse_window(
 # ---------------------------------------------------------------------------
 
 
-def _index_series(panel: ix.ArticleCountPanel, variant: str, target: ts.Frequency) -> ts.CalendarSeries:
-    """The variant's monthly means of the panel, averaged to ``target``."""
-    monthly = (ix.standardized_monthly_count if variant == "standardized" else ix.monthly_mean_count)(panel)
-    return monthly if target is ts.Frequency.MONTHLY else ts.aggregate(monthly, target)
+def _index_series(panel: ix.ArticleCountPanel, variant: str, target: ts.Frequency, name: str) -> ts.CalendarSeries:
+    """The variant's monthly means of the panel, averaged to ``target``; a
+    data error names the piece the panel came from, ``name``, first."""
+    try:
+        monthly = (ix.standardized_monthly_count if variant == "standardized" else ix.monthly_mean_count)(panel)
+        return monthly if target is ts.Frequency.MONTHLY else ts.aggregate(monthly, target)
+    except NewsvarError as exc:
+        raise type(exc)(f"{name}: {exc}") from exc
 
 
 def _mask_panel_months(
@@ -276,7 +283,7 @@ def _off_index(settings: IndexSettings, span: ts.CalendarSeries) -> ix.Intensity
     for name, piece_panel in pieces:
         if piece_panel is None:
             raise UsageError(f"{name} contains no count data")
-        piece = _index_series(piece_panel, settings.variant, target)
+        piece = _index_series(piece_panel, settings.variant, target, name)
         lo = piece.start.to_index(target) - span.start.to_index(target)
         hi = lo + len(piece)
         if lo < 0 or hi > len(values):
@@ -291,7 +298,7 @@ def _off_index(settings: IndexSettings, span: ts.CalendarSeries) -> ix.Intensity
 def cmd_build_index(config: PipelineConfig) -> Outputs:
     settings = _index_settings(config)
     variant, target, window, _, weight, grid_step, on_path, off_path, dy_path = settings
-    on_series = _index_series(ix.read_counts_csv(on_path), variant, target)
+    on_series = _index_series(ix.read_counts_csv(on_path), variant, target, f"on counts file {on_path}")
     on_index = ix.normalize_unit_max(on_series, window=window, kind=ix.IndexKind.ON)
     outputs: Outputs = {"index_on.csv": partial(ix.write_index_csv, on_index)}
     diagnostics: dict[str, object] = {

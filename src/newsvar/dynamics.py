@@ -196,20 +196,17 @@ def _direct_ma(est: SvarEstimate, system: StackedSystem, horizon: int, control: 
     one-step form.  The exogenous shocks reach the domestic block through
     one-step recursions on GA, linear in the horizon: the intervention's
     response is ``x_h(gamma0s) + x_{h-1}(gamma1s)`` with
-    ``x_h(v) = GA_h v + rho x_{h-1}(v)``, the control's is ``Y_h r`` with
+    ``x_h(v) = GA_h v + s_rho x_{h-1}(v)``, the control's is ``Y_h r`` with
     ``Y_h = GA_h Dw + Y_{h-1} R`` for the control's transition R and unit
     vector r.
     """
-    rho = float(est.s_rho)
-    if abs(rho) >= 1.0:
-        raise NonstationaryError(f"intervention process is nonstationary (rho = {rho:.4f})")
     m = est.m
     GA = g_recursion(system.Phi1[:m, :m], system.Phi2[:m, :m], horizon) @ system.impact[:m, :m]
     out = np.empty((m + 1 + (control is not None), horizon + 1, m))
     out[:m] = GA.transpose(2, 0, 1)
     X = GA @ np.column_stack([est.gamma0s, est.gamma1s])  # x_h(gamma0s), x_h(gamma1s)
     for h in range(1, horizon + 1):
-        X[h] += rho * X[h - 1]
+        X[h] += est.s_rho * X[h - 1]
     out[m] = X[..., 0]
     out[m, 1:] += X[:-1, :, 1]
     if control is not None:

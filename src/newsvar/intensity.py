@@ -223,29 +223,33 @@ class EntityFlowSeries:
         self.start.validate(self.frequency)
 
 
-def monthly_mean_count(panel: ArticleCountPanel) -> CalendarSeries:
-    """Grand mean of counts over outlets and publishing days, per month.
-
-    Months inside the panel span with no publishing days would leave a hole
-    in the month run, so they are refused with a :class:`GapError` that
-    names them.
-    """
+def _outlet_months(panel: ArticleCountPanel) -> tuple[CalendarSeries, np.ndarray]:
+    """Each month's publishing days, as a series, and each outlet's count
+    total per month (outlets down the rows).  A month of the panel span with
+    no publishing day would leave a hole in the month run, so it is refused
+    with a :class:`GapError` that names each run of such months once."""
     first, days = panel.publishing_days()
     empty = np.flatnonzero(days == 0)
     if empty.size:
-        labels = ", ".join(
-            PeriodLabel.from_index(first + int(m), Frequency.MONTHLY).format(Frequency.MONTHLY)
-            for m in empty
-        )
-        raise GapError(f"excluded months leave an interior gap: {labels}")
+        label = lambda m: PeriodLabel.from_index(first + int(m), Frequency.MONTHLY).format(Frequency.MONTHLY)
+        runs = np.split(empty, np.flatnonzero(np.diff(empty) > 1) + 1)
+        named = (label(run[0]) if run.size == 1 else f"{label(run[0])} to {label(run[-1])}" for run in runs)
+        raise GapError(f"excluded months leave an interior gap: {', '.join(named)}")
     # float sums of integer counts are exact while a month's total stays below 2**53
-    totals = np.bincount(panel.month - first, weights=panel.count, minlength=days.size)
-    return CalendarSeries(
-        frequency=Frequency.MONTHLY,
-        calendar=CalendarKind.GREGORIAN,
-        start=PeriodLabel.from_index(first, Frequency.MONTHLY),
-        values=totals / (len(panel.outlets) * days),
+    totals = np.bincount(
+        panel.outlet * days.size + (panel.month - first),
+        weights=panel.count,
+        minlength=len(panel.outlets) * days.size,
     )
+    start = PeriodLabel.from_index(first, Frequency.MONTHLY)
+    return CalendarSeries(Frequency.MONTHLY, CalendarKind.GREGORIAN, start, days), totals.reshape(-1, days.size)
+
+
+def monthly_mean_count(panel: ArticleCountPanel) -> CalendarSeries:
+    """Grand mean of counts over outlets and publishing days, per month; a
+    month gap is refused (see :func:`_outlet_months`)."""
+    days, totals = _outlet_months(panel)
+    return days.replace_values(totals.sum(axis=0) / (len(panel.outlets) * days.values))
 
 
 def standardized_monthly_count(panel: ArticleCountPanel) -> CalendarSeries:
@@ -253,33 +257,20 @@ def standardized_monthly_count(panel: ArticleCountPanel) -> CalendarSeries:
 
     Every outlet's monthly mean series is divided by its full-sample standard
     deviation (denominator T-1) before averaging, so outlets with fat count
-    levels do not dominate the cross-outlet mean.
+    levels do not dominate the cross-outlet mean.  A month gap is refused
+    (see :func:`_outlet_months`).
     """
-    first, days = panel.publishing_days()
-    if np.count_nonzero(days) < 2:
+    days, totals = _outlet_months(panel)
+    if len(days) < 2:
         raise SampleError("standardization needs at least 2 covered months")
-    if not days.all():
-        raise GapError("panel months are not contiguous")
-    n_outlets, n_months = len(panel.outlets), days.size
-    totals = np.bincount(
-        panel.outlet * n_months + (panel.month - first),
-        weights=panel.count,
-        minlength=n_outlets * n_months,
-    )
-    per_outlet_means = totals.reshape(n_outlets, n_months) / days
+    per_outlet_means = totals / days.values
     sigma = per_outlet_means.std(axis=1, ddof=1)
     flat = np.nonzero(sigma == 0)[0]
     if flat.size:
         raise DegenerateDataError(
             f"outlet {panel.outlets[flat[0]]!r} has constant monthly means"
         )
-    standardized = (per_outlet_means / sigma[:, None]).mean(axis=0)
-    return CalendarSeries(
-        frequency=Frequency.MONTHLY,
-        calendar=CalendarKind.GREGORIAN,
-        start=PeriodLabel.from_index(first, Frequency.MONTHLY),
-        values=standardized,
-    )
+    return days.replace_values((per_outlet_means / sigma[:, None]).mean(axis=0))
 
 
 def normalize_unit_max(

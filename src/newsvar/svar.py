@@ -111,9 +111,14 @@ class SvarSpec:
                 raise ModelSpecError(f"no lag order given for equation {eq!r}")
             if not 1 <= lags[eq] <= 2:
                 raise ModelSpecError(f"base lag order for {eq!r} must be 1 or 2")
+        if not isinstance(flags, Mapping):
+            flags = dict.fromkeys(ordering, flags)
+        named = {"'lags'": lags, "'intervention'": flags, "'per_equation_extras' (keyword extra_lags)": extras}
+        for what, given in named.items():
+            unknown = sorted((eq for eq in given if eq not in ordering), key=str)
+            if unknown:
+                raise ModelSpecError(f"spec field {what} names equations not in the ordering: {unknown}")
         for eq, terms in extras.items():
-            if eq not in ordering:
-                raise ModelSpecError(f"extra lags reference unknown equation {eq!r}")
             if len(set(terms)) != len(terms):
                 raise ModelSpecError(f"extra lags of {eq!r} list a term twice")
             for term, lag_ in terms:
@@ -125,12 +130,6 @@ class SvarSpec:
                     raise ModelSpecError(
                         f"extra term {term}.L{lag_} already covered by base lags of {eq!r}"
                     )
-        if not isinstance(flags, Mapping):
-            flags = dict.fromkeys(ordering, flags)
-        for what, given in (("lags", lags), ("intervention", flags)):
-            unknown = sorted((eq for eq in given if eq not in ordering), key=str)
-            if unknown:
-                raise ModelSpecError(f"spec field {what!r} names equations not in the ordering: {unknown}")
         object.__setattr__(self, "ordering", ordering)
         object.__setattr__(self, "controls", controls)
         object.__setattr__(self, "lags", {eq: lags[eq] for eq in ordering})
@@ -568,7 +567,7 @@ def _estimate_error(spec: SvarSpec, Z: np.ndarray, controls_var1: bool) -> Newsv
 def _var1_stack(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """VAR(1) fits ``z_t = intercept + transition z_{t-1} + v_t`` of the panels
     ``z`` (B, N, q), q regressions on one design in one :func:`lstsq_chain`
-    call; an AR(1) as :func:`~newsvar.regression.ar_fit` makes it is q = 1.
+    call; with q = 1 it is one series' AR(1) with an intercept.
     Returns the intercepts (B, q), transitions (B, q, q), innovation
     standard errors (B, q) and full-rank flags (B,)."""
     B, N, q = z.shape

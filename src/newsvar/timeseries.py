@@ -295,13 +295,11 @@ def convert_iranian_monthly(series: CalendarSeries) -> CalendarSeries:
 # Aggregation and transforms
 # ---------------------------------------------------------------------------
 
-_FINENESS = {Frequency.MONTHLY: 3, Frequency.QUARTERLY: 2, Frequency.ANNUAL: 1}
-
 
 def aggregate(series: CalendarSeries, target: Frequency) -> CalendarSeries:
     """Mean over each period of a coarser frequency; partial head/tail
     windows are dropped."""
-    if _FINENESS[target] >= _FINENESS[series.frequency]:
+    if target.periods_per_year >= series.frequency.periods_per_year:
         raise FrequencyError(
             f"target frequency {target.value} is not coarser than {series.frequency.value}"
         )

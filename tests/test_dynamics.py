@@ -190,10 +190,18 @@ def test_direct_route_agrees_at_a_long_horizon():
 
 
 def test_sanction_requires_stationary_process():
+    # an explosive intervention process is judged by the stacked companion
+    # alone: both routes warn and agree, and the variance shares refuse
     est = diagonal_system()
-    bad = replace(est, gamma0s=np.ones(3), s_rho=1.01)
-    with pytest.raises(NonstationaryError):
-        dyn.irf_all(bad, 4)
+    bad = replace(est, gamma0s=np.ones(3), gamma1s=np.full(3, 0.5), s_rho=1.01)
+    routes = []
+    for method in ("direct", "stacked"):
+        with pytest.warns(RuntimeWarning, match=r"nonstationary \(max eigenvalue modulus 1.010000\)"):
+            routes.append(dyn.irf_all(bad, 8, method=method).responses["s"])
+    assert np.abs(routes[0] - routes[1]).max() < 1e-12
+    assert routes[0][8, 0] == pytest.approx(1.01**8 + 0.5 * 1.01**7)
+    with pytest.raises(NonstationaryError, match="eigenvalue moduli reach 1.010000"):
+        dyn.fevd(bad, 8)
 
 
 # ---------------------------------------------------------------------------

@@ -138,11 +138,17 @@ def test_panel_rejects_malformed_columns(columns, message):
 
 
 def test_monthly_mean_empty_month_warns_then_gaps():
-    months = {(2000, 1): {"a": [1]}, (2000, 3): {"a": [1]}}
+    months = {(2000, m): {"a": [m]} for m in (1, 3, 4, 9, 10, 11)}
+    months[(2003, 2)] = {"a": [1]}
     panel = month_panel(months, outlets=("a",))
-    # the GapError alone names the month; no warning repeats it
-    with pytest.raises(GapError, match="2000-02"):
-        ix.monthly_mean_count(panel)
+    # both variants name each run of empty months once, as its first and last
+    # month; the GapError alone names them, no warning repeats it
+    for variant in (ix.monthly_mean_count, ix.standardized_monthly_count):
+        with pytest.raises(GapError) as refused:
+            variant(panel)
+        assert str(refused.value) == (
+            "excluded months leave an interior gap: 2000-02, 2000-05 to 2000-08, 2000-12 to 2003-01"
+        )
 
 
 # ---------------------------------------------------------------------------

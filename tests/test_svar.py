@@ -86,6 +86,12 @@ def test_spec_validation():
         sv.SvarSpec(ordering=("a", "b"), lags={"a": 1, "b": 1, "c": 2})
     with pytest.raises(ModelSpecError, match=r"'intervention' names equations not in the ordering: \['A'\]"):
         sv.SvarSpec(ordering=("a", "b"), intervention={"A": (True, True)})
+    # an unknown extras equation is refused by the same check, before its terms are read
+    with pytest.raises(ModelSpecError) as refused:
+        sv.SvarSpec(ordering=("a", "b"), lags=1, extra_lags={"c": (("z", 2),), "B": (("a", 2),)})
+    assert str(refused.value) == (
+        "spec field 'per_equation_extras' (keyword extra_lags) names equations not in the ordering: ['B', 'c']"
+    )
     # a refusal of the keyword field names it beside the spec file's key
     with pytest.raises(ModelSpecError) as refused:
         sv.SvarSpec(ordering=("a",), extra_lags={"a": "b"})
